@@ -21,7 +21,9 @@ from .evaluation import (
     DetectorSpec,
     EvalReport,
     SubjectSplit,
+    classify,
     compute_metrics,
+    fit_detector,
     run_experiment,
     split_subjects,
 )
@@ -52,11 +54,13 @@ __all__ = [
     "TrialRecording",
     "avd",
     "calibrate",
+    "classify",
     "compute_metrics",
     "derive_all",
     "detect",
     "extract",
     "fall_index",
+    "fit_detector",
     "ingest",
     "load_manifest",
     "load_model",

@@ -11,36 +11,32 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .core import Label, SignalWindow, segment
+from .core import Label, window_from_arrays
 from .datasets import ingest, load_manifest, read_canonical, read_canonical_trial, write_canonical
 from .errors import DataError, WristfallError
 from .evaluation import (
     DetectorSpec,
     EvalReport,
+    classify,
+    fit_detector,
     predictions_csv,
     report_json,
     report_table,
     run_experiment,
     split_subjects,
+    windows_of,
 )
-from .features import extract
-from .ml import FEATURE_VIEWS, MODEL_KINDS, load_model, predict, save_model, train
+from .ml import FEATURE_VIEWS, MODEL_KINDS, load_model, save_model
 from .signals import derive_all
 from .synthetic import synthesize
-from .threshold import (
-    THRESHOLD_SIGNALS,
-    detect,
-    fall_score,
-    calibrate,
-    load_threshold_config,
-    save_threshold_config,
-)
+from .threshold import THRESHOLD_SIGNALS, load_threshold_config, save_threshold_config
 
 MANIFEST_DIR_ENV = "WRISTFALL_MANIFEST_DIR"
 
@@ -87,14 +83,20 @@ def _parse_params(value: str | None) -> dict:
     return params
 
 
-def _dev_windows(corpus: Path, seed: int, window_seconds: float):
-    trials = read_canonical(corpus)
-    split = split_subjects((r.subject_id for r in trials), seed)
-    windows = []
-    for rec in trials:
-        if rec.subject_id in split.dev_subjects:
-            windows.extend(segment(rec, window_seconds=window_seconds))
-    return windows, split
+def _read_corpus(value: str):
+    corpus = Path(value)
+    if not corpus.is_dir():
+        raise DataError(f"corpus directory {corpus} not found")
+    return read_canonical(corpus)
+
+
+def _fit_on_dev(args, spec: DetectorSpec):
+    """Fit `spec` on the development split of --corpus; returns (detector, n_windows, split)."""
+    trials = _read_corpus(args.corpus)
+    split = split_subjects((r.subject_id for r in trials), args.seed)
+    windows = windows_of(trials, split.dev_subjects, args.window_seconds)
+    del trials  # release the evaluation subjects' recordings before fitting
+    return fit_detector(spec, windows, args.seed), len(windows), split
 
 
 def cmd_ingest(args) -> int:
@@ -134,39 +136,28 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    corpus = Path(args.corpus)
-    if not corpus.is_dir():
-        raise DataError(f"corpus directory {corpus} not found")
-    windows, split = _dev_windows(corpus, args.seed, args.window_seconds)
-    pairs = [(w, derive_all(w)) for w in windows]
-    config = calibrate(pairs, signals=_parse_signals(args.signals))
+    spec = DetectorSpec(kind="threshold", signals=_parse_signals(args.signals))
+    config, _, split = _fit_on_dev(args, spec)
     save_threshold_config(config, args.out)
     print(f"calibrated on {len(split.dev_subjects)} dev subjects: " + config.describe())
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
-    corpus = Path(args.corpus)
-    if not corpus.is_dir():
-        raise DataError(f"corpus directory {corpus} not found")
-    windows, split = _dev_windows(corpus, args.seed, args.window_seconds)
-    features = [extract(w, derive_all(w)) for w in windows]
-    model = train(args.kind, args.view, features, args.seed, **_parse_params(args.params))
+    spec = DetectorSpec(kind=args.kind, feature_view=args.view, params=_parse_params(args.params))
+    model, n_windows, split = _fit_on_dev(args, spec)
     save_model(model, args.out)
-    print(f"trained {model.describe()} on {len(features)} dev windows from {len(split.dev_subjects)} subjects")
+    print(f"trained {model.describe()} on {n_windows} dev windows from {len(split.dev_subjects)} subjects")
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
-    corpus = Path(args.corpus)
-    if not corpus.is_dir():
-        raise DataError(f"corpus directory {corpus} not found")
-    trials = read_canonical(corpus)
+    trials = _read_corpus(args.corpus)
     if args.detector == "threshold":
         spec = DetectorSpec(kind="threshold", signals=_parse_signals(args.signals), params=_parse_params(args.params))
     else:
         spec = DetectorSpec(kind=args.detector, feature_view=args.view, params=_parse_params(args.params))
-    dataset_name = args.dataset_name or corpus.name
+    dataset_name = args.dataset_name or Path(args.corpus).name
     result = run_experiment(trials, spec, args.seed, window_seconds=args.window_seconds, dataset_name=dataset_name)
 
     out = Path(args.out)
@@ -183,52 +174,28 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _finalize_stream_window(samples: list[list[float]], index: int, detector) -> str | None:
+def _emit_stream_window(samples: list[list[float]], index: int, detector) -> bool:
+    """Print the 't_end,label,score' line of a window; a window under 2 samples prints nothing."""
     if len(samples) < 2:
-        return None
+        return False
     arr = np.asarray(samples)
-    t = arr[:, 0]
-    gaps = np.diff(t)
-    rate = 1.0 / float(np.median(gaps))
-    window = SignalWindow(
-        recording_ref="stream",
-        subject_id="stream",
-        label=Label.ADL,  # placeholder; streaming input is unlabeled
-        sample_rate_hz=rate,
-        window_index=index,
-        start_t=float(t[0]),
-        end_t=float(t[-1]),
-        t=t,
-        acc=arr[:, 1:4],
-        gyr=arr[:, 4:7],
-    )
-    label, score = detector(window)
-    return f"{window.end_t!r},{label.value},{score:.6f}"
+    window = window_from_arrays("stream", arr[:, 0], arr[:, 1:4], arr[:, 4:7], index)
+    label, score = classify(detector, window)
+    print(f"{window.end_t!r},{label.value},{score:.6f}")
+    return True
 
 
 def cmd_detect_stream(args) -> int:
     if bool(args.model) == bool(args.threshold_config):
         raise DataError("provide exactly one of --model or --threshold-config")
-    if args.model:
-        model = load_model(args.model)
-
-        def detector(window):
-            return predict(model, extract(window, derive_all(window)))
-
-    else:
-        config = load_threshold_config(args.threshold_config)
-
-        def detector(window):
-            derived = derive_all(window)
-            verdict, _ = detect(window, derived, config)
-            return verdict, fall_score(derived, config)
+    detector = load_model(args.model) if args.model else load_threshold_config(args.threshold_config)
 
     window_seconds = args.window_seconds
     samples: list[list[float]] = []
     start_t: float | None = None
+    last_t: float | None = None
     index = 0
-    stream = sys.stdin
-    for line_no, raw in enumerate(stream, start=1):
+    for line_no, raw in enumerate(sys.stdin, start=1):
         line = raw.strip()
         if not line or line.startswith("t,"):
             continue
@@ -237,22 +204,23 @@ def cmd_detect_stream(args) -> int:
             values = [float(p) for p in parts]
             if len(values) != 7:
                 raise ValueError(f"expected 7 fields, got {len(values)}")
+            if not all(map(math.isfinite, values)):
+                raise ValueError("non-finite value")
+            if last_t is not None and values[0] <= last_t:
+                raise ValueError(f"t={values[0]!r} not after previous t={last_t!r}")
         except ValueError as exc:
             print(f"warning: line {line_no} skipped ({exc})", file=sys.stderr)
             continue
+        last_t = values[0]
         if start_t is None:
             start_t = values[0]
         if values[0] >= start_t + window_seconds:
-            emitted = _finalize_stream_window(samples, index, detector)
-            if emitted:
-                print(emitted)
+            if _emit_stream_window(samples, index, detector):
                 index += 1
             samples = []
             start_t = values[0]
         samples.append(values)
-    emitted = _finalize_stream_window(samples, index, detector)
-    if emitted:
-        print(emitted)
+    _emit_stream_window(samples, index, detector)
     return EXIT_OK
 
 
@@ -264,19 +232,7 @@ def cmd_export_plots(args) -> int:
 
     if args.trial:
         t, acc, gyr = read_canonical_trial(args.trial)
-        rate = 1.0 / float(np.median(np.diff(t)))
-        window = SignalWindow(
-            recording_ref=Path(args.trial).stem,
-            subject_id="",
-            label=Label.ADL,
-            sample_rate_hz=rate,
-            window_index=0,
-            start_t=float(t[0]),
-            end_t=float(t[-1]),
-            t=t,
-            acc=acc,
-            gyr=gyr,
-        )
+        window = window_from_arrays(Path(args.trial).stem, t, acc, gyr)
         derived = derive_all(window)
         lines = ["t,smv_acc,smv_gyr,fi,avd"]
         for i in range(window.n_samples):

@@ -146,6 +146,22 @@ class SignalWindow:
         return int(self.t.shape[0])
 
 
+def window_from_arrays(ref: str, t: np.ndarray, acc: np.ndarray, gyr: np.ndarray, index: int = 0) -> SignalWindow:
+    """An unlabeled window (placeholder label ADL) over raw arrays, at the rate of the median sample gap."""
+    return SignalWindow(
+        recording_ref=ref,
+        subject_id="",
+        label=Label.ADL,
+        sample_rate_hz=1.0 / float(np.median(np.diff(t))),
+        window_index=index,
+        start_t=float(t[0]),
+        end_t=float(t[-1]),
+        t=t,
+        acc=acc,
+        gyr=gyr,
+    )
+
+
 def segment(
     recording: TrialRecording,
     window_seconds: float = DEFAULT_WINDOW_SECONDS,

@@ -50,14 +50,6 @@ class ManifestRootMissing(DataError):
     pass
 
 
-class UnknownActivityCode(DataError):
-    def __init__(self, code: str, path: str = ""):
-        where = f" in {path}" if path else ""
-        super().__init__(f"activity code {code!r} not in task table{where}")
-        self.code = code
-        self.path = path
-
-
 class CanonicalFormatError(DataError):
     def __init__(self, path: str, line_no: int, reason: str):
         super().__init__(f"{path}:{line_no}: {reason}")

@@ -19,10 +19,10 @@ import numpy as np
 
 from .core import Label, SignalWindow, TrialRecording, segment
 from .errors import ExperimentStageError, TooFewSubjects
-from .features import FeatureVector, extract
+from .features import extract
 from .ml import ClassifierModel, predict, train
 from .signals import derive_all
-from .threshold import ThresholdConfig, calibrate, detect, fall_score
+from .threshold import ThresholdConfig, calibrate, detect
 
 EVAL_FRACTION = 0.2
 
@@ -201,11 +201,6 @@ class DetectorSpec:
     feature_view: str = "combined88"
     params: dict = field(default_factory=dict)
 
-    def describe(self) -> str:
-        if self.kind == "threshold":
-            return "threshold(" + "+".join(self.signals) + ")"
-        return f"{self.kind}({self.feature_view})"
-
 
 @dataclass
 class ExperimentResult:
@@ -217,11 +212,38 @@ class ExperimentResult:
     model: ClassifierModel | None = None
 
 
-def _windows_of(trials: Iterable[TrialRecording], window_seconds: float) -> list[SignalWindow]:
+def windows_of(trials: Iterable[TrialRecording], subjects: Iterable[str], window_seconds: float) -> list[SignalWindow]:
+    """Windows of the trials whose subject is in `subjects`, in trial order."""
+    subjects = set(subjects)
     windows: list[SignalWindow] = []
     for rec in trials:
-        windows.extend(segment(rec, window_seconds=window_seconds))
+        if rec.subject_id in subjects:
+            windows.extend(segment(rec, window_seconds=window_seconds))
     return windows
+
+
+def fit_detector(
+    spec: DetectorSpec, dev_windows: Sequence[SignalWindow], seed: int
+) -> ThresholdConfig | ClassifierModel:
+    """Calibrate thresholds or train a classifier on development windows, as `spec` says."""
+    if spec.kind == "threshold":
+        pairs = [(w, derive_all(w)) for w in dev_windows]
+        return calibrate(pairs, signals=spec.signals, grids=spec.params.get("grids"))
+    features = [extract(w, derive_all(w)) for w in dev_windows]
+    return train(spec.kind, spec.feature_view, features, seed, **spec.params)
+
+
+def classify(detector: ThresholdConfig | ClassifierModel, window: SignalWindow) -> tuple[Label, float]:
+    """Verdict and score for one window.
+
+    The score is the fraction of signals voting Fall for a threshold detector,
+    and `predict`'s score for a classifier.
+    """
+    derived = derive_all(window)
+    if isinstance(detector, ThresholdConfig):
+        verdict, votes = detect(window, derived, detector)
+        return verdict, sum(v is Label.FALL for v in votes.values()) / len(votes)
+    return predict(detector, extract(window, derived))
 
 
 def run_experiment(
@@ -247,48 +269,22 @@ def run_experiment(
             raise ExperimentStageError(name, exc) from exc
 
     split = stage("split", split_subjects, (r.subject_id for r in trials), seed)
-    dev_trials = [r for r in trials if r.subject_id in split.dev_subjects]
-    eval_trials = [r for r in trials if r.subject_id in split.eval_subjects]
+    fit_stages = (STAGE_CALIBRATION,) if spec.kind == "threshold" else (STAGE_STANDARDIZATION, STAGE_TRAINING)
 
-    threshold_config: ThresholdConfig | None = None
-    model: ClassifierModel | None = None
+    def _fit():
+        dev_windows = windows_of(trials, split.dev_subjects, window_seconds)
+        for w in dev_windows:
+            for name in fit_stages:
+                log.record(w.subject_id, name)
+        return fit_detector(spec, dev_windows, seed)
 
-    if spec.kind == "threshold":
-        def _calibrate():
-            pairs = []
-            for w in _windows_of(dev_trials, window_seconds):
-                log.record(w.subject_id, STAGE_CALIBRATION)
-                pairs.append((w, derive_all(w)))
-            return calibrate(pairs, signals=spec.signals, grids=spec.params.get("grids"))
-
-        threshold_config = stage(STAGE_CALIBRATION, _calibrate)
-        detector_desc = threshold_config.describe()
-
-        def _predict_window(w):
-            derived = derive_all(w)
-            verdict, _ = detect(w, derived, threshold_config)
-            return verdict, fall_score(derived, threshold_config)
-
-    else:
-        def _train():
-            features: list[FeatureVector] = []
-            for w in _windows_of(dev_trials, window_seconds):
-                log.record(w.subject_id, STAGE_STANDARDIZATION)
-                log.record(w.subject_id, STAGE_TRAINING)
-                features.append(extract(w, derive_all(w)))
-            return train(spec.kind, spec.feature_view, features, seed, **spec.params)
-
-        model = stage(STAGE_TRAINING, _train)
-        detector_desc = model.describe()
-
-        def _predict_window(w):
-            return predict(model, extract(w, derive_all(w)))
+    detector = stage(fit_stages[-1], _fit)
 
     def _evaluate():
         records = []
-        for w in _windows_of(eval_trials, window_seconds):
+        for w in windows_of(trials, split.eval_subjects, window_seconds):
             log.record(w.subject_id, STAGE_PREDICTION)
-            predicted, score = _predict_window(w)
+            predicted, score = classify(detector, w)
             records.append(PredictionRecord(w.window_ref, w.subject_id, w.label, predicted, float(score)))
         return records
 
@@ -297,14 +293,15 @@ def run_experiment(
         "metrics",
         compute_metrics,
         [(r.predicted, r.actual) for r in records],
-        detector=detector_desc,
+        detector=detector.describe(),
         dataset=dataset_name,
     )
+    is_threshold = isinstance(detector, ThresholdConfig)
     return ExperimentResult(
         report=report,
         split=split,
         access_log=log,
         predictions=records,
-        threshold_config=threshold_config,
-        model=model,
+        threshold_config=detector if is_threshold else None,
+        model=None if is_threshold else detector,
     )

@@ -7,8 +7,10 @@ import pytest
 from test_datasets import columns_manifest, write_columns_trial
 from wristfall.cli import main
 from wristfall.datasets import read_canonical, save_manifest
+from wristfall.evaluation import DetectorSpec, run_experiment
+from wristfall.ml import save_model
 from wristfall.synthetic import synthesize
-from wristfall.threshold import load_threshold_config
+from wristfall.threshold import load_threshold_config, save_threshold_config
 
 
 @pytest.fixture()
@@ -103,6 +105,23 @@ class TestCalibrateAndTrain:
 
     def test_bad_signal_name(self, corpus_dir, tmp_path):
         assert main(["calibrate", "--corpus", str(corpus_dir), "--signals", "bogus", "--out", str(tmp_path / "c")]) == 3
+
+    @pytest.mark.parametrize("kind,view,seed", [("rf", "combined88", 3), ("svm", "acc44", 5), ("knn", "gyr44", 7)])
+    def test_train_matches_run_experiment_model(self, corpus_dir, tmp_path, kind, view, seed):
+        cli_path, lib_path = tmp_path / "cli.json", tmp_path / "lib.json"
+        args = ["train", "--corpus", str(corpus_dir), "--kind", kind, "--view", view, "--seed", str(seed)]
+        assert main([*args, "--out", str(cli_path)]) == 0
+        result = run_experiment(read_canonical(corpus_dir), DetectorSpec(kind, feature_view=view), seed)
+        save_model(result.model, lib_path)
+        assert cli_path.read_bytes() == lib_path.read_bytes()
+
+    def test_calibrate_matches_run_experiment_config(self, corpus_dir, tmp_path):
+        cli_path, lib_path = tmp_path / "cli.txt", tmp_path / "lib.txt"
+        args = ["calibrate", "--corpus", str(corpus_dir), "--signals", "smv_acc,smv_gyr,avd", "--seed", "6"]
+        assert main([*args, "--out", str(cli_path)]) == 0
+        spec = DetectorSpec("threshold", signals=("smv_acc", "smv_gyr", "avd"))
+        save_threshold_config(run_experiment(read_canonical(corpus_dir), spec, 6).threshold_config, lib_path)
+        assert cli_path.read_bytes() == lib_path.read_bytes()
 
 
 class TestEvaluateCommand:
@@ -209,6 +228,44 @@ class TestDetectStream:
         code, _, err = self.run_stream(["detect-stream"], "", monkeypatch, capsys)
         assert code == 3
         assert "exactly one" in err
+
+    def assert_bad_row_skipped(self, args, bad_row, at, monkeypatch, capsys):
+        """Inserting `bad_row` before line `at + 1` warns about it and changes no verdict."""
+        trials = [t for t in synthesize(seed=55, n_subjects=2, trials_per_subject=4) if t.label.value == "Fall"]
+        rows = self.stream_text(trials[:2]).splitlines()
+        capsys.readouterr()
+        _, expected, _ = self.run_stream(args, "\n".join(rows) + "\n", monkeypatch, capsys)
+        dirty = "\n".join(rows[:at] + [bad_row(rows[at - 1], rows[at])] + rows[at:]) + "\n"
+        code, out, err = self.run_stream(args, dirty, monkeypatch, capsys)
+        assert code == 0
+        assert f"warning: line {at + 1} skipped" in err
+        assert out == expected
+        assert len(expected.splitlines()) >= 2
+
+    @staticmethod
+    def nan_row(prev, nxt):
+        t = (float(prev.split(",")[0]) + float(nxt.split(",")[0])) / 2
+        return f"{t!r},nan,0.0,1.0,0.0,0.0,0.0"
+
+    @staticmethod
+    def repeated_t_spike_row(prev, nxt):
+        return prev.split(",")[0] + ",9.0,9.0,9.0,0.0,0.0,0.0"
+
+    def test_non_finite_row_skipped_with_model(self, corpus_dir, tmp_path, monkeypatch, capsys):
+        model_path = tmp_path / "model.json"
+        main(["train", "--corpus", str(corpus_dir), "--kind", "svm", "--seed", "2", "--out", str(model_path)])
+        args = ["detect-stream", "--model", str(model_path), "--window-seconds", "10"]
+        self.assert_bad_row_skipped(args, self.nan_row, 120, monkeypatch, capsys)
+
+    def test_non_finite_row_skipped_with_threshold_config(self, corpus_dir, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "thresholds.txt"
+        main(["calibrate", "--corpus", str(corpus_dir), "--seed", "2", "--out", str(cfg)])
+        args = ["detect-stream", "--threshold-config", str(cfg), "--window-seconds", "10"]
+        self.assert_bad_row_skipped(args, self.nan_row, 120, monkeypatch, capsys)
+
+    def test_repeated_timestamp_row_skipped(self, threshold_config_path, monkeypatch, capsys):
+        args = ["detect-stream", "--threshold-config", str(threshold_config_path), "--window-seconds", "10"]
+        self.assert_bad_row_skipped(args, self.repeated_t_spike_row, 120, monkeypatch, capsys)
 
 
 class TestExportPlots:

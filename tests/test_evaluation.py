@@ -8,14 +8,18 @@ from wristfall.errors import ExperimentStageError, TooFewSubjects
 from wristfall.evaluation import (
     DetectorSpec,
     EvalReport,
+    classify,
     compute_metrics,
     predictions_csv,
     report_json,
     report_table,
     run_experiment,
     split_subjects,
+    windows_of,
 )
+from wristfall.signals import derive_all
 from wristfall.synthetic import synthesize
+from wristfall.threshold import ThresholdConfig, detect, fall_score
 
 F, A = Label.FALL, Label.ADL
 
@@ -181,3 +185,20 @@ class TestRunExperiment:
         result = run_experiment(corpus, DetectorSpec(kind="knn", feature_view="acc44"), seed=5)
         eval_trials = [t for t in corpus if t.subject_id in result.split.eval_subjects]
         assert result.report.total == len(eval_trials)  # short trials: one window each
+
+
+class TestClassify:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        thresholds=st.dictionaries(
+            st.sampled_from(("smv_acc", "smv_gyr", "fi", "avd")),
+            st.floats(min_value=0.05, max_value=400.0),
+            min_size=1,
+        ),
+        index=st.integers(min_value=0, max_value=47),
+    )
+    def test_threshold_matches_detect_and_fall_score(self, corpus, thresholds, index):
+        window = windows_of(corpus[:48], {t.subject_id for t in corpus}, 60.0)[index]
+        config = ThresholdConfig(thresholds)
+        derived = derive_all(window)
+        assert classify(config, window) == (detect(window, derived, config)[0], fall_score(derived, config))
