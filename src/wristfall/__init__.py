@@ -7,7 +7,7 @@ by KNN / random forest / linear SVM classifiers, and evaluate with a
 subject-disjoint 80/20 protocol.
 """
 
-from .core import Label, SensorSample, SignalWindow, Source, TrialRecording, segment
+from .core import Label, SignalWindow, Source, TrialRecording, segment
 from .datasets import (
     DatasetManifest,
     IngestReport,
@@ -45,7 +45,6 @@ __all__ = [
     "FeatureVector",
     "IngestReport",
     "Label",
-    "SensorSample",
     "SignalWindow",
     "Source",
     "Standardizer",

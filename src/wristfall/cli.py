@@ -18,8 +18,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Label, window_from_arrays
-from .datasets import ingest, load_manifest, read_canonical, read_canonical_trial, write_canonical
+from .core import DEFAULT_WINDOW_SECONDS, Label, window_from_arrays
+from .datasets import (
+    CANONICAL_HEADER,
+    ingest,
+    load_manifest,
+    parse_canonical_row,
+    read_canonical,
+    read_canonical_trial,
+    write_canonical,
+)
 from .errors import DataError, WristfallError
 from .evaluation import (
     DetectorSpec,
@@ -36,7 +44,7 @@ from .evaluation import (
 from .ml import FEATURE_VIEWS, MODEL_KINDS, load_model, save_model
 from .signals import derive_all
 from .synthetic import synthesize
-from .threshold import THRESHOLD_SIGNALS, load_threshold_config, save_threshold_config
+from .threshold import DEFAULT_SIGNALS, THRESHOLD_SIGNALS, load_threshold_config, save_threshold_config
 
 MANIFEST_DIR_ENV = "WRISTFALL_MANIFEST_DIR"
 
@@ -193,21 +201,14 @@ def cmd_detect_stream(args) -> int:
     window_seconds = args.window_seconds
     samples: list[list[float]] = []
     start_t: float | None = None
-    last_t: float | None = None
+    last_t = -math.inf
     index = 0
     for line_no, raw in enumerate(sys.stdin, start=1):
         line = raw.strip()
-        if not line or line.startswith("t,"):
+        if not line or line == CANONICAL_HEADER:
             continue
-        parts = line.split(",")
         try:
-            values = [float(p) for p in parts]
-            if len(values) != 7:
-                raise ValueError(f"expected 7 fields, got {len(values)}")
-            if not all(map(math.isfinite, values)):
-                raise ValueError("non-finite value")
-            if last_t is not None and values[0] <= last_t:
-                raise ValueError(f"t={values[0]!r} not after previous t={last_t!r}")
+            values = parse_canonical_row(line, last_t)
         except ValueError as exc:
             print(f"warning: line {line_no} skipped ({exc})", file=sys.stderr)
             continue
@@ -288,9 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="grid-search thresholds on the development split")
     p.add_argument("--corpus", required=True, help="canonical corpus directory")
-    p.add_argument("--signals", default="smv_acc,fi,avd", help=f"comma list from {THRESHOLD_SIGNALS}")
+    p.add_argument("--signals", default=",".join(DEFAULT_SIGNALS), help=f"comma list from {THRESHOLD_SIGNALS}")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--window-seconds", type=float, default=60.0)
+    p.add_argument("--window-seconds", type=float, default=DEFAULT_WINDOW_SECONDS)
     p.add_argument("--out", required=True, help="threshold config file to write")
     p.set_defaults(func=cmd_calibrate)
 
@@ -299,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=MODEL_KINDS, required=True)
     p.add_argument("--view", choices=tuple(FEATURE_VIEWS), default="combined88")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--window-seconds", type=float, default=60.0)
+    p.add_argument("--window-seconds", type=float, default=DEFAULT_WINDOW_SECONDS)
     p.add_argument("--params", help="JSON object of hyperparameter overrides")
     p.add_argument("--out", required=True, help="model file to write")
     p.set_defaults(func=cmd_train)
@@ -307,10 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="run the subject-disjoint evaluation pipeline")
     p.add_argument("--corpus", required=True)
     p.add_argument("--detector", choices=("threshold", *MODEL_KINDS), required=True)
-    p.add_argument("--signals", default="smv_acc,fi,avd", help="threshold detector signals")
+    p.add_argument("--signals", default=",".join(DEFAULT_SIGNALS), help="threshold detector signals")
     p.add_argument("--view", choices=tuple(FEATURE_VIEWS), default="combined88")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--window-seconds", type=float, default=60.0)
+    p.add_argument("--window-seconds", type=float, default=DEFAULT_WINDOW_SECONDS)
     p.add_argument("--params", help="JSON object of detector parameter overrides")
     p.add_argument("--dataset-name", default="", help="dataset label used in reports (default: corpus dir name)")
     p.add_argument("--predictions", action="store_true", help="also write per-window predictions.csv")
@@ -324,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--model", help="model file from 'train'")
     p.add_argument("--threshold-config", help="config file from 'calibrate'")
-    p.add_argument("--window-seconds", type=float, default=60.0)
+    p.add_argument("--window-seconds", type=float, default=DEFAULT_WINDOW_SECONDS)
     p.set_defaults(func=cmd_detect_stream)
 
     p = sub.add_parser(
@@ -373,10 +374,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DataError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except WristfallError as exc:
+    except (WristfallError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # pragma: no cover - defensive

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -36,15 +35,6 @@ class Source(Enum):
 
 
 @dataclass(frozen=True)
-class SensorSample:
-    """One timestamped 6-axis reading: acc (x, y, z) in g, gyr (x, y, z) in deg/s."""
-
-    t: float
-    acc: tuple[float, float, float]
-    gyr: tuple[float, float, float]
-
-
-@dataclass(frozen=True)
 class TrialRecording:
     """One labeled activity recording.
 
@@ -63,33 +53,9 @@ class TrialRecording:
     gyr: np.ndarray
     source: Source = Source.CANONICAL
 
-    @classmethod
-    def from_samples(
-        cls,
-        trial_id: str,
-        subject_id: str,
-        activity_code: str,
-        label: Label,
-        sample_rate_hz: float,
-        samples: Sequence[SensorSample],
-        source: Source = Source.CANONICAL,
-    ) -> "TrialRecording":
-        t = np.array([s.t for s in samples], dtype=float)
-        acc = np.array([s.acc for s in samples], dtype=float).reshape(-1, 3)
-        gyr = np.array([s.gyr for s in samples], dtype=float).reshape(-1, 3)
-        return cls(trial_id, subject_id, activity_code, label, sample_rate_hz, t, acc, gyr, source)
-
     @property
     def n_samples(self) -> int:
         return int(self.t.shape[0])
-
-    @property
-    def duration_s(self) -> float:
-        return float(self.t[-1] - self.t[0]) if self.n_samples else 0.0
-
-    def iter_samples(self) -> Iterator[SensorSample]:
-        for i in range(self.n_samples):
-            yield SensorSample(float(self.t[i]), tuple(self.acc[i]), tuple(self.gyr[i]))
 
     def validate(self) -> None:
         """Raise EmptyRecording/InvalidRecording if any invariant is violated."""
@@ -170,11 +136,12 @@ def segment(
     """Split a recording into consecutive non-overlapping windows of `window_seconds`.
 
     Boundary policy: sample i belongs to window k when
-    t0 + k*window_seconds <= t[i] < t0 + (k+1)*window_seconds. A trailing
-    remainder shorter than `window_seconds` becomes its own window when it has
-    at least `min_samples` samples and is otherwise merged into the previous
-    window; a recording shorter than `window_seconds` yields exactly one
-    window. Deterministic: equal inputs give identical boundaries.
+    t0 + k*window_seconds <= t[i] < t0 + (k+1)*window_seconds. A window with
+    fewer than `min_samples` samples merges into a neighbour: the first window
+    into the next, any other into the previous. So a trailing remainder shorter
+    than `window_seconds` becomes its own window when it has at least
+    `min_samples` samples; a recording shorter than `window_seconds` yields
+    exactly one window. Deterministic: equal inputs give identical boundaries.
     """
     if window_seconds <= 0:
         raise ValueError("window_seconds must be positive")
@@ -196,19 +163,15 @@ def segment(
     cuts = np.searchsorted(t, np.asarray(boundaries), side="left") if boundaries else np.empty(0, dtype=int)
 
     edges = sorted(set([0, *map(int, cuts), n]))
-    # Merge any undersized segment into its neighbour (trailing remainders in
-    # practice; the first segment merges forward instead).
-    changed = True
-    while changed and len(edges) > 2:
-        changed = False
-        for i in range(len(edges) - 1):
-            if edges[i + 1] - edges[i] < min_samples:
-                del edges[i if i > 0 else 1]
-                changed = True
-                break
+    # Keep a cut only when the segments on both sides of it reach min_samples.
+    kept = [0]
+    for cut, nxt in zip(edges[1:-1], edges[2:]):
+        if cut - kept[-1] >= min_samples and nxt - cut >= min_samples:
+            kept.append(cut)
+    kept.append(n)
 
     windows = []
-    for idx, (a, b) in enumerate(zip(edges, edges[1:])):
+    for idx, (a, b) in enumerate(zip(kept, kept[1:])):
         windows.append(
             SignalWindow(
                 recording_ref=recording.trial_id,

@@ -218,30 +218,30 @@ def _data_rows(text: str, layout: LayoutSpec) -> list[list[str]]:
     return rows
 
 
+def _time_axis(t_raw: np.ndarray | list[float] | None, n: int, layout: LayoutSpec, rate_hz: float) -> np.ndarray:
+    """Seconds since the first sample: the raw timestamps scaled to s, or the nominal rate when there are none."""
+    if t_raw is None:
+        return np.arange(n) / rate_hz
+    t_raw = np.asarray(t_raw, dtype=float)
+    return (t_raw - t_raw[0]) * TIME_UNIT_TO_S[layout.time_unit]
+
+
 def _parse_columns(rows: list[list[str]], layout: LayoutSpec, rate_hz: float):
-    needed = max(
-        *layout.acc_columns,
-        *layout.gyr_columns,
-        layout.time_column if layout.time_column is not None else 0,
-    )
+    columns = (*layout.acc_columns, *layout.gyr_columns)
+    if layout.time_column is not None:
+        columns += (layout.time_column,)
+    needed = max(columns)
     matrix = []
     for i, row in enumerate(rows, start=1):
         if len(row) <= needed:
             raise DataError(f"row {i}: expected at least {needed + 1} columns, got {len(row)}")
         try:
-            matrix.append([float(row[c]) for c in (*layout.acc_columns, *layout.gyr_columns)])
+            matrix.append([float(row[c]) for c in columns])
         except ValueError as exc:
             raise DataError(f"row {i}: {exc}") from None
-    values = np.asarray(matrix, dtype=float).reshape(-1, 6)
-    if layout.time_column is not None:
-        try:
-            t_raw = np.array([float(row[layout.time_column]) for row in rows])
-        except ValueError as exc:
-            raise DataError(f"bad timestamp: {exc}") from None
-        t = (t_raw - t_raw[0]) * TIME_UNIT_TO_S[layout.time_unit] if t_raw.size else t_raw
-    else:
-        t = np.arange(values.shape[0]) / rate_hz
-    return t, values[:, :3], values[:, 3:]
+    values = np.asarray(matrix, dtype=float).reshape(-1, len(columns))
+    t_raw = values[:, 6] if layout.time_column is not None else None
+    return _time_axis(t_raw, values.shape[0], layout, rate_hz), values[:, :3], values[:, 3:6]
 
 
 def _parse_interleaved(rows: list[list[str]], layout: LayoutSpec, rate_hz: float):
@@ -269,12 +269,8 @@ def _parse_interleaved(rows: list[list[str]], layout: LayoutSpec, rate_hz: float
         raise DataError("no paired accelerometer/gyroscope samples for the configured sensor id")
     acc = np.array([acc_rows[k][1] for k in common])
     gyr = np.array([gyr_rows[k] for k in common])
-    if layout.time_column is not None:
-        t_raw = np.array([acc_rows[k][0] for k in common])
-        t = (t_raw - t_raw[0]) * TIME_UNIT_TO_S[layout.time_unit]
-    else:
-        t = np.arange(len(common)) / rate_hz
-    return t, acc, gyr
+    t_raw = [acc_rows[k][0] for k in common] if layout.time_column is not None else None
+    return _time_axis(t_raw, len(common), layout, rate_hz), acc, gyr
 
 
 def parse_trial_file(path, layout: LayoutSpec, rate_hz: float):
@@ -359,10 +355,6 @@ def ingest(manifest: DatasetManifest) -> tuple[list[TrialRecording], IngestRepor
     return trials, report
 
 
-def _float_csv(values: np.ndarray) -> str:
-    return ",".join(repr(float(v)) for v in values)
-
-
 def write_canonical(trials: Sequence[TrialRecording], out_dir) -> Path:
     """Write trials as the canonical corpus; returns the index path."""
     out_dir = Path(out_dir)
@@ -373,10 +365,7 @@ def write_canonical(trials: Sequence[TrialRecording], out_dir) -> Path:
     for rec in sorted(trials, key=lambda r: r.trial_id):
         rel = f"{TRIALS_DIR}/{rec.trial_id}.csv"
         rows = [CANONICAL_HEADER]
-        for i in range(rec.n_samples):
-            rows.append(
-                repr(float(rec.t[i])) + "," + _float_csv(rec.acc[i]) + "," + _float_csv(rec.gyr[i])
-            )
+        rows += [",".join(map(repr, row)) for row in np.column_stack((rec.t, rec.acc, rec.gyr)).tolist()]
         (out_dir / rel).write_text("\n".join(rows) + "\n", encoding="utf-8")
         index_lines.append(
             json.dumps(
@@ -397,34 +386,49 @@ def write_canonical(trials: Sequence[TrialRecording], out_dir) -> Path:
     return index_path
 
 
-def read_canonical_trial(path, expect_id: str = "") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def parse_canonical_row(line: str, prev_t: float) -> list[float]:
+    """The values of one canonical row `t,acc_x,acc_y,acc_z,gyr_x,gyr_y,gyr_z`.
+
+    Raises ValueError naming the reason when the row does not have 7 fields,
+    holds a non-numeric or non-finite field, or its `t` is not greater than
+    `prev_t` (pass -inf for the first row).
+    """
+    parts = line.split(",")
+    if len(parts) != 7:
+        raise ValueError(f"expected 7 fields, got {len(parts)}")
+    try:
+        row = [float(p) for p in parts]
+    except ValueError:
+        raise ValueError("non-numeric field") from None
+    if not all(map(math.isfinite, row)):
+        raise ValueError("non-finite value")
+    if row[0] <= prev_t:
+        raise ValueError(f"timestamps not strictly increasing: t={row[0]!r} after t={prev_t!r}")
+    return row
+
+
+def read_canonical_trial(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(t, acc, gyr) of one canonical trial file; a bad line raises CanonicalFormatError naming it."""
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         if header != CANONICAL_HEADER:
             raise CanonicalFormatError(str(path), 1, f"bad header {header!r}")
-        t_vals, acc_vals, gyr_vals = [], [], []
+        rows = []
         prev_t = -math.inf
         for line_no, raw in enumerate(fh, start=2):
             line = raw.rstrip("\n")
             if not line:
                 continue
-            parts = line.split(",")
-            if len(parts) != 7:
-                raise CanonicalFormatError(str(path), line_no, f"expected 7 fields, got {len(parts)}")
             try:
-                nums = [float(p) for p in parts]
-            except ValueError:
-                raise CanonicalFormatError(str(path), line_no, "non-numeric field") from None
-            if not all(math.isfinite(v) for v in nums):
-                raise CanonicalFormatError(str(path), line_no, "non-finite value")
-            if nums[0] <= prev_t:
-                raise CanonicalFormatError(str(path), line_no, "timestamps not strictly increasing")
-            prev_t = nums[0]
-            t_vals.append(nums[0])
-            acc_vals.append(nums[1:4])
-            gyr_vals.append(nums[4:7])
-    return np.array(t_vals), np.array(acc_vals).reshape(-1, 3), np.array(gyr_vals).reshape(-1, 3)
+                row = parse_canonical_row(line, prev_t)
+            except ValueError as exc:
+                raise CanonicalFormatError(str(path), line_no, str(exc)) from None
+            prev_t = row[0]
+            rows.append(row)
+    values = np.array(rows, dtype=float).reshape(-1, 7)
+    # contiguous channel arrays, as ingest builds them, not views of one block
+    return values[:, 0].copy(), values[:, 1:4].copy(), values[:, 4:7].copy()
 
 
 def read_canonical(corpus_dir) -> list[TrialRecording]:

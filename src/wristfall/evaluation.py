@@ -17,12 +17,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Label, SignalWindow, TrialRecording, segment
+from .core import DEFAULT_WINDOW_SECONDS, Label, SignalWindow, TrialRecording, segment
 from .errors import ExperimentStageError, TooFewSubjects
 from .features import extract
 from .ml import ClassifierModel, predict, train
 from .signals import derive_all
-from .threshold import ThresholdConfig, calibrate, detect
+from .threshold import DEFAULT_SIGNALS, ThresholdConfig, calibrate, detect
 
 EVAL_FRACTION = 0.2
 
@@ -30,7 +30,6 @@ STAGE_CALIBRATION = "calibration"
 STAGE_STANDARDIZATION = "standardization"
 STAGE_TRAINING = "training"
 STAGE_PREDICTION = "prediction"
-FIT_STAGES = (STAGE_CALIBRATION, STAGE_STANDARDIZATION, STAGE_TRAINING)
 
 
 class AccessLog:
@@ -197,7 +196,7 @@ class DetectorSpec:
     """What to run: 'threshold' with a signal set, or 'knn'/'rf'/'svm' with a view."""
 
     kind: str
-    signals: tuple[str, ...] = ("smv_acc", "fi", "avd")
+    signals: tuple[str, ...] = DEFAULT_SIGNALS
     feature_view: str = "combined88"
     params: dict = field(default_factory=dict)
 
@@ -250,7 +249,7 @@ def run_experiment(
     trials: Sequence[TrialRecording],
     spec: DetectorSpec,
     seed: int,
-    window_seconds: float = 60.0,
+    window_seconds: float = DEFAULT_WINDOW_SECONDS,
     dataset_name: str = "",
 ) -> ExperimentResult:
     """Full subject-disjoint evaluation of one detector configuration.

@@ -102,9 +102,6 @@ class FeatureVector:
     subject_id: str
     label: Label
 
-    def view(self, feature_slice: slice) -> np.ndarray:
-        return self.values[feature_slice]
-
 
 def extract(window: SignalWindow, derived: DerivedSignalSet) -> FeatureVector:
     """Apply stats11 to the 8 canonical signals of one window."""

@@ -20,6 +20,8 @@ from .signals import DerivedSignalSet
 
 SIGNAL_UNITS = {"smv_acc": "g", "smv_gyr": "deg/s", "fi": "g", "avd": "g"}
 THRESHOLD_SIGNALS = tuple(SIGNAL_UNITS)
+# The signals voted on when a caller names none.
+DEFAULT_SIGNALS = ("smv_acc", "fi", "avd")
 
 # Per-signal (lo, hi, step) calibration grids.
 DEFAULT_GRIDS: dict[str, tuple[float, float, float]] = {
@@ -79,7 +81,7 @@ def grid_points(lo: float, hi: float, step: float) -> np.ndarray:
 
 def calibrate(
     dev_windows: Sequence[tuple[SignalWindow, DerivedSignalSet]],
-    signals: Iterable[str] = ("smv_acc", "fi", "avd"),
+    signals: Iterable[str] = DEFAULT_SIGNALS,
     grids: Mapping[str, tuple[float, float, float]] | None = None,
 ) -> ThresholdConfig:
     """Grid-search per-signal thresholds on a development set.

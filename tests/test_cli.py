@@ -6,7 +6,8 @@ import pytest
 
 from test_datasets import columns_manifest, write_columns_trial
 from wristfall.cli import main
-from wristfall.datasets import read_canonical, save_manifest
+from wristfall.datasets import read_canonical, read_canonical_trial, save_manifest
+from wristfall.errors import CanonicalFormatError
 from wristfall.evaluation import DetectorSpec, run_experiment
 from wristfall.ml import save_model
 from wristfall.synthetic import synthesize
@@ -241,6 +242,7 @@ class TestDetectStream:
         assert f"warning: line {at + 1} skipped" in err
         assert out == expected
         assert len(expected.splitlines()) >= 2
+        return err
 
     @staticmethod
     def nan_row(prev, nxt):
@@ -250,6 +252,37 @@ class TestDetectStream:
     @staticmethod
     def repeated_t_spike_row(prev, nxt):
         return prev.split(",")[0] + ",9.0,9.0,9.0,0.0,0.0,0.0"
+
+    @staticmethod
+    def non_numeric_row(prev, nxt):
+        t = (float(prev.split(",")[0]) + float(nxt.split(",")[0])) / 2
+        return f"{t!r},0.0,x,1.0,0.0,0.0,0.0"
+
+    @pytest.mark.parametrize(
+        "bad_row",
+        [
+            lambda prev, nxt: "1.0,2.0,3.0",
+            non_numeric_row,
+            nan_row,
+            repeated_t_spike_row,
+            lambda prev, nxt: "t,junk",
+        ],
+        ids=["field-count", "non-numeric", "nan", "repeated-t", "t-prefixed-junk"],
+    )
+    def test_stream_and_corpus_reader_reject_the_same_rows(
+        self, bad_row, threshold_config_path, tmp_path, monkeypatch, capsys
+    ):
+        at = 120
+        trials = [t for t in synthesize(seed=55, n_subjects=2, trials_per_subject=4) if t.label.value == "Fall"]
+        rows = self.stream_text(trials[:2]).splitlines()
+        trial_csv = tmp_path / "dirty.csv"
+        trial_csv.write_text("\n".join(rows[:at] + [bad_row(rows[at - 1], rows[at])] + rows[at:]) + "\n")
+        with pytest.raises(CanonicalFormatError) as err:
+            read_canonical_trial(trial_csv)
+        assert err.value.line_no == at + 1
+        args = ["detect-stream", "--threshold-config", str(threshold_config_path), "--window-seconds", "10"]
+        err_text = self.assert_bad_row_skipped(args, bad_row, at, monkeypatch, capsys)
+        assert f"warning: line {at + 1} skipped ({err.value.reason})" in err_text
 
     def test_non_finite_row_skipped_with_model(self, corpus_dir, tmp_path, monkeypatch, capsys):
         model_path = tmp_path / "model.json"

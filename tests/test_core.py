@@ -80,19 +80,6 @@ class TestValidation:
             rec.validate()
 
 
-class TestSampleConstruction:
-    def test_from_samples_round_trip(self):
-        from wristfall.core import Label, SensorSample, Source, TrialRecording
-
-        samples = [
-            SensorSample(t=i / 25.0, acc=(0.1 * i, 0.0, 1.0), gyr=(1.0, -2.0, 0.5 * i)) for i in range(10)
-        ]
-        rec = TrialRecording.from_samples("r1", "S01", "T", Label.ADL, 25.0, samples, Source.SYNTHETIC)
-        assert rec.n_samples == 10
-        back = list(rec.iter_samples())
-        assert back == samples
-
-
 class TestSegment:
     def test_short_recording_single_window(self):
         rec = regular_recording(15, 25)
@@ -122,6 +109,14 @@ class TestSegment:
         rec = make_recording(np.arange(n) / 25.0, np.tile([0, 0, 1.0], (n, 1)))
         windows = segment(rec, window_seconds=60)
         assert [w.n_samples for w in windows] == [1501]
+
+    def test_undersized_head_and_middle_windows_merge(self):
+        # 10 s windows with gaps: window 0 and window 2 hold a single sample each
+        t = np.concatenate([[0.0], 10.0 + np.arange(250) / 25.0, [20.0], 30.0 + np.arange(250) / 25.0])
+        rec = make_recording(t, np.tile([0, 0, 1.0], (t.size, 1)))
+        windows = segment(rec, window_seconds=10)
+        # the head merges forward into window 1, the middle sample backward into it
+        assert [(w.start_t, w.end_t, w.n_samples) for w in windows] == [(0.0, 20.0, 252), (30.0, 39.96, 250)]
 
     def test_empty_recording_raises(self):
         rec = make_recording(np.array([]), np.zeros((0, 3)))

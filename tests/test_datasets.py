@@ -1,11 +1,14 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from conftest import make_recording
 from wristfall.core import Label, Source, segment
 from wristfall.datasets import (
+    CANONICAL_HEADER,
     DatasetManifest,
     LayoutSpec,
     ingest,
@@ -97,6 +100,19 @@ class TestColumnsAdapter:
         trials, report = ingest(columns_manifest(tmp_path))
         assert report.n_trials == 1
         assert any("row 1" in reason for _, reason in report.skipped)
+
+    def test_bad_timestamp_names_its_row(self, tmp_path):
+        manifest = columns_manifest(tmp_path)
+        manifest = dataclasses.replace(manifest, layout=dataclasses.replace(manifest.layout, time_column=6))
+        d = tmp_path / "sub01" / "A01" / "trial_1"
+        d.mkdir(parents=True)
+        rows = [f"0 0 9.8 0 0 0 {i / 25.0!r}" for i in range(60)]
+        rows[2] = "0 0 9.8 0 0 0 0.O8"
+        (d / "wrist.txt").write_text("\n".join(rows) + "\n")
+        trials, report = ingest(manifest)
+        assert trials == []
+        [(_, reason)] = report.skipped
+        assert reason.startswith("row 3: ") and "0.O8" in reason
 
     def test_nan_values_fail_validation(self, tmp_path):
         n = 60
@@ -276,6 +292,20 @@ class TestCanonical:
         with pytest.raises(CanonicalFormatError) as err:
             read_canonical_trial(p)
         assert err.value.line_no == 2
+
+    def test_rows_are_repr_of_each_value(self, tmp_path):
+        awkward = [-0.0, 5e-324, 0.1 + 0.2, 1e16, 1 / 3, -2.5e-310]
+        t = np.array([0.0, 5e-324, 0.1 + 0.2, 1 / 3, 1e16])
+        acc = np.resize(awkward, (5, 3))
+        gyr = np.resize(awkward[::-1], (5, 3))
+        rec = make_recording(t, acc, gyr, trial_id="awkward")
+        write_canonical([rec], tmp_path)
+        path = tmp_path / "trials" / "awkward.csv"
+        expected = [",".join(repr(float(v)) for v in (t[i], *acc[i], *gyr[i])) for i in range(5)]
+        assert path.read_text().splitlines() == [CANONICAL_HEADER, *expected]
+        back = read_canonical_trial(path)
+        for got, want in zip(back, (t, acc, gyr)):
+            assert got.tobytes() == want.tobytes()
 
     def test_missing_index(self, tmp_path):
         with pytest.raises(ManifestRootMissing):
