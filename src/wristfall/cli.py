@@ -10,6 +10,7 @@ directory searched for bare manifest names.
 from __future__ import annotations
 
 import argparse
+import codecs
 import json
 import math
 import os
@@ -23,7 +24,7 @@ from .datasets import (
     CANONICAL_HEADER,
     ingest,
     load_manifest,
-    parse_canonical_row,
+    parse_canonical_rows,
     read_canonical,
     read_canonical_trial,
     write_canonical,
@@ -52,6 +53,9 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_INTERNAL = 4
+
+# detect-stream reads stdin in pieces of at most this many bytes.
+STDIN_READ_BYTES = 1 << 16
 
 
 def _resolve_manifest(value: str) -> Path:
@@ -182,15 +186,34 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _emit_stream_window(samples: list[list[float]], index: int, detector) -> bool:
-    """Print the 't_end,label,score' line of a window; a window under 2 samples prints nothing."""
+def _emit_stream_window(samples: np.ndarray, index: int, detector) -> bool:
+    """Print the 't_end,label,score' line of an (n, 7) window; a window under 2 samples prints nothing."""
     if len(samples) < 2:
         return False
-    arr = np.asarray(samples)
-    window = window_from_arrays("stream", arr[:, 0], arr[:, 1:4], arr[:, 4:7], index)
+    window = window_from_arrays("stream", samples[:, 0], samples[:, 1:4], samples[:, 4:7], index)
     label, score = classify(detector, window)
     print(f"{window.end_t!r},{label.value},{score:.6f}")
     return True
+
+
+def _stdin_lines():
+    """Lists of stdin's lines as they arrive; the text after the last newline comes last.
+
+    Reads whatever the pipe holds (at most STDIN_READ_BYTES) without waiting
+    for more, so a verdict is no later than with line-by-line reading.
+    """
+    buffer = getattr(sys.stdin, "buffer", None)
+    if buffer is None:
+        yield sys.stdin.read().split("\n")
+        return
+    decoder = codecs.getincrementaldecoder(sys.stdin.encoding)(sys.stdin.errors)
+    tail = ""
+    while chunk := buffer.read1(STDIN_READ_BYTES):
+        lines = (tail + decoder.decode(chunk)).split("\n")
+        tail = lines.pop()
+        if lines:
+            yield lines
+    yield [tail + decoder.decode(b"", final=True)]
 
 
 def cmd_detect_stream(args) -> int:
@@ -199,29 +222,34 @@ def cmd_detect_stream(args) -> int:
     detector = load_model(args.model) if args.model else load_threshold_config(args.threshold_config)
 
     window_seconds = args.window_seconds
-    samples: list[list[float]] = []
+    pending = [np.empty((0, 7))]  # the rows of the open window, one piece per block
     start_t: float | None = None
     last_t = -math.inf
     index = 0
-    for line_no, raw in enumerate(sys.stdin, start=1):
-        line = raw.strip()
-        if not line or line == CANONICAL_HEADER:
+    line_no = 0
+    for lines in _stdin_lines():
+        values, bad = parse_canonical_rows(lines, last_t)
+        for i, reason in bad:
+            if lines[i].strip() not in ("", CANONICAL_HEADER):
+                print(f"warning: line {line_no + i + 1} skipped ({reason})", file=sys.stderr)
+        line_no += len(lines)
+        if not len(values):
             continue
-        try:
-            values = parse_canonical_row(line, last_t)
-        except ValueError as exc:
-            print(f"warning: line {line_no} skipped ({exc})", file=sys.stderr)
-            continue
-        last_t = values[0]
+        t = values[:, 0]
+        last_t = float(t[-1])  # a numpy scalar's repr would leak into warnings
         if start_t is None:
-            start_t = values[0]
-        if values[0] >= start_t + window_seconds:
-            if _emit_stream_window(samples, index, detector):
+            start_t = t[0]
+        lo = 0  # first row of the block not yet in a closed window
+        first = 0  # first row that may close the open window
+        while (cut := first + int(np.searchsorted(t[first:], start_t + window_seconds))) < len(t):
+            pending.append(values[lo:cut])
+            if _emit_stream_window(np.concatenate(pending), index, detector):
                 index += 1
-            samples = []
-            start_t = values[0]
-        samples.append(values)
-    _emit_stream_window(samples, index, detector)
+            pending = []
+            start_t = t[cut]
+            lo, first = cut, cut + 1
+        pending.append(values[lo:])
+    _emit_stream_window(np.concatenate(pending), index, detector)
     return EXIT_OK
 
 

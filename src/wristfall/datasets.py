@@ -45,6 +45,8 @@ GYR_UNIT_TO_DPS = {"deg/s": 1.0, "rad/s": 180.0 / math.pi}
 TIME_UNIT_TO_S = {"s": 1.0, "ms": 1e-3, "us": 1e-6}
 
 CANONICAL_HEADER = "t,acc_x,acc_y,acc_z,gyr_x,gyr_y,gyr_z"
+# Every byte that `repr` writes for a finite float, plus the row and field separators.
+_REPR_FLOAT_BYTES = b"0123456789.e+-,\n"
 INDEX_NAME = "index.jsonl"
 TRIALS_DIR = "trials"
 
@@ -407,6 +409,45 @@ def parse_canonical_row(line: str, prev_t: float) -> list[float]:
     return row
 
 
+def parse_canonical_rows(lines: Sequence[str], prev_t: float) -> tuple[np.ndarray, list[tuple[int, str]]]:
+    """The values of a block of canonical rows, as a loop of `parse_canonical_row` gives them.
+
+    Returns `(values, bad)`: the good rows as an (n, 7) array, and one
+    `(index into lines, reason)` per bad row. `prev_t` is the `t` before the
+    block and advances only on good rows.
+
+    numpy parses the block in one call when every line is non-empty and holds
+    only the bytes `repr` writes for finite floats: on those, `np.loadtxt` and
+    `float()` accept the same fields and give the same bits (outside them they
+    differ: loadtxt reads '\\x1c9' as 9.0). Any block that fails that test, the
+    7-column shape, finiteness or increasing `t` is judged row by row.
+    """
+    text = "\n".join(lines)
+    if lines and all(lines) and text.isascii() and not text.encode("ascii").translate(None, _REPR_FLOAT_BYTES):
+        try:
+            values = np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if (
+                values.shape == (len(lines), 7)
+                and np.isfinite(values).all()
+                and values[0, 0] > prev_t
+                and (np.diff(values[:, 0]) > 0).all()
+            ):
+                return values, []
+    rows, bad = [], []
+    for index, line in enumerate(lines):
+        try:
+            row = parse_canonical_row(line, prev_t)
+        except ValueError as exc:
+            bad.append((index, str(exc)))
+            continue
+        prev_t = row[0]
+        rows.append(row)
+    return np.array(rows, dtype=float).reshape(-1, 7), bad
+
+
 def read_canonical_trial(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(t, acc, gyr) of one canonical trial file; a bad line raises CanonicalFormatError naming it."""
     path = Path(path)
@@ -414,19 +455,12 @@ def read_canonical_trial(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         header = fh.readline().rstrip("\n")
         if header != CANONICAL_HEADER:
             raise CanonicalFormatError(str(path), 1, f"bad header {header!r}")
-        rows = []
-        prev_t = -math.inf
-        for line_no, raw in enumerate(fh, start=2):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            try:
-                row = parse_canonical_row(line, prev_t)
-            except ValueError as exc:
-                raise CanonicalFormatError(str(path), line_no, str(exc)) from None
-            prev_t = row[0]
-            rows.append(row)
-    values = np.array(rows, dtype=float).reshape(-1, 7)
+        lines = fh.read().split("\n")
+    values, bad = parse_canonical_rows(list(filter(None, lines)), -math.inf)
+    if bad:
+        index, reason = bad[0]
+        line_nos = [line_no for line_no, line in enumerate(lines, start=2) if line]
+        raise CanonicalFormatError(str(path), line_nos[index], reason)
     # contiguous channel arrays, as ingest builds them, not views of one block
     return values[:, 0].copy(), values[:, 1:4].copy(), values[:, 4:7].copy()
 

@@ -26,6 +26,10 @@ class SignalTooShort(DataError):
     pass
 
 
+class NonFiniteSignal(DataError, ValueError):
+    """A signal holds inf or nan, e.g. a derived signal that overflowed on huge but finite input."""
+
+
 class NoSignalsEnabled(DataError):
     pass
 

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import DEFAULT_WINDOW_SECONDS, Label, SignalWindow, TrialRecording, segment
-from .errors import ExperimentStageError, TooFewSubjects
+from .errors import ExperimentStageError, NonFiniteSignal, TooFewSubjects
 from .features import extract
 from .ml import ClassifierModel, predict, train
 from .signals import derive_all
@@ -236,10 +236,14 @@ def classify(detector: ThresholdConfig | ClassifierModel, window: SignalWindow) 
     """Verdict and score for one window.
 
     The score is the fraction of signals voting Fall for a threshold detector,
-    and `predict`'s score for a classifier.
+    and `predict`'s score for a classifier. A non-finite value in a signal the
+    detector reads raises NonFiniteSignal, as a vote on it would be meaningless.
     """
     derived = derive_all(window)
     if isinstance(detector, ThresholdConfig):
+        for name in detector.signals:
+            if not np.isfinite(derived.by_name(name)).all():
+                raise NonFiniteSignal(f"window {window.window_ref}: derived signal {name} contains non-finite values")
         verdict, votes = detect(window, derived, detector)
         return verdict, sum(v is Label.FALL for v in votes.values()) / len(votes)
     return predict(detector, extract(window, derived))

@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import Label, SignalWindow
-from .errors import SignalTooShort
+from .errors import NonFiniteSignal, SignalTooShort
 from .signals import DerivedSignalSet
 
 STAT_NAMES = ("mean", "var", "median", "delta", "std", "max", "min", "p25", "p75", "psd", "pse")
@@ -70,7 +70,7 @@ def stats11(signal: Sequence[float] | np.ndarray, sample_rate_hz: float) -> np.n
     if x.ndim != 1 or x.shape[0] < 2:
         raise SignalTooShort(f"need a 1-d signal with >= 2 samples, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
-        raise ValueError("signal contains non-finite values")
+        raise NonFiniteSignal("signal contains non-finite values")
 
     mean = float(x.mean())
     var = float(x.var())  # population variance

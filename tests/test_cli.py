@@ -6,7 +6,7 @@ import pytest
 
 from test_datasets import columns_manifest, write_columns_trial
 from wristfall.cli import main
-from wristfall.datasets import read_canonical, read_canonical_trial, save_manifest
+from wristfall.datasets import CANONICAL_HEADER, read_canonical, read_canonical_trial, save_manifest
 from wristfall.errors import CanonicalFormatError
 from wristfall.evaluation import DetectorSpec, run_experiment
 from wristfall.ml import save_model
@@ -299,6 +299,51 @@ class TestDetectStream:
     def test_repeated_timestamp_row_skipped(self, threshold_config_path, monkeypatch, capsys):
         args = ["detect-stream", "--threshold-config", str(threshold_config_path), "--window-seconds", "10"]
         self.assert_bad_row_skipped(args, self.repeated_t_spike_row, 120, monkeypatch, capsys)
+
+    @pytest.mark.parametrize("flag", ["--model", "--threshold-config"])
+    def test_huge_finite_row_is_a_data_error(self, flag, corpus_dir, threshold_config_path, tmp_path, monkeypatch, capsys):
+        """A finite row whose derived signals overflow stops the stream with exit 3, never exit 4 or a silent vote."""
+        path = threshold_config_path
+        if flag == "--model":
+            path = tmp_path / "model.json"
+            main(["train", "--corpus", str(corpus_dir), "--kind", "svm", "--seed", "2", "--out", str(path)])
+        rows = [f"{i * 0.04!r},0.0,0.0,1.0,0,0,0" for i in range(200)]
+        rows.insert(50, "1.965,1e308,1e308,1e308,0,0,0")
+        code, _, err = self.run_stream(["detect-stream", flag, str(path)], "\n".join(rows) + "\n", monkeypatch, capsys)
+        assert code == 3
+        assert "error:" in err
+        assert "internal error" not in err
+
+    class Trickle(io.BytesIO):
+        """A pipe that hands over at most `limit` bytes per read."""
+
+        def __init__(self, data, limit):
+            super().__init__(data)
+            self.limit = limit
+
+        def read1(self, size=-1):
+            return super().read1(self.limit if size < 0 else min(size, self.limit))
+
+    @pytest.mark.parametrize("limit", [5, 4096])
+    def test_chunked_stdin_matches_one_read(self, limit, threshold_config_path, monkeypatch, capsys):
+        trials = [t for t in synthesize(seed=55, n_subjects=2, trials_per_subject=4) if t.label.value == "Fall"]
+        rows = self.stream_text(trials[:2]).splitlines()
+        rows[300:300] = ["", "   \t", CANONICAL_HEADER, " " + CANONICAL_HEADER + " "]
+        head = "\n".join(rows[:100]) + "\n"
+        # pad the junk row so that its two-byte 'é' straddles two 5-byte reads
+        junk = "x" * ((4 - len(head.encode())) % 5) + "é,0,0,1,0,0,0"
+        rows.insert(100, junk)
+        text = "\n".join(rows)  # no final newline
+        data = text.encode()
+        assert data.index("é".encode()) % 5 == 4
+        args = ["detect-stream", "--threshold-config", str(threshold_config_path), "--window-seconds", "10"]
+        expected = self.run_stream(args, text, monkeypatch, capsys)
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(self.Trickle(data, limit), encoding="utf-8", newline="\n"))
+        code = main(args)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == expected
+        assert expected[2] == "warning: line 101 skipped (non-numeric field)\n"
+        assert len(expected[1].splitlines()) >= 2
 
 
 class TestExportPlots:

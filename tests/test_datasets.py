@@ -1,9 +1,12 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_recording
 from wristfall.core import Label, Source, segment
@@ -13,6 +16,8 @@ from wristfall.datasets import (
     LayoutSpec,
     ingest,
     load_manifest,
+    parse_canonical_row,
+    parse_canonical_rows,
     read_canonical,
     read_canonical_trial,
     save_manifest,
@@ -310,6 +315,86 @@ class TestCanonical:
     def test_missing_index(self, tmp_path):
         with pytest.raises(ManifestRootMissing):
             read_canonical(tmp_path)
+
+
+# Characters that numpy and float() treat differently, or that make a row bad.
+ODD_CHARS = ("\x1c", "\x1f", "\xa0", " ", "\t", "\r", "_", ",", "é", "\udc80")
+ODD_LINES = ("", "   ", " \t ", "\x1c", CANONICAL_HEADER, " " + CANONICAL_HEADER)
+ODD_FIELDS = ("nan", "-inf", "1e308", "1e309", "1_0", "-0.0", "5e-324", "", "0x1")
+
+
+@st.composite
+def canonical_block(draw):
+    """(lines, prev_t): repr rows of increasing t, some of them mutated."""
+    n = draw(st.integers(0, 10))
+    t = draw(st.sampled_from([0.0, -3.5, 1e9]))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    lines = []
+    for _ in range(n):
+        t += draw(st.sampled_from([0.04, 0.04, 0.04, 0.04, 1e-7, 0.0, -0.04]))
+        fields = [repr(v) for v in (t, *draw(st.lists(finite, min_size=6, max_size=6)))]
+        mutation = draw(st.integers(0, 14))
+        if mutation == 1:
+            fields[draw(st.integers(0, 6))] = draw(st.sampled_from(ODD_FIELDS))
+        elif mutation == 2:
+            fields[draw(st.integers(0, 6))] = draw(st.text(alphabet="0123456789.e+-", max_size=5))
+        elif mutation == 3:
+            del fields[draw(st.integers(0, 6))]
+        line = ",".join(fields)
+        if mutation == 4:
+            at = draw(st.integers(0, len(line)))
+            line = line[:at] + draw(st.sampled_from(ODD_CHARS)) + line[at:]
+        elif mutation == 5:
+            line = draw(st.sampled_from(ODD_LINES))
+        lines.append(line)
+    prev_t = draw(st.sampled_from([-math.inf, t - 1.0, t, 0.0]))
+    return lines, prev_t
+
+
+class TestParseCanonicalRows:
+    @staticmethod
+    def row_loop(lines, prev_t):
+        rows, bad = [], []
+        for index, line in enumerate(lines):
+            try:
+                row = parse_canonical_row(line, prev_t)
+            except ValueError as exc:
+                bad.append((index, str(exc)))
+                continue
+            prev_t = row[0]
+            rows.append(row)
+        return np.array(rows, dtype=float).reshape(-1, 7), bad
+
+    @settings(max_examples=400, deadline=None)
+    @given(canonical_block())
+    def test_block_equals_row_loop(self, block):
+        lines, prev_t = block
+        want_values, want_bad = self.row_loop(lines, prev_t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, bad = parse_canonical_rows(lines, prev_t)
+        assert bad == want_bad
+        assert values.dtype == np.float64
+        assert values.shape == want_values.shape
+        assert values.tobytes() == want_values.tobytes()
+
+    def test_clean_block_is_parsed_without_the_row_parser(self, monkeypatch):
+        def no_row_parser(line, prev_t):
+            raise AssertionError("row parser called on a clean block")
+
+        monkeypatch.setattr("wristfall.datasets.parse_canonical_row", no_row_parser)
+        lines = [",".join(repr(v) for v in (0.04 * i, -0.0, 1e-300, 1.5, 5e-324, 2.0, 1e16)) for i in range(1, 4)]
+        values, bad = parse_canonical_rows(lines, 0.0)
+        assert bad == []
+        assert values.tobytes() == np.array([[float(f) for f in line.split(",")] for line in lines]).tobytes()
+
+    def test_first_bad_row_names_its_line(self, tmp_path):
+        rows = [CANONICAL_HEADER, "0.0,0,0,1,0,0,0", "", "0.04,0,0,1,0,0,0", "0.08,0,\x1c0,1,0,0,0", "0.12,0,0,1,0,0,0"]
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(CanonicalFormatError) as err:
+            read_canonical_trial(path)
+        assert (err.value.line_no, err.value.reason) == (5, "non-numeric field")
 
 
 class TestSynthesize:
