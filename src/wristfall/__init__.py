@@ -27,7 +27,7 @@ from .evaluation import (
     run_experiment,
     split_subjects,
 )
-from .features import FEATURE_NAMES, FeatureVector, extract, stats11, write_feature_csv
+from .features import FEATURE_NAMES, extract, stats11
 from .ml import ClassifierModel, Standardizer, load_model, predict, save_model, train
 from .signals import DerivedSignalSet, avd, derive_all, fall_index, smv
 from .synthetic import synthesize
@@ -42,7 +42,6 @@ __all__ = [
     "DetectorSpec",
     "EvalReport",
     "FEATURE_NAMES",
-    "FeatureVector",
     "IngestReport",
     "Label",
     "SignalWindow",
@@ -77,5 +76,4 @@ __all__ = [
     "synthesize",
     "train",
     "write_canonical",
-    "write_feature_csv",
 ]

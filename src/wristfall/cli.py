@@ -42,7 +42,8 @@ from .evaluation import (
     split_subjects,
     windows_of,
 )
-from .ml import FEATURE_VIEWS, MODEL_KINDS, load_model, save_model
+from .features import FEATURE_VIEWS
+from .ml import MODEL_KINDS, load_model, save_model
 from .signals import derive_all
 from .synthetic import synthesize
 from .threshold import DEFAULT_SIGNALS, THRESHOLD_SIGNALS, load_threshold_config, save_threshold_config
@@ -206,7 +207,8 @@ def _stdin_lines():
     if buffer is None:
         yield sys.stdin.read().split("\n")
         return
-    decoder = codecs.getincrementaldecoder(sys.stdin.encoding)(sys.stdin.errors)
+    # an undecodable byte then fails the row parser like any other bad field, whatever sys.stdin.errors is
+    decoder = codecs.getincrementaldecoder(sys.stdin.encoding)("surrogateescape")
     tail = ""
     while chunk := buffer.read1(STDIN_READ_BYTES):
         lines = (tail + decoder.decode(chunk)).split("\n")
@@ -400,6 +402,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     argv = _apply_config_file(parser, argv)
     args = parser.parse_args(argv)
+    # checked here, not by type=, so that a --config value is checked too
+    window_seconds = vars(args).get("window_seconds", DEFAULT_WINDOW_SECONDS)
+    if not (isinstance(window_seconds, (int, float)) and math.isfinite(window_seconds) and window_seconds > 0):
+        parser.error(f"--window-seconds must be finite and positive, got {window_seconds!r}")
     try:
         return args.func(args)
     except (WristfallError, OSError) as exc:

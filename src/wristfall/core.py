@@ -6,6 +6,7 @@ channels in deg/s, timestamps in seconds since recording start.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -128,6 +129,37 @@ def window_from_arrays(ref: str, t: np.ndarray, acc: np.ndarray, gyr: np.ndarray
     )
 
 
+def _window_bins(t: np.ndarray, t0: float, window_seconds: float) -> np.ndarray:
+    """Per sample, the largest k >= 0 with t0 + k*window_seconds <= t[i], both sides in float64.
+
+    The boundaries t0 + k*window_seconds are rounded, so the quotient
+    (t - t0) / window_seconds can miss k by more than one where window_seconds
+    nears the float spacing of t. The estimate is therefore widened into a
+    bracket b(lo) <= t < b(hi) by doubling steps and then bisected. k is capped
+    at 2**52, so that k and k + 1 stay exact floats.
+    """
+    cap = 2.0**52
+    # an overflowing quotient is clipped to cap, and an overflowing boundary is inf, above every t
+    with np.errstate(over="ignore"):
+        lo = np.clip(np.floor((t - t0) / window_seconds), 0.0, cap)
+        hi = lo + 1.0
+        step = 1.0
+        while True:
+            down = t0 + lo * window_seconds > t  # never at lo == 0, as t >= t0
+            up = (hi <= cap) & (t0 + hi * window_seconds <= t)
+            if not (down.any() or up.any()):
+                break
+            hi[down], lo[down] = lo[down], np.maximum(lo[down] - step, 0.0)
+            lo[up], hi[up] = hi[up], np.minimum(hi[up] + step, cap + 1.0)
+            step *= 2.0
+        while (gap := hi - lo > 1.0).any():
+            mid = np.floor((lo + hi) / 2.0)
+            below = t0 + mid * window_seconds <= t
+            lo = np.where(gap & below, mid, lo)
+            hi = np.where(gap & ~below, mid, hi)
+    return lo
+
+
 def segment(
     recording: TrialRecording,
     window_seconds: float = DEFAULT_WINDOW_SECONDS,
@@ -143,8 +175,8 @@ def segment(
     `min_samples` samples; a recording shorter than `window_seconds` yields
     exactly one window. Deterministic: equal inputs give identical boundaries.
     """
-    if window_seconds <= 0:
-        raise ValueError("window_seconds must be positive")
+    if not (math.isfinite(window_seconds) and window_seconds > 0):
+        raise ValueError("window_seconds must be finite and positive")
     if min_samples < 1:
         raise ValueError("min_samples must be >= 1")
     n = recording.n_samples
@@ -152,17 +184,8 @@ def segment(
         raise EmptyRecording(recording.trial_id)
 
     t = recording.t
-    t0 = float(t[0])
-    t_last = float(t[-1])
-
-    boundaries = []
-    k = 1
-    while t0 + k * window_seconds <= t_last:
-        boundaries.append(t0 + k * window_seconds)
-        k += 1
-    cuts = np.searchsorted(t, np.asarray(boundaries), side="left") if boundaries else np.empty(0, dtype=int)
-
-    edges = sorted(set([0, *map(int, cuts), n]))
+    # A window starts at every sample whose bin differs from the previous sample's.
+    edges = [0, *(np.flatnonzero(np.diff(_window_bins(t, float(t[0]), window_seconds))) + 1).tolist(), n]
     # Keep a cut only when the segments on both sides of it reach min_samples.
     kept = [0]
     for cut, nxt in zip(edges[1:-1], edges[2:]):

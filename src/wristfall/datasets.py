@@ -451,7 +451,8 @@ def parse_canonical_rows(lines: Sequence[str], prev_t: float) -> tuple[np.ndarra
 def read_canonical_trial(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(t, acc, gyr) of one canonical trial file; a bad line raises CanonicalFormatError naming it."""
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
+    # an undecodable byte is kept as a surrogate, which the row parser rejects with its line number
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         header = fh.readline().rstrip("\n")
         if header != CANONICAL_HEADER:
             raise CanonicalFormatError(str(path), 1, f"bad header {header!r}")

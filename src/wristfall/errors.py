@@ -46,10 +46,6 @@ class IncompleteFeatureVector(DataError):
     pass
 
 
-class ModelNotFitted(WristfallError):
-    pass
-
-
 class ManifestRootMissing(DataError):
     pass
 

@@ -207,8 +207,7 @@ class ExperimentResult:
     split: SubjectSplit
     access_log: AccessLog
     predictions: list[PredictionRecord]
-    threshold_config: ThresholdConfig | None = None
-    model: ClassifierModel | None = None
+    detector: ThresholdConfig | ClassifierModel
 
 
 def windows_of(trials: Iterable[TrialRecording], subjects: Iterable[str], window_seconds: float) -> list[SignalWindow]:
@@ -228,8 +227,8 @@ def fit_detector(
     if spec.kind == "threshold":
         pairs = [(w, derive_all(w)) for w in dev_windows]
         return calibrate(pairs, signals=spec.signals, grids=spec.params.get("grids"))
-    features = [extract(w, derive_all(w)) for w in dev_windows]
-    return train(spec.kind, spec.feature_view, features, seed, **spec.params)
+    X = np.array([extract(w, derive_all(w)) for w in dev_windows])
+    return train(spec.kind, spec.feature_view, X, [w.label for w in dev_windows], seed, **spec.params)
 
 
 def classify(detector: ThresholdConfig | ClassifierModel, window: SignalWindow) -> tuple[Label, float]:
@@ -299,12 +298,4 @@ def run_experiment(
         detector=detector.describe(),
         dataset=dataset_name,
     )
-    is_threshold = isinstance(detector, ThresholdConfig)
-    return ExperimentResult(
-        report=report,
-        split=split,
-        access_log=log,
-        predictions=records,
-        threshold_config=detector if is_threshold else None,
-        model=None if is_threshold else detector,
-    )
+    return ExperimentResult(report=report, split=split, access_log=log, predictions=records, detector=detector)

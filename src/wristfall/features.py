@@ -24,13 +24,11 @@ changing call sites.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import Label, SignalWindow
+from .core import SignalWindow
 from .errors import NonFiniteSignal, SignalTooShort
 from .signals import DerivedSignalSet
 
@@ -41,6 +39,7 @@ N_FEATURES = len(FEATURE_NAMES)  # 88
 
 ACC_FEATURES = slice(0, 44)
 GYR_FEATURES = slice(44, 88)
+FEATURE_VIEWS = {"acc44": ACC_FEATURES, "gyr44": GYR_FEATURES, "combined88": slice(0, N_FEATURES)}
 
 POWER_FLOOR = 1e-12
 
@@ -93,18 +92,8 @@ def stats11(signal: Sequence[float] | np.ndarray, sample_rate_hz: float) -> np.n
     return np.array([mean, var, median, delta, std, mx, mn, p25, p75, psd, pse])
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """88 finite reals in canonical order for one window."""
-
-    values: np.ndarray
-    window_ref: str
-    subject_id: str
-    label: Label
-
-
-def extract(window: SignalWindow, derived: DerivedSignalSet) -> FeatureVector:
-    """Apply stats11 to the 8 canonical signals of one window."""
+def extract(window: SignalWindow, derived: DerivedSignalSet) -> np.ndarray:
+    """The window's 88 features in FEATURE_NAMES order: stats11 of its 8 canonical signals."""
     rate = window.sample_rate_hz
     signals = (
         window.acc[:, 0],
@@ -116,14 +105,4 @@ def extract(window: SignalWindow, derived: DerivedSignalSet) -> FeatureVector:
         window.gyr[:, 2],
         derived.smv_gyr,
     )
-    values = np.concatenate([stats11(s, rate) for s in signals])
-    return FeatureVector(values=values, window_ref=window.window_ref, subject_id=window.subject_id, label=window.label)
-
-
-def write_feature_csv(features: Iterable[FeatureVector], path) -> None:
-    """Export one row per window: 88 canonical names + label + subject_id + window_ref."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([*FEATURE_NAMES, "label", "subject_id", "window_ref"])
-        for fv in features:
-            writer.writerow([*(repr(float(v)) for v in fv.values), fv.label.value, fv.subject_id, fv.window_ref])
+    return np.concatenate([stats11(s, rate) for s in signals])

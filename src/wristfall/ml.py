@@ -24,19 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import Label
-from .errors import (
-    DataError,
-    IncompleteFeatureVector,
-    ModelNotFitted,
-    SingleClassTrainingSet,
-)
-from .features import N_FEATURES, FeatureVector
-
-FEATURE_VIEWS = {
-    "acc44": slice(0, 44),
-    "gyr44": slice(44, 88),
-    "combined88": slice(0, 88),
-}
+from .errors import DataError, IncompleteFeatureVector, SingleClassTrainingSet
+from .features import FEATURE_VIEWS, N_FEATURES
 
 MODEL_KINDS = ("knn", "rf", "svm")
 
@@ -270,41 +259,34 @@ _CLASSIFIERS = {"knn": KNNClassifier, "rf": RandomForestClassifier, "svm": Linea
 
 @dataclass
 class ClassifierModel:
+    """A fitted classifier; `train` and `load_model` build it."""
+
     kind: str
     feature_view: str
     params: dict
-    standardizer: Standardizer | None = None
-    classifier: object = None
+    standardizer: Standardizer
+    classifier: KNNClassifier | RandomForestClassifier | LinearSVM
     seed: int = 0
-
-    @property
-    def fitted(self) -> bool:
-        return self.standardizer is not None and self.classifier is not None
 
     def describe(self) -> str:
         return f"{self.kind}({self.feature_view})"
 
 
-def _feature_matrix(feature_vectors: Sequence[FeatureVector]) -> tuple[np.ndarray, np.ndarray]:
-    rows = []
-    for fv in feature_vectors:
-        v = np.asarray(fv.values, dtype=float)
-        if v.shape != (N_FEATURES,) or not np.all(np.isfinite(v)):
-            raise IncompleteFeatureVector(f"window {fv.window_ref}: expected {N_FEATURES} finite values")
-        rows.append(v)
-    X = np.vstack(rows)
-    y = np.array([_FALL if fv.label is Label.FALL else _ADL for fv in feature_vectors], dtype=int)
-    return X, y
+def _check_rows(X: np.ndarray) -> None:
+    """Raise IncompleteFeatureVector unless X is a (windows, 88) matrix of finite values."""
+    if X.ndim != 2 or X.shape[1] != N_FEATURES or not np.all(np.isfinite(X)):
+        raise IncompleteFeatureVector(f"expected rows of {N_FEATURES} finite values, got shape {X.shape}")
 
 
 def train(
     kind: str,
     feature_view: str,
-    dev_features: Sequence[FeatureVector],
+    X: np.ndarray,
+    labels: Sequence[Label],
     seed: int,
     **params,
 ) -> ClassifierModel:
-    """Fit one classifier on development feature vectors."""
+    """Fit one classifier on a (windows, 88) matrix of development features and their labels."""
     if kind not in _CLASSIFIERS:
         raise DataError(f"unknown classifier kind {kind!r}; expected one of {MODEL_KINDS}")
     if feature_view not in FEATURE_VIEWS:
@@ -314,7 +296,11 @@ def train(
     if unknown:
         raise DataError(f"unknown {kind} hyperparameters: {sorted(unknown)}")
 
-    X, y = _feature_matrix(dev_features)
+    X = np.asarray(X, dtype=float)
+    _check_rows(X)
+    y = np.array([_FALL if label is Label.FALL else _ADL for label in labels], dtype=int)
+    if y.shape[0] != X.shape[0]:
+        raise DataError(f"{X.shape[0]} feature rows but {y.shape[0]} labels")
     if len(set(y.tolist())) < 2:
         raise SingleClassTrainingSet("training set must contain both falls and ADLs")
     X = X[:, FEATURE_VIEWS[feature_view]]
@@ -333,24 +319,16 @@ def train(
     )
 
 
-def predict(model: ClassifierModel, features: FeatureVector) -> tuple[Label, float]:
-    """Label plus score: vote fraction for knn/rf, signed margin for svm."""
-    label_int, score = predict_values(model, np.asarray(features.values, dtype=float))
+def predict(model: ClassifierModel, values: np.ndarray) -> tuple[Label, float]:
+    """Label plus score of one 88-value feature row: vote fraction for knn/rf, signed margin for svm."""
+    values = np.asarray(values, dtype=float)
+    _check_rows(values[np.newaxis])
+    x = model.standardizer.transform(values[FEATURE_VIEWS[model.feature_view]])[0]
+    label_int, score = model.classifier.predict_one(x)
     return (Label.FALL if label_int == _FALL else Label.ADL), score
 
 
-def predict_values(model: ClassifierModel, values: np.ndarray) -> tuple[int, float]:
-    if not model.fitted:
-        raise ModelNotFitted(f"{model.kind} model has no fitted state")
-    if values.shape != (N_FEATURES,) or not np.all(np.isfinite(values)):
-        raise IncompleteFeatureVector(f"expected {N_FEATURES} finite values, got shape {values.shape}")
-    x = model.standardizer.transform(values[FEATURE_VIEWS[model.feature_view]])[0]
-    return model.classifier.predict_one(x)
-
-
 def save_model(model: ClassifierModel, path) -> None:
-    if not model.fitted:
-        raise ModelNotFitted("refusing to save an unfitted model")
     doc = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import numpy as np
 import pytest
@@ -113,7 +114,7 @@ class TestCalibrateAndTrain:
         args = ["train", "--corpus", str(corpus_dir), "--kind", kind, "--view", view, "--seed", str(seed)]
         assert main([*args, "--out", str(cli_path)]) == 0
         result = run_experiment(read_canonical(corpus_dir), DetectorSpec(kind, feature_view=view), seed)
-        save_model(result.model, lib_path)
+        save_model(result.detector, lib_path)
         assert cli_path.read_bytes() == lib_path.read_bytes()
 
     def test_calibrate_matches_run_experiment_config(self, corpus_dir, tmp_path):
@@ -121,7 +122,7 @@ class TestCalibrateAndTrain:
         args = ["calibrate", "--corpus", str(corpus_dir), "--signals", "smv_acc,smv_gyr,avd", "--seed", "6"]
         assert main([*args, "--out", str(cli_path)]) == 0
         spec = DetectorSpec("threshold", signals=("smv_acc", "smv_gyr", "avd"))
-        save_threshold_config(run_experiment(read_canonical(corpus_dir), spec, 6).threshold_config, lib_path)
+        save_threshold_config(run_experiment(read_canonical(corpus_dir), spec, 6).detector, lib_path)
         assert cli_path.read_bytes() == lib_path.read_bytes()
 
 
@@ -148,6 +149,17 @@ class TestEvaluateCommand:
         assert main([*args, "--out", str(a)]) == 0
         assert main([*args, "--out", str(b)]) == 0
         assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "command", [["evaluate", "--detector", "knn"], ["train", "--kind", "knn"]], ids=["evaluate", "train"]
+    )
+    def test_undecodable_byte_in_trial_file_is_a_data_error(self, command, corpus_dir, tmp_path, capsys):
+        trial_csv = sorted(corpus_dir.glob("trials/*.csv"))[0]
+        lines = trial_csv.read_bytes().split(b"\n")
+        lines[5] = lines[5].replace(b",", b",\xff", 1)
+        trial_csv.write_bytes(b"\n".join(lines))
+        assert main([*command, "--corpus", str(corpus_dir), "--out", str(tmp_path / "o")]) == 3
+        assert f"{trial_csv}:6: non-numeric field" in capsys.readouterr().err
 
     def test_missing_corpus(self, tmp_path):
         assert main(["evaluate", "--corpus", str(tmp_path / "nope"), "--detector", "threshold", "--out", str(tmp_path / "o")]) == 3
@@ -314,6 +326,20 @@ class TestDetectStream:
         assert "error:" in err
         assert "internal error" not in err
 
+    def test_undecodable_byte_skipped_under_strict_stdin(self, threshold_config_path, monkeypatch, capsys):
+        trials = [t for t in synthesize(seed=55, n_subjects=2, trials_per_subject=4) if t.label.value == "Fall"]
+        rows = self.stream_text(trials[:2]).splitlines()
+        args = ["detect-stream", "--threshold-config", str(threshold_config_path), "--window-seconds", "10"]
+        _, expected, _ = self.run_stream(args, "\n".join(rows) + "\n", monkeypatch, capsys)
+        rows.insert(120, rows[119].replace(",", ",\udcff", 1))  # decodes back to the byte 0xff
+        data = ("\n".join(rows) + "\n").encode("utf-8", "surrogateescape")
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="strict"))
+        code = main(args)
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == "warning: line 121 skipped (non-numeric field)\n"
+        assert captured.out == expected
+
     class Trickle(io.BytesIO):
         """A pipe that hands over at most `limit` bytes per read."""
 
@@ -393,6 +419,44 @@ class TestExportPlots:
 
     def test_exactly_one_mode(self, tmp_path):
         assert main(["export-plots", "--out", str(tmp_path / "x.csv")]) == 3
+
+
+class TestWindowSeconds:
+    """--window-seconds must be finite and positive in every command that takes it (exit 2)."""
+
+    COMMANDS = {
+        "calibrate": ["calibrate", "--corpus", "c", "--out", "o"],
+        "train": ["train", "--corpus", "c", "--kind", "knn", "--out", "o"],
+        "evaluate": ["evaluate", "--corpus", "c", "--detector", "knn", "--out", "o"],
+        "detect-stream": ["detect-stream", "--threshold-config", "t.cfg"],
+    }
+
+    def run(self, argv, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO("".join(f"{i * 0.04!r},0,0,1,0,0,0\n" for i in range(100))))
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--window-seconds must be finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_rejected_in_every_command(self, command, monkeypatch, capsys):
+        for value in ("0", "-1", "nan", "inf"):
+            self.run([*self.COMMANDS[command], f"--window-seconds={value}"], monkeypatch, capsys)
+
+    @pytest.mark.parametrize("value", [0, -1.0, "nan", [60]], ids=["zero", "negative", "nan-string", "list"])
+    def test_config_file_value_rejected(self, value, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"window_seconds": value}))
+        self.run(["--config", str(cfg), *self.COMMANDS["detect-stream"]], monkeypatch, capsys)
+
+    def test_tiny_window_is_bounded_work(self, tmp_path):
+        corpus = tmp_path / "c"
+        assert main(["synthesize", "--seed", "1", "--subjects", "4", "--trials-per-subject", "6", "--out", str(corpus)]) == 0
+        start = time.perf_counter()
+        code = main(["calibrate", "--corpus", str(corpus), "--window-seconds", "1e-5", "--out", str(tmp_path / "t.cfg")])
+        assert code == 0
+        # a loop step per window boundary took 11 s on this corpus; a cut per sample takes under 1 s
+        assert time.perf_counter() - start < 5.0
 
 
 class TestUsage:

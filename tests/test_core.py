@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_recording
@@ -38,6 +40,18 @@ def segment_oracle(t, window_seconds, min_samples):
         merged[-2].extend(merged[-1])
         del merged[-1]
     return merged
+
+
+def boundary_loop_edges(t, window_seconds):
+    """The window starts `segment` computed by one loop step per boundary, kept as the reference for its O(n) cut."""
+    t0, t_last = float(t[0]), float(t[-1])
+    boundaries = []
+    k = 1
+    while t0 + k * window_seconds <= t_last:
+        boundaries.append(t0 + k * window_seconds)
+        k += 1
+    cuts = np.searchsorted(t, np.asarray(boundaries), side="left") if boundaries else np.empty(0, dtype=int)
+    return sorted(set([0, *map(int, cuts), len(t)]))
 
 
 class TestValidation:
@@ -150,6 +164,25 @@ class TestSegment:
         assert np.array_equal(np.vstack([w.acc for w in windows]), rec.acc)
         assert np.array_equal(np.vstack([w.gyr for w in windows]), rec.gyr)
         assert all(w.n_samples >= 2 for w in windows)
+
+    @given(
+        t0=st.floats(min_value=0.0, max_value=1e9),
+        gaps=st.lists(st.floats(min_value=1e-9, max_value=30.0), max_size=40),
+        window=st.floats(min_value=1e-9, max_value=100.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_cuts_match_boundary_loop(self, t0, gaps, window):
+        t = np.unique(t0 + np.concatenate([[0.0], np.cumsum(gaps)]))
+        assume((t[-1] - t[0]) / window <= 5000)  # the loop makes one step per window
+        rec = make_recording(t, np.zeros((t.size, 3)))
+        windows = segment(rec, window_seconds=window, min_samples=1)  # min_samples=1 merges nothing
+        starts = np.cumsum([0] + [w.n_samples for w in windows]).tolist()
+        assert starts == boundary_loop_edges(t, window)
+
+    @pytest.mark.parametrize("window", [0.0, -1.0, math.nan, math.inf])
+    def test_window_seconds_must_be_finite_and_positive(self, window):
+        with pytest.raises(ValueError):
+            segment(regular_recording(10, 25), window_seconds=window)
 
     def test_deterministic(self):
         rec = regular_recording(97.7, 23.0)

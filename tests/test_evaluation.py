@@ -130,7 +130,7 @@ class TestRunExperiment:
     def test_threshold_on_synthetic_is_perfectly_sensitive(self, corpus):
         result = run_experiment(corpus, DetectorSpec(kind="threshold", signals=("smv_acc",)), seed=5)
         assert result.report.sensitivity == 100.0
-        assert result.threshold_config is not None
+        assert isinstance(result.detector, ThresholdConfig)
 
     def test_no_leakage(self, corpus):
         for spec in (DetectorSpec(kind="threshold"), DetectorSpec(kind="knn")):

@@ -1,5 +1,4 @@
 import cmath
-import csv
 import math
 import statistics
 
@@ -9,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_window
-from wristfall.core import Label, segment
+from wristfall.core import segment
 from wristfall.errors import SignalTooShort
 from wristfall.features import (
     ACC_FEATURES,
@@ -19,7 +18,6 @@ from wristfall.features import (
     extract,
     power_bins,
     stats11,
-    write_feature_csv,
 )
 from wristfall.signals import derive_all
 
@@ -144,9 +142,9 @@ class TestSpectralEntropy:
 class TestExtract:
     def test_all_zero_window(self):
         w = make_window(np.zeros((30, 3)))
-        fv = extract(w, derive_all(w))
-        assert fv.values.shape == (88,)
-        assert np.all(fv.values == 0.0)
+        f = extract(w, derive_all(w))
+        assert f.shape == (88,)
+        assert np.all(f == 0.0)
 
     def test_acc_scaling_doubles_linear_acc_features(self):
         rng = np.random.default_rng(18)
@@ -154,8 +152,8 @@ class TestExtract:
         gyr = rng.normal(0, 40, (60, 3))
         w1 = make_window(acc, gyr=gyr)
         w2 = make_window(2.0 * acc, gyr=gyr)
-        f1 = extract(w1, derive_all(w1)).values
-        f2 = extract(w2, derive_all(w2)).values
+        f1 = extract(w1, derive_all(w1))
+        f2 = extract(w2, derive_all(w2))
         linear = ("mean", "median", "delta", "std", "max", "min", "p25", "p75")
         for sig_idx in range(4):  # accelerometer signals
             for name in linear:
@@ -169,15 +167,15 @@ class TestExtract:
         gyr = rng.normal(0, 40, (50, 3))
         w1 = make_window(acc, gyr=gyr)
         w2 = make_window(acc, gyr=gyr + rng.normal(0, 10, (50, 3)))
-        f1 = extract(w1, derive_all(w1)).values
-        f2 = extract(w2, derive_all(w2)).values
+        f1 = extract(w1, derive_all(w1))
+        f2 = extract(w2, derive_all(w2))
         assert np.array_equal(f1[ACC_FEATURES], f2[ACC_FEATURES])
 
     def test_matches_independent_reimplementation(self, synth_trials):
         for rec in synth_trials[:3]:
             w = segment(rec)[0]
             d = derive_all(w)
-            got = extract(w, d).values
+            got = extract(w, d)
             signals = [
                 w.acc[:, 0], w.acc[:, 1], w.acc[:, 2], d.smv_acc,
                 w.gyr[:, 0], w.gyr[:, 1], w.gyr[:, 2], d.smv_gyr,
@@ -188,20 +186,13 @@ class TestExtract:
     def test_within_signal_order_invariants(self, synth_trials):
         for rec in synth_trials[:10]:
             w = segment(rec)[0]
-            v = extract(w, derive_all(w)).values
+            v = extract(w, derive_all(w))
             for sig_idx in range(8):
                 s = v[sig_idx * 11 : (sig_idx + 1) * 11]
                 assert s[I["min"]] <= s[I["p25"]] <= s[I["median"]] <= s[I["p75"]] <= s[I["max"]]
                 assert s[I["var"]] == pytest.approx(s[I["std"]] ** 2, rel=1e-12, abs=1e-15)
                 assert s[I["delta"]] == pytest.approx(s[I["max"]] - s[I["min"]], rel=1e-12, abs=1e-15)
                 assert 0.0 <= s[I["pse"]] <= 1.0
-
-    def test_label_and_refs_copied(self):
-        w = make_window(np.zeros((10, 3)), label=Label.FALL, ref="rec3")
-        fv = extract(w, derive_all(w))
-        assert fv.label is Label.FALL
-        assert fv.window_ref == "rec3#w0"
-        assert fv.subject_id == "S01"
 
 
 class TestFeatureNames:
@@ -212,16 +203,3 @@ class TestFeatureNames:
         assert FEATURE_NAMES[33] == "smv_acc_mean"
         assert FEATURE_NAMES[44] == "gyr_x_mean"
         assert FEATURE_NAMES[87] == "smv_gyr_pse"
-
-    def test_csv_export(self, tmp_path, synth_trials):
-        windows = [segment(rec)[0] for rec in synth_trials[:5]]
-        features = [extract(w, derive_all(w)) for w in windows]
-        path = tmp_path / "features.csv"
-        write_feature_csv(features, path)
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == [*FEATURE_NAMES, "label", "subject_id", "window_ref"]
-        assert len(rows) == 6
-        parsed = np.array([float(v) for v in rows[1][:88]])
-        np.testing.assert_array_equal(parsed, features[0].values)
-        assert rows[1][88] in ("Fall", "ADL")

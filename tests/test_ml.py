@@ -4,35 +4,23 @@ import numpy as np
 import pytest
 
 from wristfall.core import Label
-from wristfall.errors import (
-    DataError,
-    IncompleteFeatureVector,
-    ModelNotFitted,
-    SingleClassTrainingSet,
-)
-from wristfall.features import N_FEATURES, FeatureVector
+from wristfall.errors import DataError, IncompleteFeatureVector, SingleClassTrainingSet
+from wristfall.features import FEATURE_VIEWS, N_FEATURES
 from wristfall.ml import (
-    FEATURE_VIEWS,
-    ClassifierModel,
     KNNClassifier,
     LinearSVM,
     RandomForestClassifier,
     Standardizer,
     load_model,
     predict,
-    predict_values,
     save_model,
     train,
 )
 
 
-def fv(values, label=Label.ADL, ref="w0", subject="S01"):
-    return FeatureVector(values=np.asarray(values, dtype=float), window_ref=ref, subject_id=subject, label=label)
-
-
 def toy_features(rng, n=40, separation=4.0):
-    """Fall windows shifted up on a few accelerometer features, ADLs shifted down."""
-    out = []
+    """(X, labels): fall rows shifted up on a few accelerometer features, ADL rows shifted down."""
+    rows, labels = [], []
     for i in range(n):
         label = Label.FALL if i % 2 else Label.ADL
         base = rng.normal(0, 1.0, N_FEATURES)
@@ -40,8 +28,9 @@ def toy_features(rng, n=40, separation=4.0):
         base[0] += shift
         base[5] += shift
         base[50] += shift * 0.5
-        out.append(fv(base, label=label, ref=f"w{i}"))
-    return out
+        rows.append(base)
+        labels.append(label)
+    return np.array(rows), labels
 
 
 class TestStandardizer:
@@ -67,11 +56,11 @@ class TestStandardizer:
 class TestKNN:
     def test_k1_returns_own_label(self):
         rng = np.random.default_rng(31)
-        features = toy_features(rng, n=20)
-        model = train("knn", "combined88", features, seed=0, k=1)
-        for f in features:
-            label, _ = predict(model, f)
-            assert label is f.label
+        X, labels = toy_features(rng, n=20)
+        model = train("knn", "combined88", X, labels, seed=0, k=1)
+        for x, expected in zip(X, labels):
+            label, _ = predict(model, x)
+            assert label is expected
 
     def test_vote_majority(self):
         knn = KNNClassifier(k=3)
@@ -107,16 +96,15 @@ class TestKNN:
 
     def test_featurewise_affine_rescaling_absorbed(self):
         rng = np.random.default_rng(33)
-        features = toy_features(rng, n=30)
-        queries = toy_features(rng, n=10)
-        model_a = train("knn", "combined88", features, seed=0)
+        X, labels = toy_features(rng, n=30)
+        queries, _ = toy_features(rng, n=10)
+        model_a = train("knn", "combined88", X, labels, seed=0)
         scale = rng.uniform(0.5, 20.0, N_FEATURES)
         offset = rng.uniform(-5.0, 5.0, N_FEATURES)
-        rescaled = [fv(f.values * scale + offset, f.label, f.window_ref) for f in features]
-        model_b = train("knn", "combined88", rescaled, seed=0)
+        model_b = train("knn", "combined88", X * scale + offset, labels, seed=0)
         for q in queries:
             la, _ = predict(model_a, q)
-            lb, _ = predict(model_b, fv(q.values * scale + offset, q.label))
+            lb, _ = predict(model_b, q * scale + offset)
             assert la is lb
 
 
@@ -135,10 +123,10 @@ class TestRandomForest:
 
     def test_fixed_seed_is_bit_reproducible(self):
         rng = np.random.default_rng(34)
-        features = toy_features(rng, n=40)
-        queries = toy_features(rng, n=12)
-        m1 = train("rf", "combined88", features, seed=99, n_trees=15)
-        m2 = train("rf", "combined88", features, seed=99, n_trees=15)
+        X, labels = toy_features(rng, n=40)
+        queries, _ = toy_features(rng, n=12)
+        m1 = train("rf", "combined88", X, labels, seed=99, n_trees=15)
+        m2 = train("rf", "combined88", X, labels, seed=99, n_trees=15)
         assert m1.classifier.trees == m2.classifier.trees
         for q in queries:
             assert predict(m1, q) == predict(m2, q)
@@ -152,24 +140,22 @@ class TestRandomForest:
 
     def test_forest_separates_toy_data(self):
         rng = np.random.default_rng(35)
-        features = toy_features(rng, n=60)
-        model = train("rf", "combined88", features, seed=5, n_trees=25)
-        correct = sum(predict(model, f)[0] is f.label for f in features)
+        X, labels = toy_features(rng, n=60)
+        model = train("rf", "combined88", X, labels, seed=5, n_trees=25)
+        correct = sum(predict(model, x)[0] is label for x, label in zip(X, labels))
         assert correct >= 58  # in-bag accuracy on a well-separated set
 
 
 class TestLinearSVM:
     def test_separable_toy_set_reaches_full_training_accuracy(self):
         rng = np.random.default_rng(36)
-        points = []
-        for i in range(20):
-            label = Label.FALL if i % 2 else Label.ADL
+        labels = [Label.FALL if i % 2 else Label.ADL for i in range(20)]
+        X = np.zeros((20, N_FEATURES))
+        for i, label in enumerate(labels):
             center = 2.0 if label is Label.FALL else -2.0
-            values = np.zeros(N_FEATURES)
-            values[:2] = center + rng.normal(0, 0.2, 2)
-            points.append(fv(values, label=label, ref=f"p{i}"))
-        model = train("svm", "combined88", points, seed=1)
-        assert all(predict(model, p)[0] is p.label for p in points)
+            X[i, :2] = center + rng.normal(0, 0.2, 2)
+        model = train("svm", "combined88", X, labels, seed=1)
+        assert all(predict(model, x)[0] is label for x, label in zip(X, labels))
 
     def test_zero_margin_resolves_to_fall(self):
         svm = LinearSVM()
@@ -189,9 +175,9 @@ class TestLinearSVM:
 
     def test_training_is_deterministic(self):
         rng = np.random.default_rng(37)
-        features = toy_features(rng, n=30)
-        m1 = train("svm", "combined88", features, seed=3)
-        m2 = train("svm", "combined88", features, seed=3)
+        X, labels = toy_features(rng, n=30)
+        m1 = train("svm", "combined88", X, labels, seed=3)
+        m2 = train("svm", "combined88", X, labels, seed=3)
         assert np.array_equal(m1.classifier.w, m2.classifier.w)
         assert m1.classifier.b == m2.classifier.b
 
@@ -199,21 +185,19 @@ class TestLinearSVM:
 class TestViews:
     def test_acc_view_ignores_gyroscope_features(self):
         rng = np.random.default_rng(38)
-        features = toy_features(rng, n=40)
-        model = train("knn", "acc44", features, seed=0)
-        for f in toy_features(rng, n=10):
-            perturbed = f.values.copy()
+        model = train("knn", "acc44", *toy_features(rng, n=40), seed=0)
+        for x in toy_features(rng, n=10)[0]:
+            perturbed = x.copy()
             perturbed[44:] += rng.normal(0, 100.0, 44)
-            assert predict(model, f) == predict(model, fv(perturbed, f.label))
+            assert predict(model, x) == predict(model, perturbed)
 
     def test_gyr_view_ignores_accelerometer_features(self):
         rng = np.random.default_rng(39)
-        features = toy_features(rng, n=40)
-        model = train("svm", "gyr44", features, seed=0)
-        for f in toy_features(rng, n=10):
-            perturbed = f.values.copy()
+        model = train("svm", "gyr44", *toy_features(rng, n=40), seed=0)
+        for x in toy_features(rng, n=10)[0]:
+            perturbed = x.copy()
             perturbed[:44] += rng.normal(0, 100.0, 44)
-            assert predict(model, f) == predict(model, fv(perturbed, f.label))
+            assert predict(model, x) == predict(model, perturbed)
 
     def test_view_slices(self):
         assert FEATURE_VIEWS["acc44"] == slice(0, 44)
@@ -224,40 +208,36 @@ class TestViews:
 class TestTrainErrors:
     def test_single_class_rejected(self):
         rng = np.random.default_rng(40)
-        features = [f for f in toy_features(rng, n=20) if f.label is Label.ADL]
+        X, labels = toy_features(rng, n=20)
+        adl = [i for i, label in enumerate(labels) if label is Label.ADL]
         with pytest.raises(SingleClassTrainingSet):
-            train("knn", "combined88", features, seed=0)
+            train("knn", "combined88", X[adl], [labels[i] for i in adl], seed=0)
 
     def test_incomplete_vector_rejected(self):
         rng = np.random.default_rng(41)
-        features = toy_features(rng, n=10)
-        bad = fv(np.full(N_FEATURES, np.nan), label=Label.FALL)
+        X, labels = toy_features(rng, n=10)
+        bad = np.vstack([X, np.full(N_FEATURES, np.nan)])
         with pytest.raises(IncompleteFeatureVector):
-            train("knn", "combined88", [*features, bad], seed=0)
+            train("knn", "combined88", bad, [*labels, Label.FALL], seed=0)
 
     def test_unknown_kind_view_params(self):
         rng = np.random.default_rng(42)
-        features = toy_features(rng, n=10)
+        X, labels = toy_features(rng, n=10)
         with pytest.raises(DataError):
-            train("boosting", "combined88", features, seed=0)
+            train("boosting", "combined88", X, labels, seed=0)
         with pytest.raises(DataError):
-            train("knn", "acc45", features, seed=0)
+            train("knn", "acc45", X, labels, seed=0)
         with pytest.raises(DataError):
-            train("knn", "combined88", features, seed=0, trees=5)
-
-    def test_unfitted_model_rejected(self):
-        model = ClassifierModel(kind="knn", feature_view="combined88", params={})
-        with pytest.raises(ModelNotFitted):
-            predict_values(model, np.zeros(N_FEATURES))
+            train("knn", "combined88", X, labels, seed=0, trees=5)
 
 
 class TestSerialization:
     @pytest.mark.parametrize("kind,params", [("knn", {}), ("rf", {"n_trees": 10}), ("svm", {})])
     def test_round_trip_preserves_predictions_bit_exactly(self, tmp_path, kind, params):
         rng = np.random.default_rng(43)
-        features = toy_features(rng, n=30)
-        queries = toy_features(rng, n=15)
-        model = train(kind, "combined88", features, seed=11, **params)
+        X, labels = toy_features(rng, n=30)
+        queries, _ = toy_features(rng, n=15)
+        model = train(kind, "combined88", X, labels, seed=11, **params)
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
@@ -269,7 +249,7 @@ class TestSerialization:
 
     def test_versioned_header(self, tmp_path):
         rng = np.random.default_rng(44)
-        model = train("svm", "acc44", toy_features(rng, n=12), seed=0)
+        model = train("svm", "acc44", *toy_features(rng, n=12), seed=0)
         path = tmp_path / "model.json"
         save_model(model, path)
         doc = json.loads(path.read_text())
@@ -281,8 +261,3 @@ class TestSerialization:
         path.write_text('{"format": "something-else", "version": 1}')
         with pytest.raises(DataError):
             load_model(path)
-
-    def test_refuses_to_save_unfitted(self, tmp_path):
-        model = ClassifierModel(kind="knn", feature_view="combined88", params={})
-        with pytest.raises(ModelNotFitted):
-            save_model(model, tmp_path / "m.json")

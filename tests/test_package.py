@@ -1,0 +1,29 @@
+import pytest
+
+import wristfall
+from wristfall import errors, features, ml
+
+
+def test_every_exported_name_resolves():
+    for name in wristfall.__all__:
+        assert getattr(wristfall, name, None) is not None, name
+
+
+@pytest.mark.parametrize(
+    "module,name",
+    [
+        (features, "FeatureVector"),
+        (features, "write_feature_csv"),
+        (ml, "predict_values"),
+        (ml, "_feature_matrix"),
+        (errors, "ModelNotFitted"),
+    ],
+)
+def test_removed_name_is_gone(module, name):
+    assert name not in wristfall.__all__
+    assert not hasattr(wristfall, name)
+    assert not hasattr(module, name)
+
+
+def test_feature_views_defined_once():
+    assert not hasattr(ml, "FEATURE_VIEWS") or ml.FEATURE_VIEWS is features.FEATURE_VIEWS
