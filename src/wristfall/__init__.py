@@ -22,12 +22,13 @@ from .evaluation import (
     EvalReport,
     SubjectSplit,
     classify,
+    classify_many,
     compute_metrics,
     fit_detector,
     run_experiment,
     split_subjects,
 )
-from .features import FEATURE_NAMES, extract, stats11
+from .features import FEATURE_NAMES, extract, extract_many, stats11
 from .ml import ClassifierModel, Standardizer, load_model, predict, save_model, train
 from .signals import DerivedSignalSet, avd, derive_all, fall_index, smv
 from .synthetic import synthesize
@@ -53,10 +54,12 @@ __all__ = [
     "avd",
     "calibrate",
     "classify",
+    "classify_many",
     "compute_metrics",
     "derive_all",
     "detect",
     "extract",
+    "extract_many",
     "fall_index",
     "fit_detector",
     "ingest",

@@ -255,6 +255,16 @@ def cmd_detect_stream(args) -> int:
     return EXIT_OK
 
 
+def _read_report(path: Path) -> EvalReport:
+    """The report in a `report.json`; a file that is not one raises DataError naming it."""
+    try:
+        return EvalReport.from_dict(json.loads(path.read_text(encoding="utf-8")))
+    except KeyError as exc:
+        raise DataError(f"{path}: report lacks {exc}") from None
+    except (TypeError, ValueError) as exc:  # not UTF-8, not JSON, or a value of the wrong type
+        raise DataError(f"{path}: not a report: {exc}") from None
+
+
 def cmd_export_plots(args) -> int:
     chosen = [x for x in (args.trial, args.report, args.reports) if x]
     if len(chosen) != 1:
@@ -272,7 +282,7 @@ def cmd_export_plots(args) -> int:
             )
         out.write_text("\n".join(lines) + "\n", encoding="utf-8")
     elif args.report:
-        report = EvalReport.from_dict(json.loads(Path(args.report).read_text(encoding="utf-8")))
+        report = _read_report(Path(args.report))
         lines = ["metric,value_pct"]
         for name, value in (
             ("accuracy", report.accuracy),
@@ -287,7 +297,7 @@ def cmd_export_plots(args) -> int:
             raise DataError(f"no report.json files under {args.reports}")
         lines = ["detector,dataset,accuracy_pct,sensitivity_pct,specificity_pct"]
         for path in report_paths:
-            r = EvalReport.from_dict(json.loads(path.read_text(encoding="utf-8")))
+            r = _read_report(path)
             cells = [r.detector, r.dataset] + [
                 "" if v is None else repr(v) for v in (r.accuracy, r.sensitivity, r.specificity)
             ]
@@ -382,7 +392,7 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
         parser.error("--config needs a file argument")
     try:
         doc = json.loads(Path(argv[at + 1]).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
         parser.error(f"cannot read config file: {exc}")
     if not isinstance(doc, dict):
         parser.error("config file must hold a JSON object")

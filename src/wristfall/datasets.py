@@ -129,8 +129,13 @@ class IngestReport:
 
 def load_manifest(path) -> DatasetManifest:
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise DataError(f"{path}: not a JSON manifest: {exc}") from None
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: a manifest must be a JSON object")
     unknown = set(doc) - MANIFEST_KEYS
     if unknown:
         raise DataError(f"{path}: unknown manifest keys {sorted(unknown)}")
@@ -472,9 +477,12 @@ def read_canonical(corpus_dir) -> list[TrialRecording]:
     if not index_path.is_file():
         raise ManifestRootMissing(f"no {INDEX_NAME} under {corpus_dir}")
     trials = []
-    with open(index_path, "r", encoding="utf-8") as fh:
+    with open(index_path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise CanonicalFormatError(str(index_path), line_no, f"not UTF-8: {exc}") from None
             if not line:
                 continue
             try:
@@ -482,19 +490,19 @@ def read_canonical(corpus_dir) -> list[TrialRecording]:
             except json.JSONDecodeError as exc:
                 raise CanonicalFormatError(str(index_path), line_no, f"bad JSON: {exc}") from None
             try:
-                t, acc, gyr = read_canonical_trial(corpus_dir / entry["path"])
-                rec = TrialRecording(
+                trial_path = corpus_dir / entry["path"]
+                fields = dict(
                     trial_id=entry["trial_id"],
                     subject_id=entry["subject_id"],
                     activity_code=entry["activity_code"],
                     label=Label(entry["label"]),
                     sample_rate_hz=float(entry["sample_rate_hz"]),
-                    t=t,
-                    acc=acc,
-                    gyr=gyr,
                     source=Source(entry["source"]),
                 )
             except KeyError as exc:
                 raise CanonicalFormatError(str(index_path), line_no, f"index entry missing {exc}") from None
-            trials.append(rec)
+            except (TypeError, ValueError) as exc:  # not an object, or a value of the wrong type
+                raise CanonicalFormatError(str(index_path), line_no, f"bad index entry: {exc}") from None
+            t, acc, gyr = read_canonical_trial(trial_path)
+            trials.append(TrialRecording(**fields, t=t, acc=acc, gyr=gyr))
     return trials

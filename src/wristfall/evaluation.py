@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import DEFAULT_WINDOW_SECONDS, Label, SignalWindow, TrialRecording, segment
 from .errors import ExperimentStageError, NonFiniteSignal, TooFewSubjects
-from .features import extract
+from .features import extract_many
 from .ml import ClassifierModel, predict, train
 from .signals import derive_all
 from .threshold import DEFAULT_SIGNALS, ThresholdConfig, calibrate, detect
@@ -227,25 +227,38 @@ def fit_detector(
     if spec.kind == "threshold":
         pairs = [(w, derive_all(w)) for w in dev_windows]
         return calibrate(pairs, signals=spec.signals, grids=spec.params.get("grids"))
-    X = np.array([extract(w, derive_all(w)) for w in dev_windows])
+    X = extract_many(dev_windows)
     return train(spec.kind, spec.feature_view, X, [w.label for w in dev_windows], seed, **spec.params)
 
 
-def classify(detector: ThresholdConfig | ClassifierModel, window: SignalWindow) -> tuple[Label, float]:
-    """Verdict and score for one window.
+def _vote(config: ThresholdConfig, window: SignalWindow) -> tuple[Label, float]:
+    """The threshold detector's verdict for one window and the fraction of its signals voting Fall."""
+    with np.errstate(all="ignore"):  # an overflow gives inf or nan, which the check below rejects
+        derived = derive_all(window)
+    for name in config.signals:
+        if not np.isfinite(derived.by_name(name)).all():
+            raise NonFiniteSignal(f"window {window.window_ref}: derived signal {name} contains non-finite values")
+    verdict, votes = detect(window, derived, config)
+    return verdict, sum(v is Label.FALL for v in votes.values()) / len(votes)
+
+
+def classify_many(
+    detector: ThresholdConfig | ClassifierModel, windows: Sequence[SignalWindow]
+) -> list[tuple[Label, float]]:
+    """Verdict and score for each window, in order.
 
     The score is the fraction of signals voting Fall for a threshold detector,
     and `predict`'s score for a classifier. A non-finite value in a signal the
     detector reads raises NonFiniteSignal, as a vote on it would be meaningless.
     """
-    derived = derive_all(window)
     if isinstance(detector, ThresholdConfig):
-        for name in detector.signals:
-            if not np.isfinite(derived.by_name(name)).all():
-                raise NonFiniteSignal(f"window {window.window_ref}: derived signal {name} contains non-finite values")
-        verdict, votes = detect(window, derived, detector)
-        return verdict, sum(v is Label.FALL for v in votes.values()) / len(votes)
-    return predict(detector, extract(window, derived))
+        return [_vote(detector, w) for w in windows]
+    return [predict(detector, row) for row in extract_many(windows)]
+
+
+def classify(detector: ThresholdConfig | ClassifierModel, window: SignalWindow) -> tuple[Label, float]:
+    """Verdict and score for one window: the one-window case of classify_many."""
+    return classify_many(detector, [window])[0]
 
 
 def run_experiment(
@@ -283,12 +296,13 @@ def run_experiment(
     detector = stage(fit_stages[-1], _fit)
 
     def _evaluate():
-        records = []
-        for w in windows_of(trials, split.eval_subjects, window_seconds):
+        eval_windows = windows_of(trials, split.eval_subjects, window_seconds)
+        for w in eval_windows:
             log.record(w.subject_id, STAGE_PREDICTION)
-            predicted, score = classify(detector, w)
-            records.append(PredictionRecord(w.window_ref, w.subject_id, w.label, predicted, float(score)))
-        return records
+        return [
+            PredictionRecord(w.window_ref, w.subject_id, w.label, predicted, float(score))
+            for w, (predicted, score) in zip(eval_windows, classify_many(detector, eval_windows))
+        ]
 
     records = stage(STAGE_PREDICTION, _evaluate)
     report = stage(

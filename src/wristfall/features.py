@@ -30,7 +30,7 @@ import numpy as np
 
 from .core import SignalWindow
 from .errors import NonFiniteSignal, SignalTooShort
-from .signals import DerivedSignalSet
+from .signals import smv
 
 STAT_NAMES = ("mean", "var", "median", "delta", "std", "max", "min", "p25", "p75", "psd", "pse")
 SIGNAL_NAMES = ("acc_x", "acc_y", "acc_z", "smv_acc", "gyr_x", "gyr_y", "gyr_z", "smv_gyr")
@@ -44,65 +44,103 @@ FEATURE_VIEWS = {"acc44": ACC_FEATURES, "gyr44": GYR_FEATURES, "combined88": sli
 POWER_FLOOR = 1e-12
 
 
+# At most this many float64 values per stacked group, so the kernel's
+# temporaries stay a few MiB however many windows share a length.
+STACK_VALUES = 1 << 20
+
+
 def power_bins(signal: np.ndarray) -> np.ndarray:
-    """One-sided periodogram power bins of the mean-removed signal, DC excluded.
+    """One-sided periodogram power bins of the mean-removed signal along its last axis, DC excluded.
 
     Negative-frequency power is folded onto the positive bins, so the bins sum
     to the signal's population variance (Parseval).
     """
     x = np.asarray(signal, dtype=float)
-    n = x.shape[0]
-    y = x - x.mean()
-    spec = np.fft.rfft(y)
-    p = (spec.real**2 + spec.imag**2) / (n * n)
-    p = p[1:]  # drop DC, which mean removal zeroes anyway
+    n = x.shape[-1]
+    spec = np.fft.rfft(x - x.mean(axis=-1, keepdims=True))
+    p = (spec.real**2 + spec.imag**2)[..., 1:] / (n * n)  # drop DC, which mean removal zeroes anyway
     if n % 2 == 0:
-        p[:-1] *= 2.0  # Nyquist bin has no mirror
+        p[..., :-1] *= 2.0  # Nyquist bin has no mirror
     else:
         p *= 2.0
     return p
 
 
+def _spectral_entropy(bins: np.ndarray, psd: np.ndarray) -> np.ndarray:
+    """pse of each row of the power bins (..., m) whose total power is psd (...)."""
+    m = bins.shape[-1]
+    pse = np.zeros(psd.shape)
+    live = ~(psd < POWER_FLOOR) & (m >= 2)  # a nan psd is live, as in the scalar test
+    p = bins[live] / psd[live][:, np.newaxis]
+    entropy = np.empty(p.shape[0])
+    # a row without a zero bin sums the same elements in the same order as the masked sum below
+    full = np.all(p > 0.0, axis=-1)
+    entropy[full] = -(p[full] * np.log2(p[full])).sum(axis=-1)
+    for i in np.flatnonzero(~full):
+        nz = p[i][p[i] > 0.0]
+        entropy[i] = -(nz * np.log2(nz)).sum()
+    pse[live] = entropy / np.log2(m)
+    return pse
+
+
+def _stats(x: np.ndarray) -> np.ndarray:
+    """The 11 statistics along the last axis of a (k, ..., n) float array, in STAT_NAMES order: shape (k, ..., 11).
+
+    Every reduction runs along the contiguous last axis, so each row gets the
+    same bits as the same signal computed alone. Finite input that overflows
+    gives inf or nan statistics, which the caller checks; no warning is issued.
+    """
+    if x.shape[-1] < 2:
+        raise SignalTooShort(f"need a 1-d signal with >= 2 samples, got shape {x.shape[-1:]}")
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteSignal("signal contains non-finite values")
+    with np.errstate(all="ignore"):
+        mean = x.mean(axis=-1)
+        var = x.var(axis=-1)  # population variance
+        median, p25, p75 = np.percentile(x, [50.0, 25.0, 75.0], axis=-1)
+        mx = x.max(axis=-1)
+        mn = x.min(axis=-1)
+        bins = power_bins(x)
+        psd = bins.sum(axis=-1)
+        pse = _spectral_entropy(bins, psd)
+        return np.stack([mean, var, median, mx - mn, np.sqrt(var), mx, mn, p25, p75, psd, pse], axis=-1)
+
+
 def stats11(signal: Sequence[float] | np.ndarray, sample_rate_hz: float) -> np.ndarray:
     """The 11 global statistics of one signal, in STAT_NAMES order."""
     x = np.asarray(signal, dtype=float)
-    if x.ndim != 1 or x.shape[0] < 2:
+    if x.ndim != 1:
         raise SignalTooShort(f"need a 1-d signal with >= 2 samples, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteSignal("signal contains non-finite values")
-
-    mean = float(x.mean())
-    var = float(x.var())  # population variance
-    std = float(np.sqrt(var))
-    median, p25, p75 = (float(v) for v in np.percentile(x, [50.0, 25.0, 75.0]))
-    mx = float(x.max())
-    mn = float(x.min())
-    delta = mx - mn
-
-    bins = power_bins(x)
-    psd = float(bins.sum())
-    if psd < POWER_FLOOR or bins.shape[0] < 2:
-        pse = 0.0
-    else:
-        p = bins / psd
-        nz = p[p > 0.0]
-        entropy = float(-(nz * np.log2(nz)).sum())
-        pse = entropy / float(np.log2(bins.shape[0]))
-
-    return np.array([mean, var, median, delta, std, mx, mn, p25, p75, psd, pse])
+    return _stats(x[np.newaxis])[0]
 
 
-def extract(window: SignalWindow, derived: DerivedSignalSet) -> np.ndarray:
+def extract_many(windows: Sequence[SignalWindow]) -> np.ndarray:
+    """The 88 features of each window in FEATURE_NAMES order: a (len(windows), 88) array in input order.
+
+    Windows of one length are stacked as (windows, 8, n) over their 8
+    canonical signals and go through the statistics kernel together, one
+    stack of at most STACK_VALUES values at a time.
+    """
+    X = np.empty((len(windows), N_FEATURES))
+    groups: dict[int, list[int]] = {}
+    for i, w in enumerate(windows):
+        groups.setdefault(w.n_samples, []).append(i)
+    for n, rows in groups.items():
+        step = max(1, STACK_VALUES // (8 * n))
+        for lo in range(0, len(rows), step):
+            chunk = rows[lo : lo + step]
+            stack = np.empty((len(chunk), 8, n))
+            with np.errstate(all="ignore"):  # an overflowing SMV is inf, which _stats rejects
+                for j, i in enumerate(chunk):
+                    w = windows[i]
+                    stack[j, 0:3] = w.acc.T
+                    stack[j, 3] = smv(w, "acc")
+                    stack[j, 4:7] = w.gyr.T
+                    stack[j, 7] = smv(w, "gyr")
+            X[chunk] = _stats(stack).reshape(len(chunk), N_FEATURES)
+    return X
+
+
+def extract(window: SignalWindow) -> np.ndarray:
     """The window's 88 features in FEATURE_NAMES order: stats11 of its 8 canonical signals."""
-    rate = window.sample_rate_hz
-    signals = (
-        window.acc[:, 0],
-        window.acc[:, 1],
-        window.acc[:, 2],
-        derived.smv_acc,
-        window.gyr[:, 0],
-        window.gyr[:, 1],
-        window.gyr[:, 2],
-        derived.smv_gyr,
-    )
-    return np.concatenate([stats11(s, rate) for s in signals])
+    return extract_many([window])[0]

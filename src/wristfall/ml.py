@@ -345,20 +345,31 @@ def save_model(model: ClassifierModel, path) -> None:
 
 
 def load_model(path) -> ClassifierModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != MODEL_FORMAT:
+    """The model `save_model` wrote to `path`; a file that is not one raises DataError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise DataError(f"{path}: not a {MODEL_FORMAT} file: {exc}") from None
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise DataError(f"{path}: not a {MODEL_FORMAT} file")
     if doc.get("version") != MODEL_VERSION:
         raise DataError(f"{path}: unsupported model version {doc.get('version')}")
-    kind = doc["kind"]
-    if kind not in _CLASSIFIERS:
-        raise DataError(f"{path}: unknown classifier kind {kind!r}")
-    return ClassifierModel(
-        kind=kind,
-        feature_view=doc["feature_view"],
-        params=doc["params"],
-        standardizer=Standardizer.from_dict(doc["standardizer"]),
-        classifier=_CLASSIFIERS[kind].from_dict(doc["state"]),
-        seed=int(doc.get("seed", 0)),
-    )
+    try:
+        kind, feature_view = doc["kind"], doc["feature_view"]
+        if kind not in _CLASSIFIERS:
+            raise DataError(f"{path}: unknown classifier kind {kind!r}")
+        if feature_view not in FEATURE_VIEWS:
+            raise DataError(f"{path}: unknown feature view {feature_view!r}")
+        return ClassifierModel(
+            kind=kind,
+            feature_view=feature_view,
+            params=doc["params"],
+            standardizer=Standardizer.from_dict(doc["standardizer"]),
+            classifier=_CLASSIFIERS[kind].from_dict(doc["state"]),
+            seed=int(doc.get("seed", 0)),
+        )
+    except KeyError as exc:
+        raise DataError(f"{path}: model file lacks {exc}") from None
+    except (TypeError, ValueError) as exc:  # a value of the wrong type or shape
+        raise DataError(f"{path}: malformed model file: {exc}") from None

@@ -132,17 +132,25 @@ def save_threshold_config(config: ThresholdConfig, path) -> None:
 
 
 def load_threshold_config(path) -> ThresholdConfig:
+    """The config `save_threshold_config` wrote to `path`; a bad file raises DataError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
     thresholds: dict[str, float] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DataError(f"{path}:{line_no}: expected 'signal = value'")
-            name, value = (part.strip() for part in line.split("=", 1))
-            try:
-                thresholds[name] = float(value)
-            except ValueError:
-                raise DataError(f"{path}:{line_no}: bad threshold value {value!r}") from None
-    return ThresholdConfig(thresholds=thresholds)
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DataError(f"{path}:{line_no}: expected 'signal = value'")
+        name, value = (part.strip() for part in line.split("=", 1))
+        try:
+            thresholds[name] = float(value)
+        except ValueError:
+            raise DataError(f"{path}:{line_no}: bad threshold value {value!r}") from None
+    try:
+        return ThresholdConfig(thresholds=thresholds)
+    except DataError as exc:
+        raise type(exc)(f"{path}: {exc}") from None

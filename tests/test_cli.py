@@ -1,6 +1,7 @@
 import io
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -326,6 +327,25 @@ class TestDetectStream:
         assert "error:" in err
         assert "internal error" not in err
 
+    @pytest.mark.parametrize("flag", ["--model", "--threshold-config"])
+    def test_huge_finite_row_prints_only_the_error(
+        self, flag, corpus_dir, threshold_config_path, tmp_path, monkeypatch, capsys
+    ):
+        """The overflow of a huge finite row issues no numpy warning: the error line is all of stderr."""
+        path = threshold_config_path
+        if flag == "--model":
+            path = tmp_path / "model.json"
+            main(["train", "--corpus", str(corpus_dir), "--kind", "svm", "--seed", "2", "--out", str(path)])
+        rows = [f"{i * 0.04!r},0.0,0.0,1.0,0,0,0" for i in range(200)]
+        rows.insert(50, "1.965,1e308,1e308,1e308,0,0,0")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = self.run_stream(["detect-stream", flag, str(path)], "\n".join(rows) + "\n", monkeypatch, capsys)
+        assert code == 3
+        assert [str(w.message) for w in caught] == []
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+
     def test_undecodable_byte_skipped_under_strict_stdin(self, threshold_config_path, monkeypatch, capsys):
         trials = [t for t in synthesize(seed=55, n_subjects=2, trials_per_subject=4) if t.label.value == "Fall"]
         rows = self.stream_text(trials[:2]).splitlines()
@@ -419,6 +439,66 @@ class TestExportPlots:
 
     def test_exactly_one_mode(self, tmp_path):
         assert main(["export-plots", "--out", str(tmp_path / "x.csv")]) == 3
+
+
+class TestLoaderFaults:
+    """Every file the CLI reads gives a data error naming the file: never exit 4 on bad bytes or a bad layout."""
+
+    FAULTS = {
+        "model": {
+            "undecodable": b'{"format": "wristfall-model\xff", "version": 1}\n',
+            "malformed": b"not json\n",
+            "bad_key": b'{"format": "wristfall-model", "version": 1, "kind": "svm"}\n',
+        },
+        "threshold_config": {
+            "undecodable": b"smv_acc = 2.5  # \xff\n",
+            "malformed": b"smv = 2.5\n",  # no such signal
+            "bad_key": b"# no signal enabled\n",
+        },
+        "index": {
+            "undecodable": b'{"trial_id": "\xff"}\n',
+            "malformed": b"[1, 2]\n",  # JSON, but not an entry
+            "bad_key": b'{"path": "trials/x.csv", "trial_id": "x", "subject_id": "S", "activity_code": "A", '
+            b'"label": "Falls", "sample_rate_hz": 25.0, "source": "synthetic"}\n',  # a label that is not one
+        },
+        "report": {
+            "undecodable": b'{"detector": "svm\xff"}\n',
+            "malformed": b"{\n",
+            "bad_key": b'{"detector": "svm", "dataset": "d"}\n',
+        },
+    }
+
+    # bad_key: a key missing, or (index.jsonl, where a missing key is already a data error) a value of no use
+    @pytest.mark.parametrize("fault", ["undecodable", "malformed", "bad_key"])
+    @pytest.mark.parametrize("target", ["model", "threshold_config", "index", "report"])
+    def test_bad_file_is_a_data_error_naming_it(self, target, fault, corpus_dir, tmp_path, monkeypatch, capsys):
+        content = self.FAULTS[target][fault]
+        if target == "index":
+            path = corpus_dir / "index.jsonl"
+            path.write_bytes(path.read_bytes() + content)
+            argv = ["evaluate", "--corpus", str(corpus_dir), "--detector", "knn", "--out", str(tmp_path / "ev")]
+        else:
+            path = tmp_path / f"faulty-{target}.file"
+            path.write_bytes(content)
+            flag = {"model": "--model", "threshold_config": "--threshold-config", "report": "--report"}[target]
+            command = "export-plots" if target == "report" else "detect-stream"
+            argv = [command, flag, str(path)] + (["--out", str(tmp_path / "x.csv")] if target == "report" else [])
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "internal error" not in err
+        assert path.name in err
+
+    @pytest.mark.parametrize("content", [b'{"source": "erciyes\xff"}\n', b"not json\n", b"7\n"])
+    def test_bad_manifest_is_a_data_error_naming_it(self, content, tmp_path, capsys):
+        path = tmp_path / "faulty-manifest.json"
+        path.write_bytes(content)
+        code = main(["ingest", "--manifest", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "internal error" not in err
+        assert path.name in err
 
 
 class TestWindowSeconds:

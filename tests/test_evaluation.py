@@ -9,7 +9,9 @@ from wristfall.evaluation import (
     DetectorSpec,
     EvalReport,
     classify,
+    classify_many,
     compute_metrics,
+    fit_detector,
     predictions_csv,
     report_json,
     report_table,
@@ -202,3 +204,22 @@ class TestClassify:
         config = ThresholdConfig(thresholds)
         derived = derive_all(window)
         assert classify(config, window) == (detect(window, derived, config)[0], fall_score(derived, config))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            DetectorSpec(kind="threshold", signals=("smv_acc", "fi", "avd")),
+            DetectorSpec(kind="knn", feature_view="combined88"),
+            DetectorSpec(kind="rf", feature_view="acc44", params={"n_trees": 15}),
+            DetectorSpec(kind="svm", feature_view="gyr44"),
+        ],
+        ids=lambda spec: spec.kind,
+    )
+    def test_classify_many_matches_one_window_at_a_time(self, corpus, spec):
+        split = split_subjects((t.subject_id for t in corpus), seed=3)
+        detector = fit_detector(spec, windows_of(corpus, split.dev_subjects, 60.0), seed=3)
+        windows = windows_of(corpus, split.eval_subjects, 5.0)  # many windows, of several lengths
+        assert len({w.n_samples for w in windows}) > 1
+        many = classify_many(detector, windows)
+        assert many == [classify(detector, w) for w in windows]
+        assert classify_many(detector, []) == []

@@ -1,6 +1,7 @@
 import cmath
 import math
 import statistics
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,14 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_window
+from wristfall import features
 from wristfall.core import segment
-from wristfall.errors import SignalTooShort
+from wristfall.errors import NonFiniteSignal, SignalTooShort
 from wristfall.features import (
     ACC_FEATURES,
     FEATURE_NAMES,
     GYR_FEATURES,
+    POWER_FLOOR,
     STAT_NAMES,
     extract,
+    extract_many,
     power_bins,
     stats11,
 )
@@ -142,7 +146,7 @@ class TestSpectralEntropy:
 class TestExtract:
     def test_all_zero_window(self):
         w = make_window(np.zeros((30, 3)))
-        f = extract(w, derive_all(w))
+        f = extract(w)
         assert f.shape == (88,)
         assert np.all(f == 0.0)
 
@@ -152,8 +156,8 @@ class TestExtract:
         gyr = rng.normal(0, 40, (60, 3))
         w1 = make_window(acc, gyr=gyr)
         w2 = make_window(2.0 * acc, gyr=gyr)
-        f1 = extract(w1, derive_all(w1))
-        f2 = extract(w2, derive_all(w2))
+        f1 = extract(w1)
+        f2 = extract(w2)
         linear = ("mean", "median", "delta", "std", "max", "min", "p25", "p75")
         for sig_idx in range(4):  # accelerometer signals
             for name in linear:
@@ -167,15 +171,15 @@ class TestExtract:
         gyr = rng.normal(0, 40, (50, 3))
         w1 = make_window(acc, gyr=gyr)
         w2 = make_window(acc, gyr=gyr + rng.normal(0, 10, (50, 3)))
-        f1 = extract(w1, derive_all(w1))
-        f2 = extract(w2, derive_all(w2))
+        f1 = extract(w1)
+        f2 = extract(w2)
         assert np.array_equal(f1[ACC_FEATURES], f2[ACC_FEATURES])
 
     def test_matches_independent_reimplementation(self, synth_trials):
         for rec in synth_trials[:3]:
             w = segment(rec)[0]
             d = derive_all(w)
-            got = extract(w, d)
+            got = extract(w)
             signals = [
                 w.acc[:, 0], w.acc[:, 1], w.acc[:, 2], d.smv_acc,
                 w.gyr[:, 0], w.gyr[:, 1], w.gyr[:, 2], d.smv_gyr,
@@ -186,7 +190,7 @@ class TestExtract:
     def test_within_signal_order_invariants(self, synth_trials):
         for rec in synth_trials[:10]:
             w = segment(rec)[0]
-            v = extract(w, derive_all(w))
+            v = extract(w)
             for sig_idx in range(8):
                 s = v[sig_idx * 11 : (sig_idx + 1) * 11]
                 assert s[I["min"]] <= s[I["p25"]] <= s[I["median"]] <= s[I["p75"]] <= s[I["max"]]
@@ -203,3 +207,105 @@ class TestFeatureNames:
         assert FEATURE_NAMES[33] == "smv_acc_mean"
         assert FEATURE_NAMES[44] == "gyr_x_mean"
         assert FEATURE_NAMES[87] == "smv_gyr_pse"
+
+
+def stats11_loop(x):
+    """The one-signal statistics as computed before the stacked kernel, kept as the bit-identity oracle."""
+    x = np.asarray(x, dtype=float)
+    mean = float(x.mean())
+    var = float(x.var())
+    std = float(np.sqrt(var))
+    median, p25, p75 = (float(v) for v in np.percentile(x, [50.0, 25.0, 75.0]))
+    mx = float(x.max())
+    mn = float(x.min())
+    n = x.shape[0]
+    spec = np.fft.rfft(x - x.mean())
+    bins = ((spec.real**2 + spec.imag**2) / (n * n))[1:]
+    if n % 2 == 0:
+        bins[:-1] *= 2.0
+    else:
+        bins *= 2.0
+    psd = float(bins.sum())
+    if psd < POWER_FLOOR or bins.shape[0] < 2:
+        pse = 0.0
+    else:
+        p = bins / psd
+        nz = p[p > 0.0]
+        pse = float(-(nz * np.log2(nz)).sum()) / float(np.log2(bins.shape[0]))
+    return np.array([mean, var, median, mx - mn, std, mx, mn, p25, p75, psd, pse])
+
+
+def canonical_signals(w):
+    d = derive_all(w)
+    return [w.acc[:, 0], w.acc[:, 1], w.acc[:, 2], d.smv_acc, w.gyr[:, 0], w.gyr[:, 1], w.gyr[:, 2], d.smv_gyr]
+
+
+def shaped_window(n, shape, seed):
+    """A window of n samples whose channels are noise, constant (psd below POWER_FLOOR) or ±1 (zero power bins)."""
+    rng = np.random.default_rng(seed)
+    if shape == "constant":
+        acc = np.tile(rng.normal(0, 1, 3), (n, 1))
+    elif shape == "alternating":
+        acc = np.outer((-1.0) ** np.arange(n), [1.0, -1.0, 0.5])
+    else:
+        acc = rng.normal(0, 1, (n, 3)) * 10.0 ** rng.integers(-3, 4)
+    return make_window(acc, gyr=rng.normal(0, 40, (n, 3)) if shape == "noise" else acc[::-1] * 100.0)
+
+
+class TestExtractMany:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        specs=st.lists(
+            st.tuples(
+                st.integers(min_value=2, max_value=41),
+                st.sampled_from(("noise", "constant", "alternating")),
+                st.integers(min_value=0, max_value=2**32 - 1),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        stack_values=st.sampled_from((1, 200, features.STACK_VALUES)),
+    )
+    def test_bit_identical_to_per_signal_loop(self, specs, stack_values):
+        # repeated lengths share a stack; a small STACK_VALUES splits a group into several stacks
+        windows = [shaped_window(n, shape, seed) for n, shape, seed in specs]
+        windows += [shaped_window(n, shape, seed + 1) for n, shape, seed in specs[:3]]
+        with mock.patch.object(features, "STACK_VALUES", stack_values):
+            got = extract_many(windows)
+        old = np.array([np.concatenate([stats11_loop(s) for s in canonical_signals(w)]) for w in windows])
+        new = np.array([np.concatenate([stats11(s, w.sample_rate_hz) for s in canonical_signals(w)]) for w in windows])
+        assert got.shape == (len(windows), 88)
+        assert got.tobytes() == old.tobytes()
+        assert got.tobytes() == new.tobytes()
+        for w, row in zip(windows, got):
+            assert extract(w).tobytes() == row.tobytes()
+
+    def test_no_windows(self):
+        assert extract_many([]).shape == (0, 88)
+
+    def test_errors_keep_their_messages(self):
+        good = shaped_window(10, "noise", 1)
+        with pytest.raises(SignalTooShort, match=r"^need a 1-d signal with >= 2 samples, got shape \(1,\)$"):
+            extract_many([good, make_window(np.zeros((1, 3)))])
+        with pytest.raises(SignalTooShort, match=r"^need a 1-d signal with >= 2 samples, got shape \(1,\)$"):
+            stats11([1.0], 25.0)
+        with pytest.raises(SignalTooShort, match=r"^need a 1-d signal with >= 2 samples, got shape \(2, 2\)$"):
+            stats11(np.zeros((2, 2)), 25.0)
+        acc = np.zeros((10, 3))
+        acc[4, 1] = np.inf
+        with pytest.raises(NonFiniteSignal, match=r"^signal contains non-finite values$"):
+            extract_many([good, make_window(acc)])
+        with pytest.raises(NonFiniteSignal, match=r"^signal contains non-finite values$"):
+            stats11([1.0, np.nan], 25.0)
+
+    def test_overflow_gives_non_finite_features_without_warnings(self, recwarn):
+        acc = np.zeros((10, 3))
+        acc[:, 0] = 1e154 * (-1.0) ** np.arange(10)  # finite, and so is its SMV, but its variance overflows
+        f = extract(make_window(acc))
+        assert not np.all(np.isfinite(f))
+        x = np.full(5, 1e308)  # its mean overflows, so its power is nan
+        got = stats11(x, 25.0)
+        assert len(recwarn) == 0
+        with np.errstate(all="ignore"):
+            assert got.tobytes() == stats11_loop(x).tobytes()
+            assert f.tobytes() == np.concatenate([stats11_loop(s) for s in canonical_signals(make_window(acc))]).tobytes()
