@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -129,13 +130,7 @@ def cmd_ingest(args) -> int:
             print("warning: corpus does not match manifest expectations: " + "; ".join(mismatches), file=sys.stderr)
     out = Path(args.out)
     write_canonical(trials, out)
-    report_doc = {
-        "n_trials": report.n_trials,
-        "n_adl": report.n_adl,
-        "n_fall": report.n_fall,
-        "subjects": list(report.subjects),
-        "skipped": [{"path": p, "reason": r} for p, r in report.skipped],
-    }
+    report_doc = {**asdict(report), "skipped": [{"path": p, "reason": r} for p, r in report.skipped]}
     (out / "ingest_report.json").write_text(json.dumps(report_doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return EXIT_OK
 

@@ -23,6 +23,16 @@ DEFAULT_WINDOW_SECONDS = 60.0
 DEFAULT_MIN_SAMPLES = 2
 
 
+def is_int(value) -> bool:
+    """An int that is not a bool, as `json` reads a JSON integer."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A finite int or float that is not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 class Label(Enum):
     FALL = "Fall"
     ADL = "ADL"

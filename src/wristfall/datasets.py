@@ -26,13 +26,13 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .core import Label, Source, TrialRecording
+from .core import Label, Source, TrialRecording, is_int
 from .errors import (
     CanonicalFormatError,
     DataError,
@@ -49,16 +49,6 @@ CANONICAL_HEADER = "t,acc_x,acc_y,acc_z,gyr_x,gyr_y,gyr_z"
 _REPR_FLOAT_BYTES = b"0123456789.e+-,\n"
 INDEX_NAME = "index.jsonl"
 TRIALS_DIR = "trials"
-
-MANIFEST_KEYS = {
-    "source",
-    "root",
-    "sensor_position",
-    "nominal_rate_hz",
-    "expected",
-    "tasks",
-    "layout",
-}
 
 
 @dataclass(frozen=True)
@@ -87,6 +77,18 @@ class LayoutSpec:
     value_columns: tuple[int, int, int] = (0, 1, 2)
 
     def __post_init__(self):
+        for f in fields(self):  # each value against its annotation; every int is an index or count >= 0
+            value = getattr(self, f.name)
+            if f.type == "tuple[int, int, int]":
+                ok = isinstance(value, tuple) and len(value) == 3 and all(is_int(c) and c >= 0 for c in value)
+            elif value is None:
+                ok = f.type.endswith("| None")
+            else:
+                ok = (is_int(value) and value >= 0) if f.type.startswith("int") else isinstance(value, str)
+            if not ok:
+                raise DataError(f"layout {f.name} must be {f.type}, got {value!r}")
+        if self.delimiter == "":
+            raise DataError("layout delimiter must not be empty; null splits on any whitespace")
         if self.mode not in ("columns", "interleaved"):
             raise DataError(f"unknown layout mode {self.mode!r}")
         if self.acc_unit not in ACC_UNIT_TO_G:
@@ -95,6 +97,10 @@ class LayoutSpec:
             raise DataError(f"unknown gyroscope unit {self.gyr_unit!r}")
         if self.time_unit not in TIME_UNIT_TO_S:
             raise DataError(f"unknown time unit {self.time_unit!r}")
+        try:
+            re.compile(self.path_regex)
+        except re.error as exc:
+            raise DataError(f"path_regex {self.path_regex!r} does not compile: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -106,6 +112,10 @@ class DatasetManifest:
     nominal_rate_hz: float
     sensor_position: str = "wrist"
     expected: dict | None = None  # participants / adl_trials / fall_trials
+
+    def __post_init__(self):
+        if self.expected is not None and not isinstance(self.expected, dict):
+            raise DataError(f"expected must be a JSON object, got {self.expected!r}")
 
     def label_for(self, code: str) -> Label | None:
         entry = self.tasks.get(code)
@@ -128,6 +138,7 @@ class IngestReport:
 
 
 def load_manifest(path) -> DatasetManifest:
+    """The manifest in `path`; a file that is not one, or a value of the wrong type, raises DataError naming it."""
     path = Path(path)
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -136,75 +147,37 @@ def load_manifest(path) -> DatasetManifest:
         raise DataError(f"{path}: not a JSON manifest: {exc}") from None
     if not isinstance(doc, dict):
         raise DataError(f"{path}: a manifest must be a JSON object")
-    unknown = set(doc) - MANIFEST_KEYS
+    unknown = set(doc) - {f.name for f in fields(DatasetManifest)}
     if unknown:
         raise DataError(f"{path}: unknown manifest keys {sorted(unknown)}")
-    for key in ("source", "root", "tasks", "layout", "nominal_rate_hz"):
-        if key not in doc:
-            raise DataError(f"{path}: manifest missing {key!r}")
+    for f in fields(DatasetManifest):
+        if f.default is MISSING and f.name not in doc:
+            raise DataError(f"{path}: manifest missing {f.name!r}")
     try:
-        source = Source(doc["source"])
-    except ValueError:
-        raise DataError(f"{path}: unknown source {doc['source']!r}") from None
-    root = Path(doc["root"])
-    if not root.is_absolute():
-        root = path.parent / root
-    tasks = {}
-    for code, entry in doc["tasks"].items():
-        try:
-            label = Label(entry["label"])
-        except (KeyError, ValueError):
-            raise DataError(f"{path}: task {code!r} needs a label of 'Fall' or 'ADL'") from None
-        tasks[code] = (label, entry.get("description", ""))
-    lay = dict(doc["layout"])
-    for key in ("acc_columns", "gyr_columns", "value_columns"):
-        if key in lay:
-            lay[key] = tuple(lay[key])
-    layout = LayoutSpec(**lay)
-    return DatasetManifest(
-        source=source,
-        root=root,
-        tasks=tasks,
-        layout=layout,
-        nominal_rate_hz=float(doc["nominal_rate_hz"]),
-        sensor_position=doc.get("sensor_position", "wrist"),
-        expected=doc.get("expected"),
-    )
+        lay = {key: tuple(value) if isinstance(value, list) else value for key, value in dict(doc["layout"]).items()}
+        unknown = set(lay) - {f.name for f in fields(LayoutSpec)}
+        if unknown:
+            raise DataError(f"unknown layout keys {sorted(unknown)}")
+        doc.update(
+            source=Source(doc["source"]),
+            root=path.parent / doc["root"],  # an absolute root replaces the manifest's directory
+            tasks={code: (Label(entry["label"]), entry.get("description", "")) for code, entry in doc["tasks"].items()},
+            layout=LayoutSpec(**lay),
+            nominal_rate_hz=float(doc["nominal_rate_hz"]),
+        )
+        return DatasetManifest(**doc)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # a value of the wrong type
+        raise DataError(f"{path}: malformed manifest: {exc!r}") from None
 
 
 def save_manifest(manifest: DatasetManifest, path) -> None:
-    lay = {
-        "file_glob": manifest.layout.file_glob,
-        "path_regex": manifest.layout.path_regex,
-        "mode": manifest.layout.mode,
-        "delimiter": manifest.layout.delimiter,
-        "comment_prefix": manifest.layout.comment_prefix,
-        "skip_header_lines": manifest.layout.skip_header_lines,
-        "time_column": manifest.layout.time_column,
-        "time_unit": manifest.layout.time_unit,
-        "acc_columns": list(manifest.layout.acc_columns),
-        "gyr_columns": list(manifest.layout.gyr_columns),
-        "acc_unit": manifest.layout.acc_unit,
-        "gyr_unit": manifest.layout.gyr_unit,
-    }
-    if manifest.layout.mode == "interleaved":
-        lay.update(
-            sensor_type_column=manifest.layout.sensor_type_column,
-            acc_type_value=manifest.layout.acc_type_value,
-            gyr_type_value=manifest.layout.gyr_type_value,
-            sensor_id_column=manifest.layout.sensor_id_column,
-            sensor_id_value=manifest.layout.sensor_id_value,
-            sample_no_column=manifest.layout.sample_no_column,
-            value_columns=list(manifest.layout.value_columns),
-        )
     doc = {
+        **asdict(manifest),
         "source": manifest.source.value,
         "root": str(manifest.root),
-        "sensor_position": manifest.sensor_position,
-        "nominal_rate_hz": manifest.nominal_rate_hz,
-        "expected": manifest.expected,
         "tasks": {code: {"label": lab.value, "description": desc} for code, (lab, desc) in manifest.tasks.items()},
-        "layout": lay,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)

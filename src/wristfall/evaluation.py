@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import DEFAULT_WINDOW_SECONDS, Label, SignalWindow, TrialRecording, segment
-from .errors import ExperimentStageError, NonFiniteSignal, TooFewSubjects
+from .errors import DataError, ExperimentStageError, NonFiniteSignal, TooFewSubjects
 from .features import extract_many
 from .ml import ClassifierModel, predict, train
 from .signals import derive_all
@@ -225,6 +225,9 @@ def fit_detector(
 ) -> ThresholdConfig | ClassifierModel:
     """Calibrate thresholds or train a classifier on development windows, as `spec` says."""
     if spec.kind == "threshold":
+        unknown = set(spec.params) - {"grids"}
+        if unknown:
+            raise DataError(f"unknown threshold parameters: {sorted(unknown)}; expected only 'grids'")
         pairs = [(w, derive_all(w)) for w in dev_windows]
         return calibrate(pairs, signals=spec.signals, grids=spec.params.get("grids"))
     X = extract_many(dev_windows)

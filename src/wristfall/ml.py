@@ -18,22 +18,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
 
-from .core import Label
-from .errors import DataError, IncompleteFeatureVector, SingleClassTrainingSet
+from .core import Label, is_int, is_real
+from .errors import DataError, IncompleteFeatureVector, NonFiniteSignal, SingleClassTrainingSet
 from .features import FEATURE_VIEWS, N_FEATURES
 
 MODEL_KINDS = ("knn", "rf", "svm")
-
-DEFAULT_PARAMS: dict[str, dict] = {
-    "knn": {"k": 5},
-    "rf": {"n_trees": 100, "max_depth": 16, "mtry": None, "min_leaf": 1},
-    "svm": {"lam": 1e-3, "epochs": 50},
-}
 
 CONSTANT_STD = 1e-9
 
@@ -61,46 +55,55 @@ class Standardizer:
         out[:, live] = (X[:, live] - self.mean[live]) / self.std[live]
         return out
 
-    def to_dict(self) -> dict:
-        return {"mean": self.mean.tolist(), "std": self.std.tolist()}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Standardizer":
-        return cls(mean=np.array(d["mean"], dtype=float), std=np.array(d["std"], dtype=float))
+def _check_int(name: str, value, least: int) -> None:
+    if not (is_int(value) and value >= least):
+        raise DataError(f"hyperparameter {name} must be an integer >= {least}, got {value!r}")
+
+
+def _finite_array(name: str, value, width: int, ndim: int = 1) -> np.ndarray:
+    """`value` as a non-empty float array of `ndim` axes, the last `width` long; DataError unless it is finite."""
+    array = np.asarray(value, dtype=float)
+    if not (array.ndim == ndim and array.shape[-1] == width and array.size and np.isfinite(array).all()):
+        raise DataError(f"{name} must be a finite array of {ndim} axes, the last {width} long; got shape {array.shape}")
+    return array
 
 
 def _majority(y: np.ndarray) -> int:
     return _FALL if 2 * int(y.sum()) >= y.shape[0] else _ADL
 
 
+@dataclass
 class KNNClassifier:
-    def __init__(self, k: int = 5):
-        self.k = k
-        self._X = None
-        self._y = None
+    k: int = 5
+    X: np.ndarray | None = field(init=False, default=None)
+    y: np.ndarray | None = field(init=False, default=None)
+
+    def __post_init__(self):
+        _check_int("k", self.k, 1)
+
+    def check_state(self, width: int) -> None:
+        self.X = _finite_array("knn X", self.X, width, ndim=2)
+        y = np.asarray(self.y)
+        if y.shape != self.X.shape[:1] or y.dtype.kind != "i" or not np.isin(y, (_ADL, _FALL)).all():
+            raise DataError(f"knn y must be {self.X.shape[0]} labels of 0 or 1")
+        self.y = y
 
     def fit(self, X: np.ndarray, y: np.ndarray, seed: int) -> None:
-        self._X = np.asarray(X, dtype=float)
-        self._y = np.asarray(y, dtype=int)
+        self.X = np.asarray(X, dtype=float)
+        self.y = np.asarray(y, dtype=int)
 
     def predict_one(self, x: np.ndarray) -> tuple[int, float]:
-        d2 = np.sum((self._X - x) ** 2, axis=1)
+        with np.errstate(over="ignore"):  # a huge row gives inf, which the check below rejects
+            d2 = np.sum((self.X - x) ** 2, axis=1)
+        if not np.isfinite(d2).all():
+            raise NonFiniteSignal("knn distance to a training row is not finite: the feature row is too large")
         # lexsort: primary key distance, secondary key training index
         order = np.lexsort((np.arange(d2.shape[0]), d2))
         k = min(self.k, d2.shape[0])
-        fall_votes = int(self._y[order[:k]].sum())
+        fall_votes = int(self.y[order[:k]].sum())
         label = _FALL if 2 * fall_votes >= k else _ADL
         return label, fall_votes / k
-
-    def to_dict(self) -> dict:
-        return {"k": self.k, "X": self._X.tolist(), "y": self._y.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "KNNClassifier":
-        obj = cls(k=int(d["k"]))
-        obj._X = np.array(d["X"], dtype=float)
-        obj._y = np.array(d["y"], dtype=int)
-        return obj
 
 
 def _grow_tree(X, y, rng, depth, max_depth, mtry, min_leaf):
@@ -155,13 +158,34 @@ def _tree_predict(node: dict, x: np.ndarray) -> int:
     return node["leaf"]
 
 
+@dataclass
 class RandomForestClassifier:
-    def __init__(self, n_trees: int = 100, max_depth: int = 16, mtry: int | None = None, min_leaf: int = 1):
-        self.n_trees = n_trees
-        self.max_depth = max_depth
-        self.mtry = mtry
-        self.min_leaf = min_leaf
-        self.trees: list[dict] = []
+    n_trees: int = 100
+    max_depth: int = 16
+    mtry: int | None = None
+    min_leaf: int = 1
+    trees: list[dict] = field(init=False, default_factory=list)
+
+    def __post_init__(self):
+        _check_int("n_trees", self.n_trees, 1)
+        _check_int("max_depth", self.max_depth, 0)
+        if self.mtry is not None:
+            _check_int("mtry", self.mtry, 1)
+        _check_int("min_leaf", self.min_leaf, 1)
+
+    def check_state(self, width: int) -> None:
+        if len(self.trees) != self.n_trees:
+            raise DataError(f"rf must hold n_trees = {self.n_trees} trees")
+        nodes = list(self.trees)
+        while nodes:
+            node = nodes.pop()
+            if "leaf" in node:
+                if not (is_int(node["leaf"]) and node["leaf"] in (_ADL, _FALL)):
+                    raise DataError(f"rf leaf must be 0 or 1, got {node['leaf']!r}")
+            elif is_int(node["f"]) and 0 <= node["f"] < width and is_real(node["thr"]):
+                nodes += [node["l"], node["r"]]
+            else:
+                raise DataError(f"rf split needs f in [0, {width}) and a finite thr: {node['f']!r}, {node['thr']!r}")
 
     def fit(self, X: np.ndarray, y: np.ndarray, seed: int) -> None:
         X = np.asarray(X, dtype=float)
@@ -179,27 +203,8 @@ class RandomForestClassifier:
         label = _FALL if 2 * fall_votes >= len(self.trees) else _ADL
         return label, fall_votes / len(self.trees)
 
-    def to_dict(self) -> dict:
-        return {
-            "n_trees": self.n_trees,
-            "max_depth": self.max_depth,
-            "mtry": self.mtry,
-            "min_leaf": self.min_leaf,
-            "trees": self.trees,
-        }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RandomForestClassifier":
-        obj = cls(
-            n_trees=int(d["n_trees"]),
-            max_depth=int(d["max_depth"]),
-            mtry=d["mtry"],
-            min_leaf=int(d["min_leaf"]),
-        )
-        obj.trees = d["trees"]
-        return obj
-
-
+@dataclass
 class LinearSVM:
     """L2-regularized hinge loss, epoch-based subgradient descent, lr = 1/(lam*t).
 
@@ -210,11 +215,20 @@ class LinearSVM:
     rather than the noisy last iterate.
     """
 
-    def __init__(self, lam: float = 1e-3, epochs: int = 50):
-        self.lam = lam
-        self.epochs = epochs
-        self.w = None
-        self.b = 0.0
+    lam: float = 1e-3
+    epochs: int = 50
+    w: np.ndarray | None = field(init=False, default=None)
+    b: float = field(init=False, default=0.0)
+
+    def __post_init__(self):
+        if not (is_real(self.lam) and self.lam > 0):
+            raise DataError(f"hyperparameter lam must be finite and > 0, got {self.lam!r}")
+        _check_int("epochs", self.epochs, 1)
+
+    def check_state(self, width: int) -> None:
+        self.w = _finite_array("svm w", self.w, width)
+        if not is_real(self.b):
+            raise DataError(f"svm b must be finite, got {self.b!r}")
 
     def fit(self, X: np.ndarray, y: np.ndarray, seed: int) -> None:
         X = np.asarray(X, dtype=float)
@@ -243,33 +257,41 @@ class LinearSVM:
         score = float(x @ self.w + self.b)
         return (_FALL if score >= 0.0 else _ADL), score
 
-    def to_dict(self) -> dict:
-        return {"lam": self.lam, "epochs": self.epochs, "w": self.w.tolist(), "b": self.b}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LinearSVM":
-        obj = cls(lam=float(d["lam"]), epochs=int(d["epochs"]))
-        obj.w = np.array(d["w"], dtype=float)
-        obj.b = float(d["b"])
-        return obj
-
 
 _CLASSIFIERS = {"knn": KNNClassifier, "rf": RandomForestClassifier, "svm": LinearSVM}
 
 
 @dataclass
 class ClassifierModel:
-    """A fitted classifier; `train` and `load_model` build it."""
+    """A fitted classifier; `train` and `load_model` build it, and both get its state checked here."""
 
     kind: str
     feature_view: str
-    params: dict
     standardizer: Standardizer
     classifier: KNNClassifier | RandomForestClassifier | LinearSVM
     seed: int = 0
 
+    def __post_init__(self):
+        width = len(range(N_FEATURES)[FEATURE_VIEWS[self.feature_view]])
+        self.standardizer.mean = _finite_array("standardizer mean", self.standardizer.mean, width)
+        self.standardizer.std = _finite_array("standardizer std", self.standardizer.std, width)
+        self.classifier.check_state(width)
+
+    @property
+    def params(self) -> dict:
+        """The classifier's hyperparameters."""
+        return {f.name: getattr(self.classifier, f.name) for f in fields(self.classifier) if f.init}
+
     def describe(self) -> str:
         return f"{self.kind}({self.feature_view})"
+
+
+def _classifier_class(kind: str, feature_view: str) -> type:
+    if kind not in _CLASSIFIERS:
+        raise DataError(f"unknown classifier kind {kind!r}; expected one of {MODEL_KINDS}")
+    if feature_view not in FEATURE_VIEWS:
+        raise DataError(f"unknown feature view {feature_view!r}; expected one of {tuple(FEATURE_VIEWS)}")
+    return _CLASSIFIERS[kind]
 
 
 def _check_rows(X: np.ndarray) -> None:
@@ -287,14 +309,11 @@ def train(
     **params,
 ) -> ClassifierModel:
     """Fit one classifier on a (windows, 88) matrix of development features and their labels."""
-    if kind not in _CLASSIFIERS:
-        raise DataError(f"unknown classifier kind {kind!r}; expected one of {MODEL_KINDS}")
-    if feature_view not in FEATURE_VIEWS:
-        raise DataError(f"unknown feature view {feature_view!r}; expected one of {tuple(FEATURE_VIEWS)}")
-    merged = {**DEFAULT_PARAMS[kind], **params}
-    unknown = set(params) - set(DEFAULT_PARAMS[kind])
+    cls = _classifier_class(kind, feature_view)
+    unknown = set(params) - {f.name for f in fields(cls) if f.init}
     if unknown:
         raise DataError(f"unknown {kind} hyperparameters: {sorted(unknown)}")
+    classifier = cls(**params)
 
     X = np.asarray(X, dtype=float)
     _check_rows(X)
@@ -305,18 +324,8 @@ def train(
         raise SingleClassTrainingSet("training set must contain both falls and ADLs")
     X = X[:, FEATURE_VIEWS[feature_view]]
     standardizer = Standardizer.fit(X)
-    Xs = standardizer.transform(X)
-
-    classifier = _CLASSIFIERS[kind](**merged)
-    classifier.fit(Xs, y, seed)
-    return ClassifierModel(
-        kind=kind,
-        feature_view=feature_view,
-        params=merged,
-        standardizer=standardizer,
-        classifier=classifier,
-        seed=seed,
-    )
+    classifier.fit(standardizer.transform(X), y, seed)
+    return ClassifierModel(kind, feature_view, standardizer, classifier, seed)
 
 
 def predict(model: ClassifierModel, values: np.ndarray) -> tuple[Label, float]:
@@ -328,6 +337,11 @@ def predict(model: ClassifierModel, values: np.ndarray) -> tuple[Label, float]:
     return (Label.FALL if label_int == _FALL else Label.ADL), score
 
 
+def _fields_doc(obj) -> dict:
+    """Every dataclass field of `obj`, arrays as lists: the JSON form `load_model` reads back."""
+    return {f.name: (v.tolist() if isinstance(v := getattr(obj, f.name), np.ndarray) else v) for f in fields(obj)}
+
+
 def save_model(model: ClassifierModel, path) -> None:
     doc = {
         "format": MODEL_FORMAT,
@@ -336,8 +350,8 @@ def save_model(model: ClassifierModel, path) -> None:
         "feature_view": model.feature_view,
         "params": model.params,
         "seed": model.seed,
-        "standardizer": model.standardizer.to_dict(),
-        "state": model.classifier.to_dict(),
+        "standardizer": _fields_doc(model.standardizer),
+        "state": _fields_doc(model.classifier),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
@@ -345,7 +359,7 @@ def save_model(model: ClassifierModel, path) -> None:
 
 
 def load_model(path) -> ClassifierModel:
-    """The model `save_model` wrote to `path`; a file that is not one raises DataError naming it."""
+    """The model `save_model` wrote to `path`; a file that is not one or does not fit raises DataError naming it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -356,19 +370,17 @@ def load_model(path) -> ClassifierModel:
     if doc.get("version") != MODEL_VERSION:
         raise DataError(f"{path}: unsupported model version {doc.get('version')}")
     try:
-        kind, feature_view = doc["kind"], doc["feature_view"]
-        if kind not in _CLASSIFIERS:
-            raise DataError(f"{path}: unknown classifier kind {kind!r}")
-        if feature_view not in FEATURE_VIEWS:
-            raise DataError(f"{path}: unknown feature view {feature_view!r}")
-        return ClassifierModel(
-            kind=kind,
-            feature_view=feature_view,
-            params=doc["params"],
-            standardizer=Standardizer.from_dict(doc["standardizer"]),
-            classifier=_CLASSIFIERS[kind].from_dict(doc["state"]),
-            seed=int(doc.get("seed", 0)),
-        )
+        kind, feature_view, state = doc["kind"], doc["feature_view"], doc["state"]
+        classifier = _classifier_class(kind, feature_view)(**doc["params"])
+        for f in fields(classifier):
+            if not f.init:
+                setattr(classifier, f.name, state[f.name])
+            elif f.name in state and state[f.name] != getattr(classifier, f.name):
+                raise DataError(f"state {f.name} = {state[f.name]!r} differs from params")
+        standardizer = Standardizer(**doc["standardizer"])
+        return ClassifierModel(kind, feature_view, standardizer, classifier, seed=int(doc.get("seed", 0)))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
     except KeyError as exc:
         raise DataError(f"{path}: model file lacks {exc}") from None
     except (TypeError, ValueError) as exc:  # a value of the wrong type or shape

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import Label, SignalWindow
+from .core import Label, SignalWindow, is_real
 from .errors import DataError, NoSignalsEnabled, SingleClassDevSet
 from .signals import DerivedSignalSet
 
@@ -95,6 +95,12 @@ def calibrate(
     signals = tuple(signals)
     if not signals:
         raise NoSignalsEnabled("no signals requested for calibration")
+    for name, grid in (grids or {}).items():
+        if name not in DEFAULT_GRIDS:
+            raise DataError(f"unknown grid signal {name!r}")
+        numbers = isinstance(grid, (list, tuple)) and len(grid) == 3 and all(map(is_real, grid))
+        if not (numbers and grid[2] > 0 and grid[1] >= grid[0]):
+            raise DataError(f"grid for {name} must be three finite numbers lo, hi, step with step > 0 and hi >= lo")
     grids = {**DEFAULT_GRIDS, **(grids or {})}
 
     labels = np.array([w.label is Label.FALL for w, _ in dev_windows], dtype=bool)

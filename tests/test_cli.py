@@ -346,6 +346,22 @@ class TestDetectStream:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ")
 
+    def test_huge_knn_distance_prints_only_the_error(self, corpus_dir, tmp_path, monkeypatch, capsys):
+        """A row whose features are finite but whose knn distances overflow is exit 3, not a vote on inf distances."""
+        path = tmp_path / "knn.json"
+        main(["train", "--corpus", str(corpus_dir), "--kind", "knn", "--seed", "2", "--out", str(path)])
+        capsys.readouterr()
+        rows = [f"{i * 0.04!r},0.0,0.0,1.0,0,0,0" for i in range(100)]
+        rows[50] = "2.0,1e150,1e150,1e150,0,0,0"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = self.run_stream(["detect-stream", "--model", str(path)], "\n".join(rows) + "\n", monkeypatch, capsys)
+        assert code == 3
+        assert [str(w.message) for w in caught] == []
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+
     def test_undecodable_byte_skipped_under_strict_stdin(self, threshold_config_path, monkeypatch, capsys):
         trials = [t for t in synthesize(seed=55, n_subjects=2, trials_per_subject=4) if t.label.value == "Fall"]
         rows = self.stream_text(trials[:2]).splitlines()
@@ -441,6 +457,44 @@ class TestExportPlots:
         assert main(["export-plots", "--out", str(tmp_path / "x.csv")]) == 3
 
 
+def model_file(kind, edit=lambda doc: None) -> bytes:
+    """A small valid acc44 model file of `kind`, changed by `edit(doc)`."""
+    tree = {"f": 0, "thr": 0.5, "l": {"leaf": 0}, "r": {"leaf": 1}}
+    state = {
+        "knn": {"k": 1, "X": [[0.0] * 44, [1.0] * 44], "y": [0, 1]},
+        "rf": {"n_trees": 1, "max_depth": 16, "mtry": None, "min_leaf": 1, "trees": [tree]},
+        "svm": {"lam": 0.001, "epochs": 50, "w": [0.0] * 44, "b": 0.0},
+    }[kind]
+    doc = {
+        "format": "wristfall-model",
+        "version": 1,
+        "kind": kind,
+        "feature_view": "acc44",
+        "params": {key: value for key, value in state.items() if key not in ("X", "y", "trees", "w", "b")},
+        "seed": 0,
+        "standardizer": {"mean": [0.0] * 44, "std": [1.0] * 44},
+        "state": state,
+    }
+    edit(doc)
+    return json.dumps(doc).encode()
+
+
+def manifest_file(**changes) -> bytes:
+    """A valid manifest whose root is `raw` next to it, with `changes` made at the top level."""
+    doc = {
+        "source": "Erciyes",
+        "root": "raw",
+        "nominal_rate_hz": 25.0,
+        "tasks": {"A01": {"label": "ADL", "description": "walking"}},
+        "layout": {"file_glob": "*.txt", "path_regex": r"(?P<subject>s\d+)_(?P<code>A\d+)"},
+    }
+    return json.dumps({**doc, **changes}).encode()
+
+
+def layout(**changes) -> dict:
+    return {**json.loads(manifest_file())["layout"], **changes}
+
+
 class TestLoaderFaults:
     """Every file the CLI reads gives a data error naming the file: never exit 4 on bad bytes or a bad layout."""
 
@@ -449,6 +503,20 @@ class TestLoaderFaults:
             "undecodable": b'{"format": "wristfall-model\xff", "version": 1}\n',
             "malformed": b"not json\n",
             "bad_key": b'{"format": "wristfall-model", "version": 1, "kind": "svm"}\n',
+            "svm-w-short": model_file("svm", lambda d: d["state"].update(w=[0.0] * 5)),
+            "svm-w-inf": model_file("svm", lambda d: d["state"].update(w=[float("inf")] * 44)),
+            "mean-short": model_file("svm", lambda d: d["standardizer"].update(mean=[0.0] * 5)),
+            "std-nan": model_file("knn", lambda d: d["standardizer"].update(std=[float("nan")] * 44)),
+            "rf-split-500": model_file("rf", lambda d: d["state"]["trees"][0].update(f=500)),
+            "rf-leaf-7": model_file("rf", lambda d: d["state"]["trees"][0]["r"].update(leaf=7)),
+            "rf-tree-count": model_file("rf", lambda d: d["state"]["trees"].append({"leaf": 1})),
+            "params-n_trees-edited": model_file("rf", lambda d: d["params"].update(n_trees=2)),
+            "params-k-edited": model_file("knn", lambda d: d["params"].update(k=2)),
+            "knn-k-0": model_file("knn", lambda d: (d["params"].update(k=0), d["state"].update(k=0))),
+            "knn-k-float": model_file("knn", lambda d: (d["params"].update(k=1.0), d["state"].update(k=1.0))),
+            "knn-X-columns": model_file("knn", lambda d: d["state"].update(X=[[0.0] * 43, [1.0] * 43])),
+            "knn-y-2": model_file("knn", lambda d: d["state"].update(y=[0, 2])),
+            "knn-y-short": model_file("knn", lambda d: d["state"].update(y=[0])),
         },
         "threshold_config": {
             "undecodable": b"smv_acc = 2.5  # \xff\n",
@@ -468,9 +536,9 @@ class TestLoaderFaults:
         },
     }
 
-    # bad_key: a key missing, or (index.jsonl, where a missing key is already a data error) a value of no use
-    @pytest.mark.parametrize("fault", ["undecodable", "malformed", "bad_key"])
-    @pytest.mark.parametrize("target", ["model", "threshold_config", "index", "report"])
+    # bad_key: a key missing, or (index.jsonl, where a missing key is already a data error) a value of no use;
+    # the further model faults are each one value of a valid model file changed
+    @pytest.mark.parametrize("target,fault", [(target, fault) for target, faults in FAULTS.items() for fault in faults])
     def test_bad_file_is_a_data_error_naming_it(self, target, fault, corpus_dir, tmp_path, monkeypatch, capsys):
         content = self.FAULTS[target][fault]
         if target == "index":
@@ -490,15 +558,91 @@ class TestLoaderFaults:
         assert "internal error" not in err
         assert path.name in err
 
-    @pytest.mark.parametrize("content", [b'{"source": "erciyes\xff"}\n', b"not json\n", b"7\n"])
+    @pytest.mark.parametrize("kind", ["knn", "rf", "svm"])
+    def test_unchanged_model_file_loads(self, kind, tmp_path, monkeypatch, capsys):
+        """The base of the model faults above is a valid model file, so each fault is its one change."""
+        path = tmp_path / "model.json"
+        path.write_bytes(model_file(kind))
+        monkeypatch.setattr("sys.stdin", io.StringIO("".join(f"{i * 0.04!r},0,0,1,0,0,0\n" for i in range(100))))
+        assert main(["detect-stream", "--model", str(path)]) == 0
+        assert capsys.readouterr().out.count(",") == 2
+
+    @staticmethod
+    def write_raw_trial(base):
+        (base / "raw").mkdir()
+        (base / "raw" / "s01_A01.txt").write_text("".join(f"{i * 0.04!r} 0 0 1 0 0 0\n" for i in range(100)))
+
+    def test_unchanged_manifest_ingests(self, tmp_path, capsys):
+        """The base of the manifest faults below ingests its one trial, so each fault is its one change."""
+        path = tmp_path / "manifest.json"
+        path.write_bytes(manifest_file())
+        self.write_raw_trial(tmp_path)
+        assert main(["ingest", "--manifest", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().out.startswith("1 trials")
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"source": "erciyes\xff"}\n',
+            b"not json\n",
+            b"7\n",
+            pytest.param(manifest_file(tasks=[]), id="tasks-list"),
+            pytest.param(manifest_file(tasks={"A01": "ADL"}), id="task-string"),
+            pytest.param(manifest_file(layout=5), id="layout-int"),
+            pytest.param(manifest_file(layout=layout(surprise=1)), id="layout-unknown-key"),
+            pytest.param(manifest_file(layout={"path_regex": "x"}), id="layout-no-file_glob"),
+            pytest.param(manifest_file(nominal_rate_hz="fast"), id="rate-string"),
+            pytest.param(manifest_file(root=5), id="root-int"),
+            pytest.param(manifest_file(layout=layout(acc_columns=3)), id="acc_columns-int"),
+            pytest.param(manifest_file(layout=layout(path_regex="(?P<subject")), id="path_regex-uncompilable"),
+            pytest.param(manifest_file(expected=[17]), id="expected-list"),
+            pytest.param(manifest_file(layout=layout(value_columns=[2, 3])), id="value_columns-two"),
+            pytest.param(manifest_file(layout=layout(file_glob=5)), id="file_glob-int"),
+            pytest.param(manifest_file(layout=layout(delimiter="")), id="delimiter-empty"),
+            pytest.param(manifest_file(layout=layout(time_column=-1)), id="time_column-negative"),
+        ],
+    )
     def test_bad_manifest_is_a_data_error_naming_it(self, content, tmp_path, capsys):
         path = tmp_path / "faulty-manifest.json"
         path.write_bytes(content)
+        self.write_raw_trial(tmp_path)
         code = main(["ingest", "--manifest", str(path), "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 3
         assert "internal error" not in err
         assert path.name in err
+
+
+class TestBadParams:
+    """A hyperparameter out of its range is a data error naming it, found before anything is fitted or saved."""
+
+    @pytest.mark.parametrize(
+        "command,detector,params,named",
+        [
+            ("evaluate", "knn", {"k": -1}, "k"),
+            ("evaluate", "svm", {"epochs": 0}, "epochs"),
+            ("train", "rf", {"mtry": 0}, "mtry"),
+            ("train", "rf", {"n_trees": 0}, "n_trees"),
+            ("train", "rf", {"max_depth": "x"}, "max_depth"),
+            ("train", "svm", {"lam": 0}, "lam"),
+            ("train", "knn", {"k": 5.0}, "k"),
+            ("evaluate", "threshold", {"k": 3}, "'k'"),
+            ("evaluate", "threshold", {"grids": {"smv_acc": [1.5, 6.0, 0]}}, "smv_acc"),
+            ("evaluate", "threshold", {"grids": {"fi": [10.0, 0.5, 0.05]}}, "fi"),
+        ],
+        ids=["knn-k", "svm-epochs", "rf-mtry", "rf-n_trees", "rf-max_depth", "svm-lam", "knn-k-float",
+             "threshold-k", "grid-step-0", "grid-hi-below-lo"],
+    )
+    def test_rejected(self, command, detector, params, named, corpus_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        flag = "--kind" if command == "train" else "--detector"
+        argv = [command, "--corpus", str(corpus_dir), flag, detector, "--params", json.dumps(params), "--out", str(out)]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "internal error" not in err
+        assert named in err
+        assert not out.exists()
 
 
 class TestWindowSeconds:

@@ -215,6 +215,16 @@ class TestManifestIO:
         assert loaded.tasks == manifest.tasks
         assert loaded.layout == manifest.layout
         assert loaded.nominal_rate_hz == manifest.nominal_rate_hz
+        assert loaded == manifest
+
+    def test_round_trip_of_every_field(self, tmp_path):
+        manifest = dataclasses.replace(
+            columns_manifest(tmp_path / "raw"), sensor_position="wrist(left)", expected={"participants": 2}
+        )
+        path = tmp_path / "manifest.json"
+        save_manifest(manifest, path)
+        assert set(json.loads(path.read_text())["layout"]) == {f.name for f in dataclasses.fields(LayoutSpec)}
+        assert load_manifest(path) == manifest
 
     def test_unknown_keys_rejected(self, tmp_path):
         manifest = columns_manifest(tmp_path)

@@ -247,6 +247,15 @@ class TestSerialization:
         for q in queries:
             assert predict(loaded, q) == predict(model, q)
 
+    @pytest.mark.parametrize("kind", ["knn", "rf", "svm"])
+    def test_save_of_load_gives_the_same_bytes(self, tmp_path, kind):
+        rng = np.random.default_rng(45)
+        model = train(kind, "gyr44", *toy_features(rng, n=30), seed=12, **({"n_trees": 10} if kind == "rf" else {}))
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_model(model, first)
+        save_model(load_model(first), second)
+        assert second.read_bytes() == first.read_bytes()
+
     def test_versioned_header(self, tmp_path):
         rng = np.random.default_rng(44)
         model = train("svm", "acc44", *toy_features(rng, n=12), seed=0)
