@@ -25,6 +25,8 @@ from .evaluation import (
     classify_many,
     compute_metrics,
     fit_detector,
+    fit_on_dev,
+    predict_subjects,
     run_experiment,
     split_subjects,
 )
@@ -62,11 +64,13 @@ __all__ = [
     "extract_many",
     "fall_index",
     "fit_detector",
+    "fit_on_dev",
     "ingest",
     "load_manifest",
     "load_model",
     "load_threshold_config",
     "predict",
+    "predict_subjects",
     "read_canonical",
     "run_experiment",
     "save_manifest",

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DEFAULT_WINDOW_SECONDS, Label, window_from_arrays
+from .core import DEFAULT_WINDOW_SECONDS, Label, is_int, is_real, window_from_arrays
 from .datasets import (
     CANONICAL_HEADER,
     ingest,
@@ -32,16 +32,15 @@ from .datasets import (
 )
 from .errors import DataError, WristfallError
 from .evaluation import (
+    AccessLog,
     DetectorSpec,
     EvalReport,
     classify,
-    fit_detector,
+    fit_on_dev,
     predictions_csv,
     report_json,
     report_table,
     run_experiment,
-    split_subjects,
-    windows_of,
 )
 from .features import FEATURE_VIEWS
 from .ml import MODEL_KINDS, load_model, save_model
@@ -97,22 +96,6 @@ def _parse_params(value: str | None) -> dict:
     return params
 
 
-def _read_corpus(value: str):
-    corpus = Path(value)
-    if not corpus.is_dir():
-        raise DataError(f"corpus directory {corpus} not found")
-    return read_canonical(corpus)
-
-
-def _fit_on_dev(args, spec: DetectorSpec):
-    """Fit `spec` on the development split of --corpus; returns (detector, n_windows, split)."""
-    trials = _read_corpus(args.corpus)
-    split = split_subjects((r.subject_id for r in trials), args.seed)
-    windows = windows_of(trials, split.dev_subjects, args.window_seconds)
-    del trials  # release the evaluation subjects' recordings before fitting
-    return fit_detector(spec, windows, args.seed), len(windows), split
-
-
 def cmd_ingest(args) -> int:
     manifest = load_manifest(_resolve_manifest(args.manifest))
     trials, report = ingest(manifest)
@@ -145,7 +128,8 @@ def cmd_synthesize(args) -> int:
 
 def cmd_calibrate(args) -> int:
     spec = DetectorSpec(kind="threshold", signals=_parse_signals(args.signals))
-    config, _, split = _fit_on_dev(args, spec)
+    # fit_on_dev empties the list read_canonical returns, which frees the evaluation recordings before fitting
+    config, split, _ = fit_on_dev(read_canonical(args.corpus), spec, args.seed, args.window_seconds, AccessLog())
     save_threshold_config(config, args.out)
     print(f"calibrated on {len(split.dev_subjects)} dev subjects: " + config.describe())
     return EXIT_OK
@@ -153,14 +137,14 @@ def cmd_calibrate(args) -> int:
 
 def cmd_train(args) -> int:
     spec = DetectorSpec(kind=args.kind, feature_view=args.view, params=_parse_params(args.params))
-    model, n_windows, split = _fit_on_dev(args, spec)
+    model, split, n_windows = fit_on_dev(read_canonical(args.corpus), spec, args.seed, args.window_seconds, AccessLog())
     save_model(model, args.out)
     print(f"trained {model.describe()} on {n_windows} dev windows from {len(split.dev_subjects)} subjects")
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
-    trials = _read_corpus(args.corpus)
+    trials = read_canonical(args.corpus)
     if args.detector == "threshold":
         spec = DetectorSpec(kind="threshold", signals=_parse_signals(args.signals), params=_parse_params(args.params))
     else:
@@ -409,14 +393,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     # checked here, not by type=, so that a --config value is checked too
     window_seconds = vars(args).get("window_seconds", DEFAULT_WINDOW_SECONDS)
-    if not (isinstance(window_seconds, (int, float)) and math.isfinite(window_seconds) and window_seconds > 0):
+    if not (is_real(window_seconds) and window_seconds > 0):
         parser.error(f"--window-seconds must be finite and positive, got {window_seconds!r}")
+    seed = vars(args).get("seed", 0)
+    if not (is_int(seed) and seed >= 0):
+        parser.error(f"--seed must be an integer >= 0, got {seed!r}")
     try:
         return args.func(args)
     except (WristfallError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:  # a fault of the program, not of its input
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import EmptyRecording, InvalidRecording
+from .errors import DataError, EmptyRecording, InvalidRecording
 
 # Wearable corpora targeted here sample between 15 and 30 Hz.
 RATE_BOUNDS_HZ = (15.0, 30.0)
@@ -29,8 +29,26 @@ def is_int(value) -> bool:
 
 
 def is_real(value) -> bool:
-    """A finite int or float that is not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    """A finite int or float that is not a bool; an int beyond the float range is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # math.isfinite converts an int to float
+        return False
+
+
+def is_rate(value) -> bool:
+    """A number that is not a bool, inside RATE_BOUNDS_HZ: a sample rate a recording may declare."""
+    lo, hi = RATE_BOUNDS_HZ
+    return is_real(value) and lo <= value <= hi
+
+
+def as_rate(value, name: str) -> float:
+    """`value` as a float sample rate; a value `is_rate` refuses raises DataError naming `name`."""
+    if not is_rate(value):
+        raise DataError(f"{name} must be a number in {list(RATE_BOUNDS_HZ)}, got {value!r}")
+    return float(value)
 
 
 class Label(Enum):
@@ -87,8 +105,8 @@ class TrialRecording:
             raise InvalidRecording(self.trial_id, f"timestamps not strictly increasing at sample {bad}")
         if not (np.all(np.isfinite(self.acc)) and np.all(np.isfinite(self.gyr))):
             raise InvalidRecording(self.trial_id, "non-finite channel value")
-        lo, hi = RATE_BOUNDS_HZ
-        if not (lo <= self.sample_rate_hz <= hi):
+        if not is_rate(self.sample_rate_hz):
+            lo, hi = RATE_BOUNDS_HZ
             raise InvalidRecording(self.trial_id, f"sample rate {self.sample_rate_hz} Hz outside [{lo}, {hi}]")
         median_gap = float(np.median(gaps))
         implied = 1.0 / median_gap

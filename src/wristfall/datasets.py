@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Label, Source, TrialRecording, is_int
+from .core import Label, Source, TrialRecording, as_rate, is_int
 from .errors import (
     CanonicalFormatError,
     DataError,
@@ -114,6 +114,8 @@ class DatasetManifest:
     expected: dict | None = None  # participants / adl_trials / fall_trials
 
     def __post_init__(self):
+        # frozen, so set through object; a JSON integer rate is kept as a float
+        object.__setattr__(self, "nominal_rate_hz", as_rate(self.nominal_rate_hz, "nominal_rate_hz"))
         if self.expected is not None and not isinstance(self.expected, dict):
             raise DataError(f"expected must be a JSON object, got {self.expected!r}")
 
@@ -163,7 +165,6 @@ def load_manifest(path) -> DatasetManifest:
             root=path.parent / doc["root"],  # an absolute root replaces the manifest's directory
             tasks={code: (Label(entry["label"]), entry.get("description", "")) for code, entry in doc["tasks"].items()},
             layout=LayoutSpec(**lay),
-            nominal_rate_hz=float(doc["nominal_rate_hz"]),
         )
         return DatasetManifest(**doc)
     except DataError as exc:
@@ -445,6 +446,7 @@ def read_canonical_trial(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def read_canonical(corpus_dir) -> list[TrialRecording]:
+    """The trials of a canonical corpus; a bad index entry or trial file raises CanonicalFormatError naming its line."""
     corpus_dir = Path(corpus_dir)
     index_path = corpus_dir / INDEX_NAME
     if not index_path.is_file():
@@ -469,12 +471,14 @@ def read_canonical(corpus_dir) -> list[TrialRecording]:
                     subject_id=entry["subject_id"],
                     activity_code=entry["activity_code"],
                     label=Label(entry["label"]),
-                    sample_rate_hz=float(entry["sample_rate_hz"]),
+                    sample_rate_hz=as_rate(entry["sample_rate_hz"], "sample_rate_hz"),
                     source=Source(entry["source"]),
                 )
+                if not all(isinstance(fields[key], str) for key in ("trial_id", "subject_id", "activity_code")):
+                    raise TypeError("trial_id, subject_id and activity_code must be strings")
             except KeyError as exc:
                 raise CanonicalFormatError(str(index_path), line_no, f"index entry missing {exc}") from None
-            except (TypeError, ValueError) as exc:  # not an object, or a value of the wrong type
+            except (DataError, TypeError, ValueError) as exc:  # not an object, or a value of the wrong type
                 raise CanonicalFormatError(str(index_path), line_no, f"bad index entry: {exc}") from None
             t, acc, gyr = read_canonical_trial(trial_path)
             trials.append(TrialRecording(**fields, t=t, acc=acc, gyr=gyr))

@@ -63,7 +63,7 @@ class TooFewSubjects(DataError):
 
 
 class ExperimentStageError(WristfallError):
-    """Wraps a failure with the pipeline stage it occurred in."""
+    """Wraps a toolkit error with the pipeline stage it occurred in."""
 
     def __init__(self, stage: str, cause: Exception):
         super().__init__(f"[{stage}] {cause}")

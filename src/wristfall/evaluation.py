@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import DEFAULT_WINDOW_SECONDS, Label, SignalWindow, TrialRecording, segment
-from .errors import DataError, ExperimentStageError, NonFiniteSignal, TooFewSubjects
+from .errors import DataError, ExperimentStageError, NonFiniteSignal, TooFewSubjects, WristfallError
 from .features import extract_many
 from .ml import ClassifierModel, predict, train
 from .signals import derive_all
@@ -264,6 +264,49 @@ def classify(detector: ThresholdConfig | ClassifierModel, window: SignalWindow) 
     return classify_many(detector, [window])[0]
 
 
+def _stage(name: str, fn, *args):
+    """fn(*args), with a toolkit error labelled by the pipeline stage it occurred in; any other error passes."""
+    try:
+        return fn(*args)
+    except WristfallError as exc:
+        raise ExperimentStageError(name, exc) from exc
+
+
+def fit_on_dev(
+    trials: list[TrialRecording], spec: DetectorSpec, seed: int, window_seconds: float, log: AccessLog
+) -> tuple[ThresholdConfig | ClassifierModel, SubjectSplit, int]:
+    """Fit `spec` on the development subjects of `trials`: (detector, split, number of development windows).
+
+    Records each development window's subject in `log` at the fit stages. Empties the list `trials` once the
+    development windows are cut, so recordings nothing else holds are freed before fitting; pass a copy to keep it.
+    """
+    split = _stage("split", split_subjects, (r.subject_id for r in trials), seed)
+    fit_stages = (STAGE_CALIBRATION,) if spec.kind == "threshold" else (STAGE_STANDARDIZATION, STAGE_TRAINING)
+    dev_windows = _stage(fit_stages[-1], windows_of, trials, split.dev_subjects, window_seconds)
+    trials.clear()
+    for w in dev_windows:
+        for name in fit_stages:
+            log.record(w.subject_id, name)
+    return _stage(fit_stages[-1], fit_detector, spec, dev_windows, seed), split, len(dev_windows)
+
+
+def predict_subjects(
+    detector: ThresholdConfig | ClassifierModel,
+    trials: Iterable[TrialRecording],
+    subjects: Iterable[str],
+    window_seconds: float,
+    log: AccessLog,
+) -> list[PredictionRecord]:
+    """Predictions for the windows of the trials of `subjects`, in trial order, each recorded in `log`."""
+    windows = windows_of(trials, subjects, window_seconds)
+    for w in windows:
+        log.record(w.subject_id, STAGE_PREDICTION)
+    return [
+        PredictionRecord(w.window_ref, w.subject_id, w.label, predicted, float(score))
+        for w, (predicted, score) in zip(windows, classify_many(detector, windows))
+    ]
+
+
 def run_experiment(
     trials: Sequence[TrialRecording],
     spec: DetectorSpec,
@@ -277,42 +320,8 @@ def run_experiment(
     training; the returned access log substantiates that.
     """
     log = AccessLog()
-
-    def stage(name, fn, *args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except ExperimentStageError:
-            raise
-        except Exception as exc:
-            raise ExperimentStageError(name, exc) from exc
-
-    split = stage("split", split_subjects, (r.subject_id for r in trials), seed)
-    fit_stages = (STAGE_CALIBRATION,) if spec.kind == "threshold" else (STAGE_STANDARDIZATION, STAGE_TRAINING)
-
-    def _fit():
-        dev_windows = windows_of(trials, split.dev_subjects, window_seconds)
-        for w in dev_windows:
-            for name in fit_stages:
-                log.record(w.subject_id, name)
-        return fit_detector(spec, dev_windows, seed)
-
-    detector = stage(fit_stages[-1], _fit)
-
-    def _evaluate():
-        eval_windows = windows_of(trials, split.eval_subjects, window_seconds)
-        for w in eval_windows:
-            log.record(w.subject_id, STAGE_PREDICTION)
-        return [
-            PredictionRecord(w.window_ref, w.subject_id, w.label, predicted, float(score))
-            for w, (predicted, score) in zip(eval_windows, classify_many(detector, eval_windows))
-        ]
-
-    records = stage(STAGE_PREDICTION, _evaluate)
-    report = stage(
-        "metrics",
-        compute_metrics,
-        [(r.predicted, r.actual) for r in records],
-        detector=detector.describe(),
-        dataset=dataset_name,
-    )
+    detector, split, _ = fit_on_dev(list(trials), spec, seed, window_seconds, log)
+    records = _stage(STAGE_PREDICTION, predict_subjects, detector, trials, split.eval_subjects, window_seconds, log)
+    pairs = [(r.predicted, r.actual) for r in records]
+    report = _stage("metrics", compute_metrics, pairs, detector.describe(), dataset_name)
     return ExperimentResult(report=report, split=split, access_log=log, predictions=records, detector=detector)

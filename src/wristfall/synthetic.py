@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Label, Source, TrialRecording
+from .core import Label, Source, TrialRecording, is_int
 from .errors import DataError
 
 SYNTH_RATE_HZ = 25.0
@@ -77,8 +77,10 @@ def _fall_trial(rng, n, rate, floor_impact=False):
 
 def synthesize(seed: int, n_subjects: int = 6, trials_per_subject: int = 20) -> list[TrialRecording]:
     """Generate a labeled synthetic corpus; identical output for identical seeds."""
-    if n_subjects < 2:
-        raise DataError("n_subjects must be >= 2")
+    if not (is_int(n_subjects) and n_subjects >= 2):
+        raise DataError(f"n_subjects must be an integer >= 2, got {n_subjects!r}")
+    if not (is_int(trials_per_subject) and trials_per_subject >= 1):
+        raise DataError(f"trials_per_subject must be an integer >= 1, got {trials_per_subject!r}")
     rng = np.random.default_rng(seed)
     rate = SYNTH_RATE_HZ
     trials = []

@@ -9,6 +9,7 @@ subject to 100% sensitivity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -30,6 +31,8 @@ DEFAULT_GRIDS: dict[str, tuple[float, float, float]] = {
     "avd": (1.2, 4.0, 0.05),
     "smv_gyr": (100.0, 1000.0, 5.0),
 }
+# The most points a calibration grid may have; the largest default grid has 191.
+MAX_GRID_POINTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -95,13 +98,20 @@ def calibrate(
     signals = tuple(signals)
     if not signals:
         raise NoSignalsEnabled("no signals requested for calibration")
-    for name, grid in (grids or {}).items():
+    grids = {} if grids is None else grids
+    if not isinstance(grids, Mapping):
+        raise DataError(f"grids must be a JSON object of signal name to [lo, hi, step], got {grids!r}")
+    for name, grid in grids.items():
         if name not in DEFAULT_GRIDS:
             raise DataError(f"unknown grid signal {name!r}")
         numbers = isinstance(grid, (list, tuple)) and len(grid) == 3 and all(map(is_real, grid))
         if not (numbers and grid[2] > 0 and grid[1] >= grid[0]):
             raise DataError(f"grid for {name} must be three finite numbers lo, hi, step with step > 0 and hi >= lo")
-    grids = {**DEFAULT_GRIDS, **(grids or {})}
+        lo, hi, step = map(float, grid)
+        intervals = (hi - lo) / step  # checked before grid_points rounds it to an int
+        if not (math.isfinite(intervals) and round(intervals) + 1 <= MAX_GRID_POINTS):
+            raise DataError(f"grid for {name} has more than {MAX_GRID_POINTS} points")
+    grids = {**DEFAULT_GRIDS, **grids}
 
     labels = np.array([w.label is Label.FALL for w, _ in dev_windows], dtype=bool)
     if not (labels.any() and (~labels).any()):

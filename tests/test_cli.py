@@ -10,7 +10,7 @@ from test_datasets import columns_manifest, write_columns_trial
 from wristfall.cli import main
 from wristfall.datasets import CANONICAL_HEADER, read_canonical, read_canonical_trial, save_manifest
 from wristfall.errors import CanonicalFormatError
-from wristfall.evaluation import DetectorSpec, run_experiment
+from wristfall.evaluation import DetectorSpec, run_experiment, split_subjects
 from wristfall.ml import save_model
 from wristfall.synthetic import synthesize
 from wristfall.threshold import load_threshold_config, save_threshold_config
@@ -164,6 +164,76 @@ class TestEvaluateCommand:
 
     def test_missing_corpus(self, tmp_path):
         assert main(["evaluate", "--corpus", str(tmp_path / "nope"), "--detector", "threshold", "--out", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize(
+        "command",
+        [["calibrate"], ["train", "--kind", "svm"], ["evaluate", "--detector", "svm"]],
+        ids=["calibrate", "train", "evaluate"],
+    )
+    def test_unexpected_error_is_internal(self, command, corpus_dir, tmp_path, monkeypatch, capsys):
+        """Only a data error gets a stage label and exit 3; a bug is exit 4 in every command."""
+
+        def boom(spec, dev_windows, seed):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("wristfall.evaluation.fit_detector", boom)
+        assert main([command[0], "--corpus", str(corpus_dir), *command[1:], "--out", str(tmp_path / "o")]) == 4
+        assert capsys.readouterr().err == "internal error: boom\n"
+
+
+def edit_index_entry(corpus, **changes):
+    """Change the first entry of the corpus's index.jsonl."""
+    path = corpus / "index.jsonl"
+    first, rest = path.read_text().split("\n", 1)
+    path.write_text(json.dumps({**json.loads(first), **changes}) + "\n" + rest)
+
+
+def keep_index_entries(corpus, keep):
+    path = corpus / "index.jsonl"
+    path.write_text("".join(line + "\n" for line in path.read_text().splitlines() if keep(json.loads(line))))
+
+
+def empty_dev_trial(corpus):
+    """Cut a development subject's trial file (at seed 0) to its header."""
+    subjects = [json.loads(line)["subject_id"] for line in (corpus / "index.jsonl").read_text().splitlines()]
+    dev_subject = split_subjects(subjects, 0).dev_subjects[0]
+    sorted(corpus.glob(f"trials/{dev_subject}_*.csv"))[0].write_text(CANONICAL_HEADER + "\n")
+
+
+class TestFitFaults:
+    """A corpus fault is exit 3 with one `error:` line, the same from the command that fits and from evaluate."""
+
+    FAULTS = {  # fault -> (how to make it, stage label for threshold, for svm; None: named by the index line)
+        "subject_id-int": (lambda c: edit_index_entry(c, subject_id=5), None, None),
+        "sample_rate_hz-nan": (lambda c: edit_index_entry(c, sample_rate_hz=float("nan")), None, None),
+        "header-only-trial": (empty_dev_trial, "calibration", "training"),
+        "one-subject": (lambda c: keep_index_entries(c, lambda e: e["subject_id"] == "S01"), "split", "split"),
+        "one-class": (lambda c: keep_index_entries(c, lambda e: e["label"] == "ADL"), "calibration", "training"),
+    }
+    PAIRS = {
+        "threshold": (["calibrate"], ["evaluate", "--detector", "threshold"]),
+        "svm": (["train", "--kind", "svm"], ["evaluate", "--detector", "svm"]),
+    }
+
+    @pytest.mark.parametrize("pair", list(PAIRS))
+    @pytest.mark.parametrize("fault", list(FAULTS))
+    def test_same_error_from_fit_and_evaluate(self, fault, pair, corpus_dir, tmp_path, capsys):
+        make, threshold_label, svm_label = self.FAULTS[fault]
+        make(corpus_dir)
+        lines = []
+        for command in self.PAIRS[pair]:
+            code = main([command[0], "--corpus", str(corpus_dir), *command[1:], "--out", str(tmp_path / "o")])
+            err = capsys.readouterr().err
+            assert code == 3, err
+            lines.append(err.splitlines())
+        fit_lines, evaluate_lines = lines
+        assert len(fit_lines) == 1 and fit_lines[0].startswith("error: ")
+        assert evaluate_lines == fit_lines
+        label = threshold_label if pair == "threshold" else svm_label
+        if label is None:
+            assert "index.jsonl:1: " in fit_lines[0] and not fit_lines[0].startswith("error: [")
+        else:
+            assert fit_lines[0].startswith(f"error: [{label}] ")
 
 
 class TestDetectStream:
@@ -495,6 +565,20 @@ def layout(**changes) -> dict:
     return {**json.loads(manifest_file())["layout"], **changes}
 
 
+def index_entry(**changes) -> bytes:
+    """An index.jsonl line for a trial file of the `corpus_dir` corpus under a new trial id, with `changes` made."""
+    entry = {
+        "trial_id": "S01_SYN_ADL_000_again",
+        "subject_id": "S01",
+        "activity_code": "SYN_ADL",
+        "label": "ADL",
+        "sample_rate_hz": 25.0,
+        "source": "Synthetic",
+        "path": "trials/S01_SYN_ADL_000.csv",
+    }
+    return json.dumps({**entry, **changes}).encode() + b"\n"
+
+
 class TestLoaderFaults:
     """Every file the CLI reads gives a data error naming the file: never exit 4 on bad bytes or a bad layout."""
 
@@ -528,6 +612,17 @@ class TestLoaderFaults:
             "malformed": b"[1, 2]\n",  # JSON, but not an entry
             "bad_key": b'{"path": "trials/x.csv", "trial_id": "x", "subject_id": "S", "activity_code": "A", '
             b'"label": "Falls", "sample_rate_hz": 25.0, "source": "synthetic"}\n',  # a label that is not one
+            "subject_id-int": index_entry(subject_id=5),
+            "subject_id-null": index_entry(subject_id=None),
+            "trial_id-list": index_entry(trial_id=[1]),
+            "rate-nan": index_entry(sample_rate_hz=float("nan")),
+            "rate-inf": index_entry(sample_rate_hz=float("inf")),
+            "rate-bool": index_entry(sample_rate_hz=True),
+            "rate-zero": index_entry(sample_rate_hz=0),
+            "rate-negative": index_entry(sample_rate_hz=-5),
+            "rate-1e9": index_entry(sample_rate_hz=1e9),
+            "rate-string": index_entry(sample_rate_hz="25"),
+            "rate-int-beyond-float": index_entry(sample_rate_hz=10**400),
         },
         "report": {
             "undecodable": b'{"detector": "svm\xff"}\n',
@@ -557,6 +652,13 @@ class TestLoaderFaults:
         assert code == 3
         assert "internal error" not in err
         assert path.name in err
+
+    def test_unchanged_index_entry_reads(self, corpus_dir, tmp_path, capsys):
+        """The base of the index faults above reads, so each fault is its one change."""
+        path = corpus_dir / "index.jsonl"
+        path.write_bytes(path.read_bytes() + index_entry())
+        assert main(["evaluate", "--corpus", str(corpus_dir), "--detector", "knn", "--out", str(tmp_path / "ev")]) == 0
+        assert len(read_canonical(corpus_dir)) == 61
 
     @pytest.mark.parametrize("kind", ["knn", "rf", "svm"])
     def test_unchanged_model_file_loads(self, kind, tmp_path, monkeypatch, capsys):
@@ -592,6 +694,12 @@ class TestLoaderFaults:
             pytest.param(manifest_file(layout=layout(surprise=1)), id="layout-unknown-key"),
             pytest.param(manifest_file(layout={"path_regex": "x"}), id="layout-no-file_glob"),
             pytest.param(manifest_file(nominal_rate_hz="fast"), id="rate-string"),
+            pytest.param(manifest_file(nominal_rate_hz=-20), id="rate-negative"),
+            pytest.param(manifest_file(nominal_rate_hz="nan"), id="rate-nan-string"),
+            pytest.param(manifest_file(nominal_rate_hz=0), id="rate-zero"),
+            pytest.param(manifest_file(nominal_rate_hz=1e9), id="rate-1e9"),
+            pytest.param(manifest_file(nominal_rate_hz="25"), id="rate-numeric-string"),
+            pytest.param(manifest_file(nominal_rate_hz=10**400), id="rate-int-beyond-float"),
             pytest.param(manifest_file(root=5), id="root-int"),
             pytest.param(manifest_file(layout=layout(acc_columns=3)), id="acc_columns-int"),
             pytest.param(manifest_file(layout=layout(path_regex="(?P<subject")), id="path_regex-uncompilable"),
@@ -629,9 +737,16 @@ class TestBadParams:
             ("evaluate", "threshold", {"k": 3}, "'k'"),
             ("evaluate", "threshold", {"grids": {"smv_acc": [1.5, 6.0, 0]}}, "smv_acc"),
             ("evaluate", "threshold", {"grids": {"fi": [10.0, 0.5, 0.05]}}, "fi"),
+            ("evaluate", "threshold", {"grids": [1]}, "grids"),
+            ("evaluate", "threshold", {"grids": 5}, "grids"),
+            ("evaluate", "threshold", {"grids": {"smv_acc": [0, 1e9, 1e-9]}}, "grid for smv_acc"),
+            ("evaluate", "threshold", {"grids": {"fi": [0, 1e300, 1e-300]}}, "grid for fi"),
+            ("evaluate", "threshold", {"grids": {"avd": [0, 10**400, 1]}}, "grid for avd"),
+            ("train", "svm", {"lam": 10**400}, "lam"),
         ],
         ids=["knn-k", "svm-epochs", "rf-mtry", "rf-n_trees", "rf-max_depth", "svm-lam", "knn-k-float",
-             "threshold-k", "grid-step-0", "grid-hi-below-lo"],
+             "threshold-k", "grid-step-0", "grid-hi-below-lo", "grids-list", "grids-int", "grid-1e18-points",
+             "grid-infinite-points", "grid-int-beyond-float", "svm-lam-int-beyond-float"],
     )
     def test_rejected(self, command, detector, params, named, corpus_dir, tmp_path, capsys):
         out = tmp_path / "out"
@@ -667,7 +782,9 @@ class TestWindowSeconds:
         for value in ("0", "-1", "nan", "inf"):
             self.run([*self.COMMANDS[command], f"--window-seconds={value}"], monkeypatch, capsys)
 
-    @pytest.mark.parametrize("value", [0, -1.0, "nan", [60]], ids=["zero", "negative", "nan-string", "list"])
+    @pytest.mark.parametrize(
+        "value", [0, -1.0, "nan", [60], True], ids=["zero", "negative", "nan-string", "list", "bool"]
+    )
     def test_config_file_value_rejected(self, value, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"window_seconds": value}))
@@ -681,6 +798,53 @@ class TestWindowSeconds:
         assert code == 0
         # a loop step per window boundary took 11 s on this corpus; a cut per sample takes under 1 s
         assert time.perf_counter() - start < 5.0
+
+
+class TestSeedAndSizes:
+    """--seed must be an integer >= 0 in every command that takes it (exit 2); synthesize's sizes are data (exit 3)."""
+
+    COMMANDS = {
+        "synthesize": ["synthesize", "--out", "o"],
+        "calibrate": ["calibrate", "--corpus", "c", "--out", "o"],
+        "train": ["train", "--corpus", "c", "--kind", "knn", "--out", "o"],
+        "evaluate": ["evaluate", "--corpus", "c", "--detector", "knn", "--out", "o"],
+    }
+
+    def run(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--seed must be an integer >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_negative_seed_rejected_in_every_command(self, command, capsys):
+        self.run([*self.COMMANDS[command], "--seed", "-1"], capsys)
+
+    @pytest.mark.parametrize("value", [1.5, 1e30, True, [1], -1], ids=["float", "1e30", "bool", "list", "negative"])
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_config_file_seed_rejected(self, command, value, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"seed": value}))
+        self.run(["--config", str(cfg), *self.COMMANDS[command]], capsys)
+
+    @pytest.mark.parametrize(
+        "config,named",
+        [
+            ({"trials_per_subject": -3}, "trials_per_subject"),
+            ({"trials_per_subject": 0}, "trials_per_subject"),
+            ({"trials_per_subject": True}, "trials_per_subject"),
+            ({"subjects": 2.5}, "n_subjects"),
+        ],
+        ids=["trials-negative", "trials-zero", "trials-bool", "subjects-float"],
+    )
+    def test_bad_synthesize_size_is_a_data_error(self, config, named, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "corpus"
+        assert main(["--config", str(cfg), "synthesize", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "internal error" not in err and named in err
+        assert not out.exists()
 
 
 class TestUsage:

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,13 +7,17 @@ from hypothesis import strategies as st
 
 from wristfall.core import Label
 from wristfall.errors import ExperimentStageError, TooFewSubjects
+from wristfall import evaluation
 from wristfall.evaluation import (
+    AccessLog,
     DetectorSpec,
     EvalReport,
     classify,
     classify_many,
     compute_metrics,
     fit_detector,
+    fit_on_dev,
+    predict_subjects,
     predictions_csv,
     report_json,
     report_table,
@@ -126,6 +132,38 @@ class TestMetrics:
 @pytest.fixture(scope="module")
 def corpus():
     return synthesize(seed=88, n_subjects=6, trials_per_subject=16)
+
+
+class TestFitOnDev:
+    def test_fit_then_predict_is_run_experiment(self, corpus):
+        spec = DetectorSpec(kind="svm")
+        log = AccessLog()
+        detector, split, n_dev_windows = fit_on_dev(list(corpus), spec, 5, 60.0, log)
+        records = predict_subjects(detector, corpus, split.eval_subjects, 60.0, log)
+        result = run_experiment(corpus, spec, 5)
+        assert (records, split, log.events) == (result.predictions, result.split, result.access_log.events)
+        assert n_dev_windows == len(windows_of(corpus, split.dev_subjects, 60.0))
+
+    def test_evaluation_recordings_are_freed_before_fitting(self, monkeypatch):
+        """fit_on_dev empties the list it is given, so the evaluation subjects' recordings are gone at fit time."""
+        trials = synthesize(seed=88, n_subjects=6, trials_per_subject=16)
+        eval_subjects = split_subjects((r.subject_id for r in trials), 5).eval_subjects
+        eval_refs = [weakref.ref(r) for r in trials if r.subject_id in eval_subjects]
+        freed_at_fit = []
+        real_fit = evaluation.fit_detector
+
+        def fit(spec, dev_windows, seed):
+            freed_at_fit.append(sum(ref() is None for ref in eval_refs))
+            return real_fit(spec, dev_windows, seed)
+
+        monkeypatch.setattr(evaluation, "fit_detector", fit)
+        fit_on_dev(trials, DetectorSpec(kind="threshold"), 5, 60.0, AccessLog())
+        assert trials == [] and eval_refs and freed_at_fit == [len(eval_refs)]
+
+    def test_run_experiment_keeps_the_callers_trials(self, corpus):
+        trials = list(corpus)
+        run_experiment(trials, DetectorSpec(kind="svm"), 5)
+        assert [id(r) for r in trials] == [id(r) for r in corpus]
 
 
 class TestRunExperiment:

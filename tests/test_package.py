@@ -1,7 +1,7 @@
 import pytest
 
 import wristfall
-from wristfall import errors, features, ml
+from wristfall import cli, errors, features, ml
 
 
 def test_every_exported_name_resolves():
@@ -17,6 +17,8 @@ def test_every_exported_name_resolves():
         (ml, "predict_values"),
         (ml, "_feature_matrix"),
         (errors, "ModelNotFitted"),
+        (cli, "_fit_on_dev"),
+        (cli, "_read_corpus"),
     ],
 )
 def test_removed_name_is_gone(module, name):
