@@ -1,8 +1,15 @@
 """Exception types shared across the toolkit."""
 
+import copyreg
+
 
 class WristfallError(Exception):
     """Base class for all toolkit errors."""
+
+    def __reduce__(self):
+        # rebuilt from args and attributes without calling __init__, whose parameters differ per subclass,
+        # so that every toolkit error survives pickling (as a forked corpus reader sends it back)
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class DataError(WristfallError):

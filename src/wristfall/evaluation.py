@@ -21,7 +21,7 @@ from .core import DEFAULT_WINDOW_SECONDS, Label, SignalWindow, TrialRecording, s
 from .errors import DataError, ExperimentStageError, NonFiniteSignal, TooFewSubjects, WristfallError
 from .features import extract_many
 from .ml import ClassifierModel, predict, train
-from .signals import derive_all
+from .signals import DerivedSignalSet, derive_all
 from .threshold import DEFAULT_SIGNALS, ThresholdConfig, calibrate, detect
 
 EVAL_FRACTION = 0.2
@@ -228,20 +228,28 @@ def fit_detector(
         unknown = set(spec.params) - {"grids"}
         if unknown:
             raise DataError(f"unknown threshold parameters: {sorted(unknown)}; expected only 'grids'")
-        pairs = [(w, derive_all(w)) for w in dev_windows]
+        pairs = [(w, _derive_checked(w, spec.signals)) for w in dev_windows]
         return calibrate(pairs, signals=spec.signals, grids=spec.params.get("grids"))
     X = extract_many(dev_windows)
     return train(spec.kind, spec.feature_view, X, [w.label for w in dev_windows], seed, **spec.params)
 
 
-def _vote(config: ThresholdConfig, window: SignalWindow) -> tuple[Label, float]:
-    """The threshold detector's verdict for one window and the fraction of its signals voting Fall."""
+def _derive_checked(window: SignalWindow, signals: Iterable[str]) -> DerivedSignalSet:
+    """derive_all(window), or NonFiniteSignal if one of `signals` holds inf or nan: no vote on it means anything.
+
+    Calibration and the vote share this check, so neither reads an overflowed signal or prints numpy's warning.
+    """
     with np.errstate(all="ignore"):  # an overflow gives inf or nan, which the check below rejects
         derived = derive_all(window)
-    for name in config.signals:
+    for name in signals:
         if not np.isfinite(derived.by_name(name)).all():
             raise NonFiniteSignal(f"window {window.window_ref}: derived signal {name} contains non-finite values")
-    verdict, votes = detect(window, derived, config)
+    return derived
+
+
+def _vote(config: ThresholdConfig, window: SignalWindow) -> tuple[Label, float]:
+    """The threshold detector's verdict for one window and the fraction of its signals voting Fall."""
+    verdict, votes = detect(window, _derive_checked(window, config.signals), config)
     return verdict, sum(v is Label.FALL for v in votes.values()) / len(votes)
 
 

@@ -200,6 +200,16 @@ def empty_dev_trial(corpus):
     sorted(corpus.glob(f"trials/{dev_subject}_*.csv"))[0].write_text(CANONICAL_HEADER + "\n")
 
 
+def huge_dev_fall_row(corpus):
+    """Put 1e200 on each accelerometer axis of one row of a development fall trial (at seed 0)."""
+    entries = [json.loads(line) for line in (corpus / "index.jsonl").read_text().splitlines()]
+    dev_subjects = split_subjects([e["subject_id"] for e in entries], 0).dev_subjects
+    path = corpus / next(e["path"] for e in entries if e["subject_id"] in dev_subjects and e["label"] == "Fall")
+    lines = path.read_text().split("\n")
+    lines[20] = lines[20].split(",")[0] + ",1e200,1e200,1e200,0.0,0.0,0.0"
+    path.write_text("\n".join(lines))
+
+
 class TestFitFaults:
     """A corpus fault is exit 3 with one `error:` line, the same from the command that fits and from evaluate."""
 
@@ -209,6 +219,7 @@ class TestFitFaults:
         "header-only-trial": (empty_dev_trial, "calibration", "training"),
         "one-subject": (lambda c: keep_index_entries(c, lambda e: e["subject_id"] == "S01"), "split", "split"),
         "one-class": (lambda c: keep_index_entries(c, lambda e: e["label"] == "ADL"), "calibration", "training"),
+        "huge-dev-fall-row": (huge_dev_fall_row, "calibration", "training"),
     }
     PAIRS = {
         "threshold": (["calibrate"], ["evaluate", "--detector", "threshold"]),
@@ -222,9 +233,12 @@ class TestFitFaults:
         make(corpus_dir)
         lines = []
         for command in self.PAIRS[pair]:
-            code = main([command[0], "--corpus", str(corpus_dir), *command[1:], "--out", str(tmp_path / "o")])
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main([command[0], "--corpus", str(corpus_dir), *command[1:], "--out", str(tmp_path / "o")])
             err = capsys.readouterr().err
             assert code == 3, err
+            assert [str(w.message) for w in caught] == []
             lines.append(err.splitlines())
         fit_lines, evaluate_lines = lines
         assert len(fit_lines) == 1 and fit_lines[0].startswith("error: ")

@@ -1,7 +1,13 @@
 import dataclasses
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
+import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_recording
+from wristfall import datasets
+from wristfall.cli import main
 from wristfall.core import Label, Source, segment
 from wristfall.datasets import (
     CANONICAL_HEADER,
@@ -443,3 +451,252 @@ class TestSynthesize:
     def test_requires_two_subjects(self):
         with pytest.raises(DataError):
             synthesize(seed=0, n_subjects=1)
+
+
+def pool_manifest(root):
+    """columns_manifest whose subject may be any directory name, so that two directories can give one trial id."""
+    manifest = columns_manifest(root)
+    layout = dataclasses.replace(
+        manifest.layout,
+        file_glob="*/*/trial_*/wrist.txt",
+        path_regex=r"(?P<subject>[^/]+)/(?P<code>[A-Z0-9]+)/trial_(?P<trial>\d+)/wrist\.txt$",
+    )
+    return dataclasses.replace(manifest, layout=layout)
+
+
+def write_pool_corpus(root):
+    """39 raw files: 34 trials and 5 skips, one of each kind, among them a duplicate trial id."""
+    rng = np.random.default_rng(90)
+
+    def trial(subject, code, n, row_8=None):
+        acc = rng.normal(0, 1, (60, 3)) + np.array([0, 0, 9.80665])
+        write_columns_trial(root, subject, code, n, acc, rng.normal(0, 0.5, (60, 3)))
+        if row_8 is not None:  # after two comment lines
+            path = root / subject / code / f"trial_{n}" / "wrist.txt"
+            lines = path.read_text().split("\n")
+            lines[9] = row_8
+            path.write_text("\n".join(lines))
+
+    for subject in ("sub01", "sub02", "sub03", "sub04"):
+        for code in ("A01", "F01"):
+            for n in range(1, 5):
+                trial(subject, code, n)
+    trial("sub 05", "A01", 1)
+    trial("sub+05", "A01", 1)  # the trial id of "sub 05" again: a duplicate
+    trial("sub 06", "F01", 1, row_8="0 9.8 three 0 0 0")  # a bad row, so the next file of this trial id is kept
+    trial("sub+06", "F01", 1)
+    trial("sub01", "Z99", 1)  # not in the task table
+    trial("sub01", "a01", 1)  # does not match path_regex
+    trial("sub07", "A01", 1, row_8="0 9.8 nan 0 0 0")  # fails validation
+
+
+def read_tree(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def recording_key(rec):
+    fields = (rec.trial_id, rec.subject_id, rec.activity_code, rec.label, rec.sample_rate_hz, rec.source)
+    return fields + tuple(a.tobytes() for a in (rec.t, rec.acc, rec.gyr)) + (rec.acc.shape, rec.gyr.shape)
+
+
+def serial_and_forked(monkeypatch, fn):
+    """(fn("serial"), fn("forked")): `_map_files` first runs serially, then forks on every call from 2 items on."""
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(datasets, "MIN_FORK_ITEMS", 2)
+    monkeypatch.setattr(datasets, "_usable_cpus", lambda: 1)
+    serial = fn("serial")
+    assert forks == []
+    monkeypatch.setattr(datasets, "_usable_cpus", lambda: 3)
+    forked = fn("forked")
+    assert forks
+    return serial, forked
+
+
+def error_text(fn, *args):
+    with pytest.raises(Exception) as err:
+        fn(*args)
+    return type(err.value), str(err.value)
+
+
+class TestMapFiles:
+    """`_map_files` gives the serial loop's results and errors whether or not it forks."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 13])
+    def test_results_in_input_order(self, n, cpus, monkeypatch):
+        monkeypatch.setattr(datasets, "MIN_FORK_ITEMS", 2)
+        monkeypatch.setattr(datasets, "_usable_cpus", lambda: cpus)
+        items = [f"item {i}" for i in range(n)]
+        assert datasets._map_files(lambda x: (x, x.upper()), items) == [(x, x.upper()) for x in items]
+
+    def test_fewer_items_than_the_minimum_stay_in_process(self, monkeypatch):
+        monkeypatch.setattr(datasets, "_usable_cpus", lambda: 2)
+        items = list(range(datasets.MIN_FORK_ITEMS - 1))
+        assert datasets._map_files(lambda x: os.getpid(), items) == [os.getpid()] * len(items)
+        pids = datasets._map_files(lambda x: os.getpid(), items + [len(items)])
+        assert pids[0::2] == [os.getpid()] * len(pids[0::2]) and os.getpid() not in pids[1::2]
+
+    def test_ingest_serial_and_forked_agree(self, tmp_path, monkeypatch, capsys):
+        raw = tmp_path / "raw"
+        write_pool_corpus(raw)
+        manifest_path = tmp_path / "manifest.json"
+        save_manifest(pool_manifest(raw), manifest_path)
+
+        def run(tag):
+            out = tmp_path / tag
+            code = main(["ingest", "--manifest", str(manifest_path), "--out", str(out)])
+            printed = capsys.readouterr()
+            trials, report = ingest(pool_manifest(raw))
+            back = read_canonical(out)
+            return code, printed.out, printed.err, read_tree(out), report, list(map(recording_key, trials)), back
+
+        serial, forked = serial_and_forked(monkeypatch, run)
+        assert serial[:-1] == forked[:-1]
+        assert list(map(recording_key, serial[-1])) == list(map(recording_key, forked[-1]))
+        code, printed, _, tree, report, trials, _ = forked
+        assert code == 0 and printed == "34 trials (17 ADL / 17 fall), 6 subjects; skipped 5 files\n"
+        assert json.loads(tree["ingest_report.json"])["n_trials"] == 34 == len(trials)
+        assert dict(report.skipped) == {
+            "sub 06/F01/trial_1/wrist.txt": "row 8: could not convert string to float: 'three'",
+            "sub+05/A01/trial_1/wrist.txt": "duplicate trial id sub-05_A01_1",
+            "sub01/Z99/trial_1/wrist.txt": "activity code 'Z99' not in task table",
+            "sub01/a01/trial_1/wrist.txt": "path does not match the layout's path_regex",
+            "sub07/A01/trial_1/wrist.txt": "recording 'sub07_A01_1' invalid: non-finite channel value",
+        }
+        assert "sub+06" in {t[1] for t in trials}
+
+    def test_write_canonical_serial_and_forked_agree(self, tmp_path, monkeypatch, synth_trials):
+        def run(tag):
+            write_canonical(synth_trials, tmp_path / tag)
+            return read_tree(tmp_path / tag), [recording_key(r) for r in read_canonical(tmp_path / tag)]
+
+        serial, forked = serial_and_forked(monkeypatch, run)
+        assert serial == forked
+        assert sorted(map(recording_key, synth_trials)) == forked[1]
+
+    # (trial files made bad, index line made bad, the file or line whose error is reported); with 3 CPUs the
+    # parent reads trials 0, 3, 6, 9 and the two children 1, 4, 7, 10 and 2, 5, 8, 11
+    FAULTS = {
+        "first-in-a-child": ((4, 8, 9), 11, "trials/4"),
+        "first-in-the-parent": ((3, 5, 10), 12, "trials/3"),
+        "first-in-the-index": ((8, 10), 6, "index.jsonl:6"),
+        "only-in-the-last-child": ((2,), None, "trials/2"),
+    }
+
+    @pytest.mark.parametrize("fault", list(FAULTS))
+    def test_first_fault_in_index_order_is_raised(self, fault, tmp_path, monkeypatch):
+        bad_trials, bad_line, expected = self.FAULTS[fault]
+        corpus = tmp_path / "corpus"
+        write_canonical(synthesize(seed=5, n_subjects=3, trials_per_subject=4), corpus)
+        index = (corpus / "index.jsonl").read_text().splitlines()
+        paths = [corpus / json.loads(line)["path"] for line in index]
+        for i in bad_trials:
+            lines = paths[i].read_text().split("\n")
+            lines[4 + i] = lines[4 + i].rsplit(",", 1)[0]  # one field short
+            paths[i].write_text("\n".join(lines))
+        if bad_line is not None:
+            index[bad_line - 1] = "{not json"
+            (corpus / "index.jsonl").write_text("\n".join(index) + "\n")
+
+        serial, forked = serial_and_forked(monkeypatch, lambda _: error_text(read_canonical, corpus))
+        assert serial == forked
+        kind, message = forked
+        assert kind is CanonicalFormatError
+        if expected.startswith("trials/"):
+            i = int(expected.split("/")[1])
+            assert message == f"{paths[i]}:{5 + i}: expected 7 fields, got 6"
+        else:
+            assert message.startswith(f"{corpus / expected}: bad JSON")
+
+    def test_an_unexpected_error_in_a_child_is_raised(self, monkeypatch):
+        monkeypatch.setattr(datasets, "MIN_FORK_ITEMS", 2)
+        monkeypatch.setattr(datasets, "_usable_cpus", lambda: 2)
+
+        def fn(x):
+            if x in (3, 7):  # both in the child's share
+                raise KeyError(f"bug at {x}")
+            return x
+
+        with pytest.raises(KeyError, match="bug at 3"):
+            datasets._map_files(fn, list(range(10)))
+
+    @pytest.mark.parametrize("fault", ["killed", "exit", "unpicklable-result", "unpicklable-error"])
+    def test_a_child_that_ends_without_its_results_raises(self, fault, tmp_path, monkeypatch):
+        monkeypatch.setattr(datasets, "MIN_FORK_ITEMS", 2)
+        monkeypatch.setattr(datasets, "_usable_cpus", lambda: 2)
+
+        class Unpicklable(Exception):  # a local class cannot be pickled
+            pass
+
+        def fn(x):
+            if x == 5:
+                if fault == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                if fault == "exit":
+                    sys.exit(0)
+                if fault == "unpicklable-result":
+                    return lambda: x
+                raise Unpicklable(x)
+            return x
+
+        with pytest.raises(RuntimeError, match="ended without its results"):
+            datasets._map_files(fn, list(range(10)))
+
+    def test_an_interrupt_in_the_parent_kills_the_children(self, monkeypatch):
+        monkeypatch.setattr(datasets, "MIN_FORK_ITEMS", 2)
+        monkeypatch.setattr(datasets, "_usable_cpus", lambda: 3)
+        parent = os.getpid()
+
+        def fn(x):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            datasets._map_files(fn, list(range(6)))
+        assert time.monotonic() - start < 30  # the children were killed and reaped, not waited out
+
+    def test_read_canonical_never_returns_part_of_a_corpus(self, tmp_path, monkeypatch, synth_trials):
+        write_canonical(synth_trials, tmp_path)
+        real_read = datasets.read_canonical_trial
+        parent = os.getpid()
+
+        def read_or_die(path):
+            if os.getpid() != parent and path.name == sorted((tmp_path / "trials").iterdir())[-1].name:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_read(path)
+
+        monkeypatch.setattr(datasets, "read_canonical_trial", read_or_die)
+        monkeypatch.setattr(datasets, "_usable_cpus", lambda: 2)
+        n = len(synth_trials)
+        assert n >= datasets.MIN_FORK_ITEMS and n % 2 == 0  # the last trial is the child's
+        with pytest.raises(RuntimeError, match="ended without its results"):
+            read_canonical(tmp_path)
+
+    def test_ingest_prints_its_summary_once_to_a_pipe(self, tmp_path):
+        """A forked child leaves without flushing the stdout buffer it inherited, which holds the summary."""
+        raw = tmp_path / "raw"
+        write_pool_corpus(raw)
+        manifest_path = tmp_path / "manifest.json"
+        save_manifest(pool_manifest(raw), manifest_path)
+        script = (
+            "import sys; from wristfall import cli, datasets; "
+            "datasets._usable_cpus = lambda: 3; datasets.MIN_FORK_ITEMS = 2; sys.exit(cli.main(sys.argv[1:]))"
+        )
+        src = str(Path(datasets.__file__).parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # stdout on a pipe is block-buffered
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        argv = [sys.executable, "-c", script, "ingest", "--manifest", str(manifest_path), "--out", str(tmp_path / "c")]
+        done = subprocess.run(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, timeout=120)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout == b"34 trials (17 ADL / 17 fall), 6 subjects; skipped 5 files\n"
