@@ -21,7 +21,6 @@ from .evaluation import (
     DetectorSpec,
     EvalReport,
     SubjectSplit,
-    classify,
     classify_many,
     compute_metrics,
     fit_detector,
@@ -30,7 +29,7 @@ from .evaluation import (
     run_experiment,
     split_subjects,
 )
-from .features import FEATURE_NAMES, extract, extract_many, stats11
+from .features import FEATURE_NAMES, extract_many, stats11
 from .ml import ClassifierModel, Standardizer, load_model, predict, save_model, train
 from .signals import DerivedSignalSet, avd, derive_all, fall_index, smv
 from .synthetic import synthesize
@@ -55,12 +54,10 @@ __all__ = [
     "TrialRecording",
     "avd",
     "calibrate",
-    "classify",
     "classify_many",
     "compute_metrics",
     "derive_all",
     "detect",
-    "extract",
     "extract_many",
     "fall_index",
     "fit_detector",

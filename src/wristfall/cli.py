@@ -35,7 +35,8 @@ from .evaluation import (
     AccessLog,
     DetectorSpec,
     EvalReport,
-    classify,
+    _fmt_pct,
+    classify_many,
     fit_on_dev,
     predictions_csv,
     report_json,
@@ -160,8 +161,7 @@ def cmd_evaluate(args) -> int:
         predictions_csv(result.predictions, out / "predictions.csv")
 
     r = result.report
-    se = "-" if r.sensitivity is None else f"{r.sensitivity:.1f}%"
-    sp = "-" if r.specificity is None else f"{r.specificity:.1f}%"
+    se, sp = _fmt_pct(r.sensitivity), _fmt_pct(r.specificity)
     print(f"{r.detector} on {r.dataset}: accuracy={r.accuracy:.1f}% SE={se} SP={sp}")
     return EXIT_OK
 
@@ -171,7 +171,7 @@ def _emit_stream_window(samples: np.ndarray, index: int, detector) -> bool:
     if len(samples) < 2:
         return False
     window = window_from_arrays("stream", samples[:, 0], samples[:, 1:4], samples[:, 4:7], index)
-    label, score = classify(detector, window)
+    [(label, score)] = classify_many(detector, [window])
     print(f"{window.end_t!r},{label.value},{score:.6f}")
     return True
 

@@ -385,20 +385,30 @@ def _trial_id(subject: str, code: str, trial: str) -> str:
 
 
 def ingest(manifest: DatasetManifest) -> tuple[list[TrialRecording], IngestReport]:
-    """Parse every raw trial under the manifest root.
+    """Parse every raw trial under the manifest root, one file per call on every CPU (`_map_files`).
 
     Trials failing validation are skipped and reported with their path and
-    reason, never silently dropped. A file whose trial id an earlier file
-    already gave is skipped as a duplicate, unless every earlier one was itself
-    skipped.
+    reason, never silently dropped. A file whose trial id an earlier kept file
+    already gave is skipped as a duplicate.
     """
     root = manifest.root
     if not root.is_dir():
         raise ManifestRootMissing(f"manifest root {root} is not a readable directory")
+    pattern = re.compile(manifest.layout.path_regex)
 
-    def load(candidate) -> TrialRecording | str:
-        """The validated recording of one raw file, or the reason it is skipped."""
-        path, tid, subject, code, label = candidate
+    def load(path: Path) -> tuple[str, str | None, TrialRecording | str]:
+        """(rel, trial id, the validated recording or the reason the file is skipped); no id if the path is skipped."""
+        rel = path.relative_to(root).as_posix()
+        match = pattern.search(rel)
+        if not match:
+            return rel, None, "path does not match the layout's path_regex"
+        groups = match.groupdict()
+        subject = groups.get("subject", "")
+        code = groups.get("code", "")
+        label = manifest.label_for(code)
+        if label is None:
+            return rel, None, f"activity code {code!r} not in task table"
+        tid = _trial_id(subject, code, groups.get("trial", ""))
         try:
             t, acc, gyr = parse_trial_file(path, manifest.layout, manifest.nominal_rate_hz)
             rec = TrialRecording(
@@ -413,61 +423,25 @@ def ingest(manifest: DatasetManifest) -> tuple[list[TrialRecording], IngestRepor
                 source=manifest.source,
             )
             rec.validate()
-        except (DataError, InvalidRecording) as exc:
-            return str(exc)
-        return rec
-
-    pattern = re.compile(manifest.layout.path_regex)
-    files: list[tuple[str, str | tuple]] = []  # (rel, skip reason or load candidate), in path order
-    for path in sorted(root.glob(manifest.layout.file_glob)):
-        rel = path.relative_to(root).as_posix()
-        match = pattern.search(rel)
-        if not match:
-            files.append((rel, "path does not match the layout's path_regex"))
-            continue
-        groups = match.groupdict()
-        subject = groups.get("subject", "")
-        code = groups.get("code", "")
-        trial_no = groups.get("trial", "")
-        label = manifest.label_for(code)
-        if label is None:
-            files.append((rel, f"activity code {code!r} not in task table"))
-            continue
-        files.append((rel, (path, _trial_id(subject, code, trial_no), subject, code, label)))
-
-    # the first file of each trial id is loaded on every CPU; a later one only if all before it are skipped
-    firsts: dict[str, tuple] = {}
-    for _, candidate in files:
-        if not isinstance(candidate, str):
-            firsts.setdefault(candidate[1], candidate)
-    loaded = dict(zip(firsts.values(), _map_files(load, list(firsts.values()))))
+        except (DataError, InvalidRecording, UnicodeDecodeError) as exc:
+            return rel, tid, str(exc)
+        return rel, tid, rec
 
     report = IngestReport()
     trials: list[TrialRecording] = []
-    subjects: set[str] = set()
-    seen_ids: set[str] = set()
-    for rel, candidate in files:
-        if isinstance(candidate, str):
-            report.skipped.append((rel, candidate))
-            continue
-        tid = candidate[1]
-        if tid in seen_ids:
-            report.skipped.append((rel, f"duplicate trial id {tid}"))
-            continue
-        rec = loaded[candidate] if candidate in loaded else load(candidate)
+    kept_ids: set[str] = set()
+    for rel, tid, rec in _map_files(load, sorted(root.glob(manifest.layout.file_glob))):
+        if tid in kept_ids:
+            rec = f"duplicate trial id {tid}"
         if isinstance(rec, str):
             report.skipped.append((rel, rec))
             continue
-        seen_ids.add(tid)
+        kept_ids.add(tid)
         trials.append(rec)
-        subjects.add(rec.subject_id)
-        if rec.label is Label.FALL:
-            report.n_fall += 1
-        else:
-            report.n_adl += 1
-
     report.n_trials = len(trials)
-    report.subjects = tuple(sorted(subjects))
+    report.n_fall = sum(rec.label is Label.FALL for rec in trials)
+    report.n_adl = report.n_trials - report.n_fall
+    report.subjects = tuple(sorted({rec.subject_id for rec in trials}))
     return trials, report
 
 

@@ -267,11 +267,6 @@ def classify_many(
     return [predict(detector, row) for row in extract_many(windows)]
 
 
-def classify(detector: ThresholdConfig | ClassifierModel, window: SignalWindow) -> tuple[Label, float]:
-    """Verdict and score for one window: the one-window case of classify_many."""
-    return classify_many(detector, [window])[0]
-
-
 def _stage(name: str, fn, *args):
     """fn(*args), with a toolkit error labelled by the pipeline stage it occurred in; any other error passes."""
     try:

@@ -139,8 +139,3 @@ def extract_many(windows: Sequence[SignalWindow]) -> np.ndarray:
                     stack[j, 7] = smv(w, "gyr")
             X[chunk] = _stats(stack).reshape(len(chunk), N_FEATURES)
     return X
-
-
-def extract(window: SignalWindow) -> np.ndarray:
-    """The window's 88 features in FEATURE_NAMES order: stats11 of its 8 canonical signals."""
-    return extract_many([window])[0]

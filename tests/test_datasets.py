@@ -574,6 +574,24 @@ class TestMapFiles:
         }
         assert "sub+06" in {t[1] for t in trials}
 
+    def test_ingest_skips_a_file_that_is_not_utf8(self, tmp_path, monkeypatch):
+        raw = tmp_path / "raw"
+        write_pool_corpus(raw)
+        write_columns_trial(raw, "sub08", "A01", 1, np.zeros((60, 3)), np.zeros((60, 3)))
+        for path in (raw / "sub08/A01/trial_1/wrist.txt", raw / "sub+05/A01/trial_1/wrist.txt"):
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\n\xff", 1))
+
+        def run(tag):
+            trials, report = ingest(pool_manifest(raw))
+            return report, list(map(recording_key, trials))
+
+        serial, forked = serial_and_forked(monkeypatch, run)
+        assert serial == forked
+        skipped = dict(forked[0].skipped)
+        assert skipped["sub08/A01/trial_1/wrist.txt"].startswith("'utf-8' codec can't decode byte 0xff in position")
+        assert skipped["sub+05/A01/trial_1/wrist.txt"] == "duplicate trial id sub-05_A01_1"
+        assert forked[0].n_trials == 34 and len(skipped) == 6
+
     def test_write_canonical_serial_and_forked_agree(self, tmp_path, monkeypatch, synth_trials):
         def run(tag):
             write_canonical(synth_trials, tmp_path / tag)

@@ -12,7 +12,6 @@ from wristfall.evaluation import (
     AccessLog,
     DetectorSpec,
     EvalReport,
-    classify,
     classify_many,
     compute_metrics,
     fit_detector,
@@ -241,7 +240,7 @@ class TestClassify:
         window = windows_of(corpus[:48], {t.subject_id for t in corpus}, 60.0)[index]
         config = ThresholdConfig(thresholds)
         derived = derive_all(window)
-        assert classify(config, window) == (detect(window, derived, config)[0], fall_score(derived, config))
+        assert classify_many(config, [window])[0] == (detect(window, derived, config)[0], fall_score(derived, config))
 
     @pytest.mark.parametrize(
         "spec",
@@ -259,5 +258,5 @@ class TestClassify:
         windows = windows_of(corpus, split.eval_subjects, 5.0)  # many windows, of several lengths
         assert len({w.n_samples for w in windows}) > 1
         many = classify_many(detector, windows)
-        assert many == [classify(detector, w) for w in windows]
+        assert many == [classify_many(detector, [w])[0] for w in windows]
         assert classify_many(detector, []) == []

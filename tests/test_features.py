@@ -18,7 +18,6 @@ from wristfall.features import (
     GYR_FEATURES,
     POWER_FLOOR,
     STAT_NAMES,
-    extract,
     extract_many,
     power_bins,
     stats11,
@@ -146,7 +145,7 @@ class TestSpectralEntropy:
 class TestExtract:
     def test_all_zero_window(self):
         w = make_window(np.zeros((30, 3)))
-        f = extract(w)
+        f = extract_many([w])[0]
         assert f.shape == (88,)
         assert np.all(f == 0.0)
 
@@ -156,8 +155,8 @@ class TestExtract:
         gyr = rng.normal(0, 40, (60, 3))
         w1 = make_window(acc, gyr=gyr)
         w2 = make_window(2.0 * acc, gyr=gyr)
-        f1 = extract(w1)
-        f2 = extract(w2)
+        f1 = extract_many([w1])[0]
+        f2 = extract_many([w2])[0]
         linear = ("mean", "median", "delta", "std", "max", "min", "p25", "p75")
         for sig_idx in range(4):  # accelerometer signals
             for name in linear:
@@ -171,15 +170,15 @@ class TestExtract:
         gyr = rng.normal(0, 40, (50, 3))
         w1 = make_window(acc, gyr=gyr)
         w2 = make_window(acc, gyr=gyr + rng.normal(0, 10, (50, 3)))
-        f1 = extract(w1)
-        f2 = extract(w2)
+        f1 = extract_many([w1])[0]
+        f2 = extract_many([w2])[0]
         assert np.array_equal(f1[ACC_FEATURES], f2[ACC_FEATURES])
 
     def test_matches_independent_reimplementation(self, synth_trials):
         for rec in synth_trials[:3]:
             w = segment(rec)[0]
             d = derive_all(w)
-            got = extract(w)
+            got = extract_many([w])[0]
             signals = [
                 w.acc[:, 0], w.acc[:, 1], w.acc[:, 2], d.smv_acc,
                 w.gyr[:, 0], w.gyr[:, 1], w.gyr[:, 2], d.smv_gyr,
@@ -190,7 +189,7 @@ class TestExtract:
     def test_within_signal_order_invariants(self, synth_trials):
         for rec in synth_trials[:10]:
             w = segment(rec)[0]
-            v = extract(w)
+            v = extract_many([w])[0]
             for sig_idx in range(8):
                 s = v[sig_idx * 11 : (sig_idx + 1) * 11]
                 assert s[I["min"]] <= s[I["p25"]] <= s[I["median"]] <= s[I["p75"]] <= s[I["max"]]
@@ -278,7 +277,7 @@ class TestExtractMany:
         assert got.tobytes() == old.tobytes()
         assert got.tobytes() == new.tobytes()
         for w, row in zip(windows, got):
-            assert extract(w).tobytes() == row.tobytes()
+            assert extract_many([w])[0].tobytes() == row.tobytes()
 
     def test_no_windows(self):
         assert extract_many([]).shape == (0, 88)
@@ -301,7 +300,7 @@ class TestExtractMany:
     def test_overflow_gives_non_finite_features_without_warnings(self, recwarn):
         acc = np.zeros((10, 3))
         acc[:, 0] = 1e154 * (-1.0) ** np.arange(10)  # finite, and so is its SMV, but its variance overflows
-        f = extract(make_window(acc))
+        f = extract_many([make_window(acc)])[0]
         assert not np.all(np.isfinite(f))
         x = np.full(5, 1e308)  # its mean overflows, so its power is nan
         got = stats11(x, 25.0)

@@ -1,7 +1,7 @@
 import pytest
 
 import wristfall
-from wristfall import cli, errors, features, ml
+from wristfall import cli, errors, evaluation, features, ml
 
 
 def test_every_exported_name_resolves():
@@ -19,6 +19,8 @@ def test_every_exported_name_resolves():
         (errors, "ModelNotFitted"),
         (cli, "_fit_on_dev"),
         (cli, "_read_corpus"),
+        (features, "extract"),
+        (evaluation, "classify"),
     ],
 )
 def test_removed_name_is_gone(module, name):
