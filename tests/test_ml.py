@@ -7,6 +7,8 @@ from wristfall.core import Label
 from wristfall.errors import DataError, IncompleteFeatureVector, SingleClassTrainingSet
 from wristfall.features import FEATURE_VIEWS, N_FEATURES
 from wristfall.ml import (
+    MAX_EPOCHS,
+    MAX_TREES,
     KNNClassifier,
     LinearSVM,
     RandomForestClassifier,
@@ -229,6 +231,22 @@ class TestTrainErrors:
             train("knn", "acc45", X, labels, seed=0)
         with pytest.raises(DataError):
             train("knn", "combined88", X, labels, seed=0, trees=5)
+
+    @pytest.mark.parametrize("kind,name,bound", [("svm", "epochs", MAX_EPOCHS), ("rf", "n_trees", MAX_TREES)])
+    def test_work_is_bounded(self, kind, name, bound, tmp_path):
+        """A classifier may have `bound` epochs or trees but no more, whether `train` fits it or a file holds it."""
+        assert {"svm": LinearSVM, "rf": RandomForestClassifier}[kind](**{name: bound})
+        rng = np.random.default_rng(46)
+        X, labels = toy_features(rng, n=10)
+        with pytest.raises(DataError, match=f"{name} must be an integer in \\[1, {bound}\\]"):
+            train(kind, "combined88", X, labels, seed=0, **{name: bound + 1})
+        path = tmp_path / "model.json"
+        save_model(train(kind, "combined88", X, labels, seed=0, **{name: 1}), path)
+        doc = json.loads(path.read_text())
+        doc["params"][name] = bound + 1
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=name):
+            load_model(path)
 
 
 class TestSerialization:
