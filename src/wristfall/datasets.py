@@ -396,7 +396,7 @@ def ingest(manifest: DatasetManifest) -> tuple[list[TrialRecording], IngestRepor
         raise ManifestRootMissing(f"manifest root {root} is not a readable directory")
     pattern = re.compile(manifest.layout.path_regex)
 
-    def load(path: Path) -> tuple[str, str | None, TrialRecording | str]:
+    def load(path: Path) -> tuple[str, str | None, TrialRecording | str | OSError]:
         """(rel, trial id, the validated recording or the reason the file is skipped); no id if the path is skipped."""
         rel = path.relative_to(root).as_posix()
         match = pattern.search(rel)
@@ -425,6 +425,8 @@ def ingest(manifest: DatasetManifest) -> tuple[list[TrialRecording], IngestRepor
             rec.validate()
         except (DataError, InvalidRecording, UnicodeDecodeError) as exc:
             return rel, tid, str(exc)
+        except OSError as exc:  # raised by the walk below unless the file is a duplicate, whose content is ignored
+            return rel, tid, exc
         return rel, tid, rec
 
     report = IngestReport()
@@ -433,6 +435,8 @@ def ingest(manifest: DatasetManifest) -> tuple[list[TrialRecording], IngestRepor
     for rel, tid, rec in _map_files(load, sorted(root.glob(manifest.layout.file_glob))):
         if tid in kept_ids:
             rec = f"duplicate trial id {tid}"
+        elif isinstance(rec, OSError):
+            raise rec
         if isinstance(rec, str):
             report.skipped.append((rel, rec))
             continue

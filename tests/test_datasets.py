@@ -592,6 +592,18 @@ class TestMapFiles:
         assert skipped["sub+05/A01/trial_1/wrist.txt"] == "duplicate trial id sub-05_A01_1"
         assert forked[0].n_trials == 34 and len(skipped) == 6
 
+    def test_an_unreadable_file_stops_ingest_unless_it_is_a_duplicate(self, tmp_path, monkeypatch):
+        raw = tmp_path / "raw"
+        write_pool_corpus(raw)
+        duplicate = raw / "sub+05/A01/trial_1/wrist.txt"
+        duplicate.unlink()
+        duplicate.mkdir()  # matches file_glob, but reading it raises IsADirectoryError
+        serial, forked = serial_and_forked(monkeypatch, lambda _: ingest(pool_manifest(raw))[1].skipped)
+        assert serial == forked and ("sub+05/A01/trial_1/wrist.txt", "duplicate trial id sub-05_A01_1") in forked
+        (raw / "sub08/A01/trial_1/wrist.txt").mkdir(parents=True)
+        serial, forked = serial_and_forked(monkeypatch, lambda _: error_text(ingest, pool_manifest(raw)))
+        assert serial == forked and forked[0] is IsADirectoryError and "sub08/A01/trial_1/wrist.txt" in forked[1]
+
     def test_write_canonical_serial_and_forked_agree(self, tmp_path, monkeypatch, synth_trials):
         def run(tag):
             write_canonical(synth_trials, tmp_path / tag)
