@@ -29,8 +29,9 @@ from .datasets import (
     read_canonical,
     read_canonical_trial,
     write_canonical,
+    write_repr_csv,
 )
-from .errors import DataError, WristfallError
+from .errors import DataError, WristfallError, reading
 from .evaluation import (
     AccessLog,
     DetectorSpec,
@@ -127,7 +128,14 @@ def cmd_synthesize(args) -> int:
     return EXIT_OK
 
 
+def _check_out_file(value: str) -> None:
+    """DataError naming `value` unless a file can be made there: its parent is a directory and it is not one."""
+    if Path(value).is_dir() or not Path(value).parent.is_dir():
+        raise DataError(f"--out {value} must be a file path in an existing directory")
+
+
 def cmd_calibrate(args) -> int:
+    _check_out_file(args.out)  # before the corpus is read and fitted
     spec = DetectorSpec(kind="threshold", signals=_parse_signals(args.signals))
     # fit_on_dev empties the list read_canonical returns, which frees the evaluation recordings before fitting
     config, split, _ = fit_on_dev(read_canonical(args.corpus), spec, args.seed, args.window_seconds, AccessLog())
@@ -137,6 +145,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _check_out_file(args.out)
     spec = DetectorSpec(kind=args.kind, feature_view=args.view, params=_parse_params(args.params))
     model, split, n_windows = fit_on_dev(read_canonical(args.corpus), spec, args.seed, args.window_seconds, AccessLog())
     save_model(model, args.out)
@@ -236,12 +245,13 @@ def cmd_detect_stream(args) -> int:
 
 def _read_report(path: Path) -> EvalReport:
     """The report in a `report.json`; a file that is not one raises DataError naming it."""
-    try:
+    with reading(path):
         return EvalReport.from_dict(json.loads(path.read_text(encoding="utf-8")))
-    except KeyError as exc:
-        raise DataError(f"{path}: report lacks {exc}") from None
-    except (TypeError, ValueError) as exc:  # not UTF-8, not JSON, or a value of the wrong type
-        raise DataError(f"{path}: not a report: {exc}") from None
+
+
+def _pct_cells(report: EvalReport) -> list[str]:
+    """The report's accuracy, sensitivity and specificity as CSV cells: repr floats, empty where undefined."""
+    return ["" if v is None else repr(v) for v in (report.accuracy, report.sensitivity, report.specificity)]
 
 
 def cmd_export_plots(args) -> int:
@@ -252,23 +262,14 @@ def cmd_export_plots(args) -> int:
 
     if args.trial:
         t, acc, gyr = read_canonical_trial(args.trial)
-        window = window_from_arrays(Path(args.trial).stem, t, acc, gyr)
-        derived = derive_all(window)
-        lines = ["t,smv_acc,smv_gyr,fi,avd"]
-        for i in range(window.n_samples):
-            lines.append(
-                f"{t[i]!r},{derived.smv_acc[i]!r},{derived.smv_gyr[i]!r},{derived.fi[i]!r},{derived.avd[i]!r}"
-            )
-        out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        if len(t) < 2:  # window_from_arrays takes the median gap between samples
+            raise DataError(f"{args.trial}: a trial needs at least 2 samples, got {len(t)}")
+        derived = derive_all(window_from_arrays(Path(args.trial).stem, t, acc, gyr))
+        series = np.column_stack((t, derived.smv_acc, derived.smv_gyr, derived.fi, derived.avd))
+        write_repr_csv(out, "t,smv_acc,smv_gyr,fi,avd", series)
     elif args.report:
-        report = _read_report(Path(args.report))
-        lines = ["metric,value_pct"]
-        for name, value in (
-            ("accuracy", report.accuracy),
-            ("sensitivity", report.sensitivity),
-            ("specificity", report.specificity),
-        ):
-            lines.append(f"{name},{'' if value is None else repr(value)}")
+        cells = _pct_cells(_read_report(Path(args.report)))
+        lines = ["metric,value_pct", *map(",".join, zip(("accuracy", "sensitivity", "specificity"), cells))]
         out.write_text("\n".join(lines) + "\n", encoding="utf-8")
     else:
         report_paths = sorted(Path(args.reports).glob("**/report.json"))
@@ -277,10 +278,7 @@ def cmd_export_plots(args) -> int:
         lines = ["detector,dataset,accuracy_pct,sensitivity_pct,specificity_pct"]
         for path in report_paths:
             r = _read_report(path)
-            cells = [r.detector, r.dataset] + [
-                "" if v is None else repr(v) for v in (r.accuracy, r.sensitivity, r.specificity)
-            ]
-            lines.append(",".join(cells))
+            lines.append(",".join([r.detector, r.dataset, *_pct_cells(r)]))
         out.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {out}")
     return EXIT_OK

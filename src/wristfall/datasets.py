@@ -33,7 +33,7 @@ import os
 import pickle
 import re
 import tempfile
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterable, NoReturn, Sequence
 
@@ -45,6 +45,7 @@ from .errors import (
     DataError,
     InvalidRecording,
     ManifestRootMissing,
+    reading,
 )
 
 ACC_UNIT_TO_G = {"g": 1.0, "m/s2": 1.0 / 9.80665, "mg": 1e-3}
@@ -254,24 +255,14 @@ class IngestReport:
 def load_manifest(path) -> DatasetManifest:
     """The manifest in `path`; a file that is not one, or a value of the wrong type, raises DataError naming it."""
     path = Path(path)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise DataError(f"{path}: not a JSON manifest: {exc}") from None
-    if not isinstance(doc, dict):
-        raise DataError(f"{path}: a manifest must be a JSON object")
-    unknown = set(doc) - {f.name for f in fields(DatasetManifest)}
-    if unknown:
-        raise DataError(f"{path}: unknown manifest keys {sorted(unknown)}")
-    for f in fields(DatasetManifest):
-        if f.default is MISSING and f.name not in doc:
-            raise DataError(f"{path}: manifest missing {f.name!r}")
-    try:
-        lay = {key: tuple(value) if isinstance(value, list) else value for key, value in dict(doc["layout"]).items()}
-        unknown = set(lay) - {f.name for f in fields(LayoutSpec)}
+    with reading(path), open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise DataError("a manifest must be a JSON object")
+        unknown = set(doc) - {f.name for f in fields(DatasetManifest)}
         if unknown:
-            raise DataError(f"unknown layout keys {sorted(unknown)}")
+            raise DataError(f"unknown manifest keys {sorted(unknown)}")
+        lay = {key: tuple(value) if isinstance(value, list) else value for key, value in dict(doc["layout"]).items()}
         doc.update(
             source=Source(doc["source"]),
             root=path.parent / doc["root"],  # an absolute root replaces the manifest's directory
@@ -279,10 +270,6 @@ def load_manifest(path) -> DatasetManifest:
             layout=LayoutSpec(**lay),
         )
         return DatasetManifest(**doc)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # a value of the wrong type
-        raise DataError(f"{path}: malformed manifest: {exc!r}") from None
 
 
 def save_manifest(manifest: DatasetManifest, path) -> None:
@@ -449,10 +436,18 @@ def ingest(manifest: DatasetManifest) -> tuple[list[TrialRecording], IngestRepor
     return trials, report
 
 
+def write_repr_csv(path, header: str, columns: np.ndarray) -> None:
+    """Write `header`, then one line per row of the 2-D array `columns`: each value as repr of a Python float.
+
+    The values so read back bit for bit; `tolist` gives Python floats, as numpy >= 2 writes `np.float64(...)`.
+    """
+    rows = [header] + [",".join(map(repr, row)) for row in columns.tolist()]
+    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
+
+
 def _write_trial(out_dir: Path, rec: TrialRecording) -> None:
-    rows = [CANONICAL_HEADER]
-    rows += [",".join(map(repr, row)) for row in np.column_stack((rec.t, rec.acc, rec.gyr)).tolist()]
-    (out_dir / TRIALS_DIR / f"{rec.trial_id}.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    columns = np.column_stack((rec.t, rec.acc, rec.gyr))
+    write_repr_csv(out_dir / TRIALS_DIR / f"{rec.trial_id}.csv", CANONICAL_HEADER, columns)
 
 
 def write_canonical(trials: Sequence[TrialRecording], out_dir) -> Path:

@@ -1,5 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and `reading`, which turns a fault in a file's content into one."""
 
+import contextlib
 import copyreg
 
 
@@ -76,3 +77,18 @@ class ExperimentStageError(WristfallError):
         super().__init__(f"[{stage}] {cause}")
         self.stage = stage
         self.cause = cause
+
+
+@contextlib.contextmanager
+def reading(path):
+    """Re-raise a fault in the content of the file at `path` as one DataError whose message starts with the path.
+
+    A fault is a DataError raised while decoding, a missing key, or a value that does not decode or has the wrong
+    type or size (UnicodeDecodeError and json's errors are ValueErrors). An OSError passes: it names the path.
+    """
+    try:
+        yield
+    except KeyError as exc:
+        raise DataError(f"{path}: missing key {exc}") from None
+    except (DataError, AttributeError, TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"{path}: {exc}") from None

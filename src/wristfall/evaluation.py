@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import DEFAULT_WINDOW_SECONDS, Label, SignalWindow, TrialRecording, segment
+from .core import DEFAULT_WINDOW_SECONDS, Label, SignalWindow, TrialRecording, is_int, segment
 from .errors import DataError, ExperimentStageError, NonFiniteSignal, TooFewSubjects, WristfallError
 from .features import extract_many
 from .ml import ClassifierModel, predict, train
@@ -80,19 +80,38 @@ def split_subjects(subjects: Iterable[str], seed: int) -> SubjectSplit:
 
 @dataclass(frozen=True)
 class EvalReport:
+    """The confusion counts of one detector on one dataset, and the percentages they give (None for a 0/0 ratio)."""
+
     detector: str
     dataset: str
     tp: int
     fn: int
     tn: int
     fp: int
-    accuracy: float | None
-    sensitivity: float | None
-    specificity: float | None
+
+    def __post_init__(self):
+        if not (isinstance(self.detector, str) and isinstance(self.dataset, str)):
+            raise DataError(f"detector and dataset must be strings, got {self.detector!r} and {self.dataset!r}")
+        counts = (self.tp, self.fn, self.tn, self.fp)
+        # a total past 2**53 would not convert to a float exactly, or at all past the float range
+        if not (all(is_int(c) and c >= 0 for c in counts) and 0 < sum(counts) <= 2**53):
+            raise DataError(f"confusion counts must be integers >= 0 with a sum from 1 to 2**53, got {counts}")
 
     @property
     def total(self) -> int:
         return self.tp + self.fn + self.tn + self.fp
+
+    @property
+    def accuracy(self) -> float:
+        return 100.0 * (self.tp + self.tn) / self.total
+
+    @property
+    def sensitivity(self) -> float | None:
+        return 100.0 * self.tp / (self.tp + self.fn) if (self.tp + self.fn) else None
+
+    @property
+    def specificity(self) -> float | None:
+        return 100.0 * self.tn / (self.tn + self.fp) if (self.tn + self.fp) else None
 
     def to_dict(self) -> dict:
         return {
@@ -106,18 +125,9 @@ class EvalReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalReport":
+        """The report of `to_dict`'s form; its stored percentages are ignored, as the counts give them."""
         c = d["confusion"]
-        return cls(
-            detector=d["detector"],
-            dataset=d["dataset"],
-            tp=int(c["tp"]),
-            fn=int(c["fn"]),
-            tn=int(c["tn"]),
-            fp=int(c["fp"]),
-            accuracy=d["accuracy_pct"],
-            sensitivity=d["sensitivity_pct"],
-            specificity=d["specificity_pct"],
-        )
+        return cls(d["detector"], d["dataset"], c["tp"], c["fn"], c["tn"], c["fp"])
 
 
 def compute_metrics(
@@ -125,10 +135,7 @@ def compute_metrics(
     detector: str = "",
     dataset: str = "",
 ) -> EvalReport:
-    """Confusion counts and percentage metrics from (predicted, actual) pairs.
-
-    Ratios with a zero denominator are reported as None, never as 0 or 100.
-    """
+    """The confusion counts of (predicted, actual) pairs, as a report that derives the percentage metrics."""
     if not predictions:
         raise ValueError("no predictions to score")
     tp = fn = tn = fp = 0
@@ -143,11 +150,7 @@ def compute_metrics(
                 fp += 1
             else:
                 tn += 1
-    total = tp + fn + tn + fp
-    accuracy = 100.0 * (tp + tn) / total
-    sensitivity = 100.0 * tp / (tp + fn) if (tp + fn) else None
-    specificity = 100.0 * tn / (tn + fp) if (tn + fp) else None
-    return EvalReport(detector, dataset, tp, fn, tn, fp, accuracy, sensitivity, specificity)
+    return EvalReport(detector, dataset, tp, fn, tn, fp)
 
 
 def _fmt_pct(value: float | None) -> str:

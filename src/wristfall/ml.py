@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import Label, is_int, is_real
-from .errors import DataError, IncompleteFeatureVector, NonFiniteSignal, SingleClassTrainingSet
+from .errors import DataError, IncompleteFeatureVector, NonFiniteSignal, SingleClassTrainingSet, reading
 from .features import FEATURE_VIEWS, N_FEATURES
 
 MODEL_KINDS = ("knn", "rf", "svm")
@@ -279,6 +279,8 @@ class ClassifierModel:
     seed: int = 0
 
     def __post_init__(self):
+        if not (is_int(self.seed) and self.seed >= 0):
+            raise DataError(f"seed must be an integer >= 0, got {self.seed!r}")
         width = len(range(N_FEATURES)[FEATURE_VIEWS[self.feature_view]])
         self.standardizer.mean = _finite_array("standardizer mean", self.standardizer.mean, width)
         self.standardizer.std = _finite_array("standardizer std", self.standardizer.std, width)
@@ -367,16 +369,12 @@ def save_model(model: ClassifierModel, path) -> None:
 
 def load_model(path) -> ClassifierModel:
     """The model `save_model` wrote to `path`; a file that is not one or does not fit raises DataError naming it."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise DataError(f"{path}: not a {MODEL_FORMAT} file: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
-        raise DataError(f"{path}: not a {MODEL_FORMAT} file")
-    if doc.get("version") != MODEL_VERSION:
-        raise DataError(f"{path}: unsupported model version {doc.get('version')}")
-    try:
+    with reading(path), open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+        if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
+            raise DataError(f"not a {MODEL_FORMAT} file")
+        if doc.get("version") != MODEL_VERSION:
+            raise DataError(f"unsupported model version {doc.get('version')}")
         kind, feature_view, state = doc["kind"], doc["feature_view"], doc["state"]
         classifier = _classifier_class(kind, feature_view)(**doc["params"])
         for f in fields(classifier):
@@ -385,10 +383,4 @@ def load_model(path) -> ClassifierModel:
             elif f.name in state and state[f.name] != getattr(classifier, f.name):
                 raise DataError(f"state {f.name} = {state[f.name]!r} differs from params")
         standardizer = Standardizer(**doc["standardizer"])
-        return ClassifierModel(kind, feature_view, standardizer, classifier, seed=int(doc.get("seed", 0)))
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
-    except KeyError as exc:
-        raise DataError(f"{path}: model file lacks {exc}") from None
-    except (TypeError, ValueError) as exc:  # a value of the wrong type or shape
-        raise DataError(f"{path}: malformed model file: {exc}") from None
+        return ClassifierModel(kind, feature_view, standardizer, classifier, seed=doc.get("seed", 0))

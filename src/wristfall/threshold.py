@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .core import Label, SignalWindow, is_real
-from .errors import DataError, NoSignalsEnabled, SingleClassDevSet
+from .errors import DataError, NoSignalsEnabled, SingleClassDevSet, reading
 from .signals import DerivedSignalSet
 
 SIGNAL_UNITS = {"smv_acc": "g", "smv_gyr": "deg/s", "fi": "g", "avd": "g"}
@@ -149,24 +149,17 @@ def save_threshold_config(config: ThresholdConfig, path) -> None:
 
 def load_threshold_config(path) -> ThresholdConfig:
     """The config `save_threshold_config` wrote to `path`; a bad file raises DataError naming it."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
     thresholds: dict[str, float] = {}
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise DataError(f"{path}:{line_no}: expected 'signal = value'")
-        name, value = (part.strip() for part in line.split("=", 1))
-        try:
-            thresholds[name] = float(value)
-        except ValueError:
-            raise DataError(f"{path}:{line_no}: bad threshold value {value!r}") from None
-    try:
+    with reading(path), open(path, "r", encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh.read().split("\n"), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise DataError(f"line {line_no}: expected 'signal = value'")
+            name, value = (part.strip() for part in line.split("=", 1))
+            try:
+                thresholds[name] = float(value)
+            except ValueError:
+                raise DataError(f"line {line_no}: bad threshold value {value!r}") from None
         return ThresholdConfig(thresholds=thresholds)
-    except DataError as exc:
-        raise type(exc)(f"{path}: {exc}") from None

@@ -8,10 +8,12 @@ import pytest
 
 from test_datasets import columns_manifest, write_columns_trial
 from wristfall.cli import main
+from wristfall.core import window_from_arrays
 from wristfall.datasets import CANONICAL_HEADER, read_canonical, read_canonical_trial, save_manifest
 from wristfall.errors import CanonicalFormatError
-from wristfall.evaluation import DetectorSpec, run_experiment, split_subjects
+from wristfall.evaluation import DetectorSpec, EvalReport, report_json, run_experiment, split_subjects
 from wristfall.ml import save_model
+from wristfall.signals import derive_all
 from wristfall.synthetic import synthesize
 from wristfall.threshold import load_threshold_config, save_threshold_config
 
@@ -125,6 +127,18 @@ class TestCalibrateAndTrain:
         spec = DetectorSpec("threshold", signals=("smv_acc", "smv_gyr", "avd"))
         save_threshold_config(run_experiment(read_canonical(corpus_dir), spec, 6).detector, lib_path)
         assert cli_path.read_bytes() == lib_path.read_bytes()
+
+    @pytest.mark.parametrize("command", ["calibrate", "train"])
+    @pytest.mark.parametrize("out", ["missing/out.file", ""], ids=["parent-missing", "a-directory"])
+    def test_unwritable_out_is_found_before_the_corpus_is_read(self, command, out, tmp_path, monkeypatch, capsys):
+        def read_canonical(corpus_dir):
+            pytest.fail("the corpus was read before --out was checked")
+
+        monkeypatch.setattr("wristfall.cli.read_canonical", read_canonical)
+        out = str(tmp_path / out)
+        kind = ["--kind", "knn"] if command == "train" else []
+        assert main([command, "--corpus", str(tmp_path), *kind, "--out", out]) == 3
+        assert out in capsys.readouterr().err
 
 
 class TestEvaluateCommand:
@@ -502,6 +516,32 @@ class TestExportPlots:
         n_samples = len(trial_csv.read_text().strip().splitlines()) - 1
         assert len(lines) == n_samples + 1
 
+    def test_trial_series_reads_back_bit_for_bit(self, corpus_dir, tmp_path):
+        """Every field is a plain float, equal to the derived series bit for bit (numpy >= 2 reprs np.float64(...))."""
+        trial_csv = sorted(corpus_dir.glob("trials/*.csv"))[0]
+        out = tmp_path / "series.csv"
+        assert main(["export-plots", "--trial", str(trial_csv), "--out", str(out)]) == 0
+        t, acc, gyr = read_canonical_trial(trial_csv)
+        derived = derive_all(window_from_arrays(trial_csv.stem, t, acc, gyr))
+        expected = np.column_stack((t, derived.smv_acc, derived.smv_gyr, derived.fi, derived.avd))
+        written = np.array([[float(field) for field in line.split(",")] for line in out.read_text().splitlines()[1:]])
+        assert written.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n_rows", [0, 1])
+    def test_trial_under_2_rows_is_a_data_error(self, n_rows, corpus_dir, tmp_path, capsys):
+        """Found before window_from_arrays takes a median gap: exit 3 naming the file, and no numpy warning."""
+        trial_csv = sorted(corpus_dir.glob("trials/*.csv"))[0]
+        short = tmp_path / "short.csv"
+        short.write_text("".join(trial_csv.read_text().splitlines(keepends=True)[: 1 + n_rows]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["export-plots", "--trial", str(short), "--out", str(tmp_path / "series.csv")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert str(short) in err
+        assert "internal error" not in err
+        assert [str(w.message) for w in caught] == []
+
     def test_report_metrics(self, corpus_dir, tmp_path):
         out_dir = tmp_path / "eval"
         main(["evaluate", "--corpus", str(corpus_dir), "--detector", "threshold", "--seed", "4", "--out", str(out_dir)])
@@ -537,6 +577,27 @@ class TestExportPlots:
             assert float(se) == doc["sensitivity_pct"]
             assert float(sp) == doc["specificity_pct"]
 
+    @pytest.mark.parametrize("accuracy_pct", [100.0 * 8 / 11, 12.5, "abc"], ids=["unchanged", "contradicts", "string"])
+    def test_report_percentages_come_from_its_counts(self, accuracy_pct, tmp_path):
+        """The stored accuracy_pct is not read: the counts give every percentage. The unchanged report is the base of
+        the report faults of TestLoaderFaults, so each of those is its one change."""
+        path = tmp_path / "report.json"
+        path.write_bytes(report_file(lambda doc: doc.update(accuracy_pct=accuracy_pct)))
+        out = tmp_path / "metrics.csv"
+        assert main(["export-plots", "--report", str(path), "--out", str(out)]) == 0
+        expected = ["metric,value_pct", f"accuracy,{100.0 * 8 / 11!r}", "sensitivity,75.0", f"specificity,{500 / 7!r}"]
+        assert out.read_text().splitlines() == expected
+
+    def test_reports_with_a_detector_that_is_not_a_string(self, tmp_path, capsys):
+        path = tmp_path / "reports" / "run0" / "report.json"
+        path.parent.mkdir(parents=True)
+        path.write_bytes(report_file(lambda doc: doc.update(detector=5)))
+        code = main(["export-plots", "--reports", str(tmp_path / "reports"), "--out", str(tmp_path / "table.csv")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "internal error" not in err
+        assert str(path) in err
+
     def test_exactly_one_mode(self, tmp_path):
         assert main(["export-plots", "--out", str(tmp_path / "x.csv")]) == 3
 
@@ -561,6 +622,13 @@ def model_file(kind, edit=lambda doc: None) -> bytes:
     }
     edit(doc)
     return json.dumps(doc).encode()
+
+
+def report_file(edit=lambda doc: None) -> bytes:
+    """A report.json as `evaluate` writes it, of 3 TP, 1 FN, 5 TN and 2 FP, changed by `edit(doc)`."""
+    doc = json.loads(report_json(EvalReport("svm(combined88)", "corpus", tp=3, fn=1, tn=5, fp=2)))
+    edit(doc)
+    return json.dumps(doc, sort_keys=True, indent=2).encode() + b"\n"
 
 
 def manifest_file(**changes) -> bytes:
@@ -615,6 +683,8 @@ class TestLoaderFaults:
             "knn-X-columns": model_file("knn", lambda d: d["state"].update(X=[[0.0] * 43, [1.0] * 43])),
             "knn-y-2": model_file("knn", lambda d: d["state"].update(y=[0, 2])),
             "knn-y-short": model_file("knn", lambda d: d["state"].update(y=[0])),
+            "seed-1e400": model_file("knn").replace(b'"seed": 0', b'"seed": 1e400'),
+            "seed-1.5": model_file("knn", lambda d: d.update(seed=1.5)),
         },
         "threshold_config": {
             "undecodable": b"smv_acc = 2.5  # \xff\n",
@@ -642,6 +712,11 @@ class TestLoaderFaults:
             "undecodable": b'{"detector": "svm\xff"}\n',
             "malformed": b"{\n",
             "bad_key": b'{"detector": "svm", "dataset": "d"}\n',
+            "tp-1e400": report_file().replace(b'"tp": 3', b'"tp": 1e400'),
+            "tp-negative": report_file(lambda d: d["confusion"].update(tp=-1)),
+            "tp-string": report_file(lambda d: d["confusion"].update(tp="3")),
+            "all-zero": report_file(lambda d: d["confusion"].update(tp=0, fn=0, tn=0, fp=0)),
+            "tp-int-beyond-float": report_file(lambda d: d["confusion"].update(tp=10**400)),
         },
     }
 
