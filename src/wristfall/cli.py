@@ -99,20 +99,16 @@ def _parse_params(value: str | None) -> dict:
 
 
 def cmd_ingest(args) -> int:
+    _check_out_dir(args.out)  # before the manifest and raw files are read
     manifest = load_manifest(_resolve_manifest(args.manifest))
     trials, report = ingest(manifest)
     print(report.summary())
-    if manifest.expected:
-        exp = manifest.expected
-        mismatches = []
-        if "participants" in exp and len(report.subjects) != exp["participants"]:
-            mismatches.append(f"participants {len(report.subjects)} != {exp['participants']}")
-        if "adl_trials" in exp and report.n_adl != exp["adl_trials"]:
-            mismatches.append(f"ADL trials {report.n_adl} != {exp['adl_trials']}")
-        if "fall_trials" in exp and report.n_fall != exp["fall_trials"]:
-            mismatches.append(f"fall trials {report.n_fall} != {exp['fall_trials']}")
-        if mismatches:
-            print("warning: corpus does not match manifest expectations: " + "; ".join(mismatches), file=sys.stderr)
+    exp = manifest.expected or {}
+    found = (("participants", "participants", len(report.subjects)), ("adl_trials", "ADL trials", report.n_adl),
+             ("fall_trials", "fall trials", report.n_fall))
+    mismatches = [f"{name} {n} != {exp[key]}" for key, name, n in found if key in exp and n != exp[key]]
+    if mismatches:
+        print("warning: corpus does not match manifest expectations: " + "; ".join(mismatches), file=sys.stderr)
     out = Path(args.out)
     write_canonical(trials, out)
     report_doc = {**asdict(report), "skipped": [{"path": p, "reason": r} for p, r in report.skipped]}
@@ -132,6 +128,12 @@ def _check_out_file(value: str) -> None:
     """DataError naming `value` unless a file can be made there: its parent is a directory and it is not one."""
     if Path(value).is_dir() or not Path(value).parent.is_dir():
         raise DataError(f"--out {value} must be a file path in an existing directory")
+
+
+def _check_out_dir(value: str) -> None:
+    """DataError naming `value` unless it is a directory or one can be made there; nothing is created."""
+    if not next(p for p in (Path(value), *Path(value).parents) if p.exists()).is_dir():
+        raise DataError(f"--out {value} must be a directory or a path where one can be made")
 
 
 def cmd_calibrate(args) -> int:
@@ -154,11 +156,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    trials = read_canonical(args.corpus)
     if args.detector == "threshold":
         spec = DetectorSpec(kind="threshold", signals=_parse_signals(args.signals), params=_parse_params(args.params))
     else:
         spec = DetectorSpec(kind=args.detector, feature_view=args.view, params=_parse_params(args.params))
+    _check_out_dir(args.out)  # the spec and --out are checked before the corpus is read
+    trials = read_canonical(args.corpus)
     dataset_name = args.dataset_name or Path(args.corpus).name
     result = run_experiment(trials, spec, args.seed, window_seconds=args.window_seconds, dataset_name=dataset_name)
 
@@ -288,6 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wristfall",
         description="Fall detection toolkit for wrist-worn IMU recordings.",
+        allow_abbrev=False,  # so that --config is spelled in full, and _apply_config_file finds every use of it
     )
     parser.add_argument("--config", help="JSON file of flag defaults (keys are flag names; unknown keys are fatal)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -361,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Load --config JSON defaults into the parser; unknown keys are usage errors."""
+    """Load `--config FILE` or `--config=FILE` JSON defaults into the parser; a key no flag takes is a usage error."""
+    argv = [part for arg in argv for part in (arg.split("=", 1) if arg.startswith("--config=") else [arg])]
     if "--config" not in argv:
         return argv
     at = argv.index("--config")
@@ -373,14 +378,17 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
         parser.error(f"cannot read config file: {exc}")
     if not isinstance(doc, dict):
         parser.error("config file must hold a JSON object")
-    known = set()
-    for action_parser in parser._subparsers._group_actions[0].choices.values():  # noqa: SLF001
-        known.update(a.dest for a in action_parser._actions)  # noqa: SLF001
-    unknown = set(doc) - known
-    if unknown:
+    commands = parser._subparsers._group_actions[0].choices.values()  # noqa: SLF001
+    actions = [a for p in commands for a in p._actions if a.dest in doc]  # noqa: SLF001
+    if unknown := set(doc) - {a.dest for a in actions}:
         parser.error(f"unknown config keys: {sorted(unknown)}")
-    for action_parser in parser._subparsers._group_actions[0].choices.values():  # noqa: SLF001
-        action_parser.set_defaults(**{k: v for k, v in doc.items() if k in {a.dest for a in action_parser._actions}})
+    for a in actions:  # a switch takes a boolean and a text flag a string; a number is checked with the flag's value
+        value, want = doc[a.dest], bool if a.nargs == 0 else str if a.type is None else object
+        if not isinstance(value, want) or a.choices is not None and value not in a.choices:
+            expected = f"one of {list(a.choices)}" if a.choices else f"a {want.__name__}"
+            parser.error(f"config key {a.dest!r} must be {expected}, got {value!r}")
+    for p in commands:
+        p.set_defaults(**{a.dest: doc[a.dest] for a in p._actions if a.dest in doc})  # noqa: SLF001
     return argv[:at] + argv[at + 2 :]
 
 

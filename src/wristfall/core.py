@@ -160,32 +160,25 @@ def window_from_arrays(ref: str, t: np.ndarray, acc: np.ndarray, gyr: np.ndarray
 def _window_bins(t: np.ndarray, t0: float, window_seconds: float) -> np.ndarray:
     """Per sample, the largest k >= 0 with t0 + k*window_seconds <= t[i], both sides in float64.
 
-    The boundaries t0 + k*window_seconds are rounded, so the quotient
-    (t - t0) / window_seconds can miss k by more than one where window_seconds
-    nears the float spacing of t. The estimate is therefore widened into a
-    bracket b(lo) <= t < b(hi) by doubling steps and then bisected. k is capped
-    at 2**52, so that k and k + 1 stay exact floats.
+    The boundaries b(k) = t0 + k*window_seconds are rounded, so the quotient (t - t0) / window_seconds can miss k
+    by more than one where window_seconds nears the float spacing of t. Rounding to nearest never reverses an order,
+    so b(k) never decreases as k grows, and bisecting the missed samples over [0, cap + 1] finds the largest k for
+    any t. k is capped at 2**52, so that k and k + 1 stay exact floats.
     """
     cap = 2.0**52
     # an overflowing quotient is clipped to cap, and an overflowing boundary is inf, above every t
     with np.errstate(over="ignore"):
-        lo = np.clip(np.floor((t - t0) / window_seconds), 0.0, cap)
-        hi = lo + 1.0
-        step = 1.0
-        while True:
-            down = t0 + lo * window_seconds > t  # never at lo == 0, as t >= t0
-            up = (hi <= cap) & (t0 + hi * window_seconds <= t)
-            if not (down.any() or up.any()):
-                break
-            hi[down], lo[down] = lo[down], np.maximum(lo[down] - step, 0.0)
-            lo[up], hi[up] = hi[up], np.minimum(hi[up] + step, cap + 1.0)
-            step *= 2.0
-        while (gap := hi - lo > 1.0).any():
-            mid = np.floor((lo + hi) / 2.0)
-            below = t0 + mid * window_seconds <= t
-            lo = np.where(gap & below, mid, lo)
-            hi = np.where(gap & ~below, mid, hi)
-    return lo
+        k = np.clip(np.floor((t - t0) / window_seconds), 0.0, cap)
+        miss = np.flatnonzero((t0 + k * window_seconds > t) | ((k < cap) & (t0 + (k + 1.0) * window_seconds <= t)))
+        if miss.size:
+            lo, hi, tm = np.zeros(miss.size), np.full(miss.size, cap + 1.0), t[miss]
+            while (gap := hi - lo > 1.0).any():  # b(lo) <= t < b(hi), with b(cap + 1) read as above every t
+                mid = np.floor((lo + hi) / 2.0)
+                below = t0 + mid * window_seconds <= tm
+                lo = np.where(gap & below, mid, lo)
+                hi = np.where(gap & ~below, mid, hi)
+            k[miss] = lo
+    return k
 
 
 def segment(

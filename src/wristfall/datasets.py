@@ -204,6 +204,9 @@ class LayoutSpec:
             raise DataError("layout delimiter must not be empty; null splits on any whitespace")
         if self.mode not in ("columns", "interleaved"):
             raise DataError(f"unknown layout mode {self.mode!r}")
+        for key in ("sensor_type_column", "sensor_id_column", "sample_no_column"):
+            if self.mode == "interleaved" and getattr(self, key) is None:
+                raise DataError(f"interleaved layout requires {key}")
         if self.acc_unit not in ACC_UNIT_TO_G:
             raise DataError(f"unknown accelerometer unit {self.acc_unit!r}")
         if self.gyr_unit not in GYR_UNIT_TO_DPS:
@@ -325,9 +328,6 @@ def _parse_columns(rows: list[list[str]], layout: LayoutSpec, rate_hz: float):
 
 
 def _parse_interleaved(rows: list[list[str]], layout: LayoutSpec, rate_hz: float):
-    for key in ("sensor_type_column", "sensor_id_column", "sample_no_column"):
-        if getattr(layout, key) is None:
-            raise DataError(f"interleaved layout requires {key}")
     acc_rows: dict[int, tuple[float, list[float]]] = {}
     gyr_rows: dict[int, list[float]] = {}
     for i, row in enumerate(rows, start=1):

@@ -7,7 +7,8 @@ tie-break and random draw is pinned:
 * all randomness flows from one integer seed (per-tree generators are spawned
   deterministically from it);
 * vote and margin ties always resolve to Fall, like the threshold detector;
-* KNN distance ties resolve to the lower training index.
+* KNN distance ties resolve to the lower training index;
+* RF split ties go to the feature drawn first, then to the lowest split.
 
 Feature scales are wildly heterogeneous (g vs deg/s), so inputs are
 standardized per feature with statistics fitted on development data only;
@@ -113,50 +114,46 @@ class KNNClassifier:
         return label, fall_votes / k
 
 
+def _best_split(X, y, feats, min_leaf):
+    """The (feature, threshold) of least weighted Gini over the columns `feats`, or None when no split is valid.
+
+    A split is valid between unequal neighbours with `min_leaf` rows on each side. Ties go to the first of `feats`,
+    then to the lowest split.
+    """
+    n = y.shape[0]
+    order = np.argsort(X[:, feats], axis=0, kind="stable")
+    xs = X[order, feats]  # column c sorted: xs[r, c] = X[order[r, c], feats[c]]
+    nl = np.arange(1.0, n)[:, None]
+    nr = n - nl
+    fl = np.cumsum(y[order], axis=0)[:-1].astype(float)
+    fr = int(y.sum()) - fl
+    gini_l = 1.0 - (fl / nl) ** 2 - ((nl - fl) / nl) ** 2
+    gini_r = 1.0 - (fr / nr) ** 2 - ((nr - fr) / nr) ** 2
+    weighted = (nl * gini_l + nr * gini_r) / n
+    weighted[~(xs[:-1] < xs[1:]) | (nl < min_leaf) | (nr < min_leaf)] = np.inf
+    i, j = divmod(int(np.argmin(weighted.T)), n - 1)
+    if weighted[j, i] == np.inf:
+        return None
+    return int(feats[i]), 0.5 * (float(xs[j, i]) + float(xs[j + 1, i]))
+
+
 def _grow_tree(X, y, rng, depth, max_depth, mtry, min_leaf):
     n = y.shape[0]
     n_fall = int(y.sum())
     if depth >= max_depth or n < 2 * min_leaf or n_fall == 0 or n_fall == n:
         return {"leaf": _majority(y)}
-
-    n_feats = X.shape[1]
-    feats = rng.choice(n_feats, size=min(mtry, n_feats), replace=False)
-    best = None  # (weighted gini, feature, threshold); first feature wins ties
-    for f in feats:
-        xf = X[:, f]
-        order = np.argsort(xf, kind="stable")
-        xs = xf[order]
-        ys = y[order]
-        pos = np.arange(n - 1)
-        valid = xs[pos] < xs[pos + 1]
-        if min_leaf > 1:
-            valid &= (pos + 1 >= min_leaf) & (n - pos - 1 >= min_leaf)
-        if not valid.any():
-            continue
-        nl = (pos + 1).astype(float)
-        nr = n - nl
-        fl = np.cumsum(ys)[pos].astype(float)
-        fr = n_fall - fl
-        gini_l = 1.0 - (fl / nl) ** 2 - ((nl - fl) / nl) ** 2
-        gini_r = 1.0 - (fr / nr) ** 2 - ((nr - fr) / nr) ** 2
-        weighted = (nl * gini_l + nr * gini_r) / n
-        weighted[~valid] = np.inf
-        j = int(np.argmin(weighted))
-        if best is None or weighted[j] < best[0]:
-            best = (float(weighted[j]), int(f), 0.5 * (float(xs[j]) + float(xs[j + 1])))
-
-    if best is None:
-        return {"leaf": _majority(y)}
-    _, f, thr = best
-    mask = X[:, f] <= thr
-    if not mask.any() or mask.all():  # midpoint rounded onto a sample value
-        return {"leaf": _majority(y)}
-    return {
-        "f": f,
-        "thr": thr,
-        "l": _grow_tree(X[mask], y[mask], rng, depth + 1, max_depth, mtry, min_leaf),
-        "r": _grow_tree(X[~mask], y[~mask], rng, depth + 1, max_depth, mtry, min_leaf),
-    }
+    split = _best_split(X, y, rng.choice(X.shape[1], size=min(mtry, X.shape[1]), replace=False), min_leaf)
+    if split is not None:
+        f, thr = split
+        mask = X[:, f] <= thr
+        if mask.any() and not mask.all():  # else the midpoint rounded onto a sample value
+            return {
+                "f": f,
+                "thr": thr,
+                "l": _grow_tree(X[mask], y[mask], rng, depth + 1, max_depth, mtry, min_leaf),
+                "r": _grow_tree(X[~mask], y[~mask], rng, depth + 1, max_depth, mtry, min_leaf),
+            }
+    return {"leaf": _majority(y)}
 
 
 def _tree_predict(node: dict, x: np.ndarray) -> int:

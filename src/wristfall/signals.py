@@ -84,7 +84,8 @@ def avd(window: SignalWindow, gravity_smoothing_seconds: float = GRAVITY_SMOOTHI
         raise ValueError("gravity_smoothing_seconds must be positive")
     acc = window.acc
     n = window.n_samples
-    m = max(1, int(round(gravity_smoothing_seconds * window.sample_rate_hz)))
+    # capped at the window length: a trailing mean over more samples than the window holds is the mean over all
+    m = max(1, int(round(min(gravity_smoothing_seconds * window.sample_rate_hz, n))))
 
     cum = np.vstack([np.zeros(3), np.cumsum(acc, axis=0)])
     t_idx = np.arange(n)

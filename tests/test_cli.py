@@ -80,6 +80,23 @@ class TestIngestCommand:
         assert not out.exists()
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "expected,mismatches",
+        [
+            ({"participants": 2, "adl_trials": 2, "fall_trials": 2}, None),
+            ({"participants": 3, "fall_trials": 1}, "participants 2 != 3; fall trials 2 != 1"),
+            ({"adl_trials": 5}, "ADL trials 2 != 5"),
+        ],
+        ids=["all-match", "two-differ", "adl-differs"],
+    )
+    def test_expected_counts_warn_when_they_differ(self, expected, mismatches, tmp_path, capsys):
+        manifest_path = self.make_raw(tmp_path)
+        doc = json.loads(manifest_path.read_text())
+        manifest_path.write_text(json.dumps({**doc, "expected": expected}))
+        assert main(["ingest", "--manifest", str(manifest_path), "--out", str(tmp_path / "canon")]) == 0
+        warning = f"warning: corpus does not match manifest expectations: {mismatches}\n" if mismatches else ""
+        assert capsys.readouterr().err == warning
+
     def test_manifest_dir_env(self, tmp_path, monkeypatch, capsys):
         manifest_path = self.make_raw(tmp_path)
         monkeypatch.setenv("WRISTFALL_MANIFEST_DIR", str(manifest_path.parent))
@@ -139,6 +156,41 @@ class TestCalibrateAndTrain:
         kind = ["--kind", "knn"] if command == "train" else []
         assert main([command, "--corpus", str(tmp_path), *kind, "--out", out]) == 3
         assert out in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args,named",
+        [
+            (["--detector", "rf", "--out", "afile"], "afile"),
+            (["--detector", "rf", "--out", "afile/report"], "afile/report"),
+            (["--detector", "rf", "--params", "{bad", "--out", "report"], "--params"),
+            (["--detector", "threshold", "--signals", "smv", "--out", "report"], "'smv'"),
+        ],
+        ids=["out-a-file", "out-under-a-file", "params-not-json", "unknown-signal"],
+    )
+    def test_evaluate_checks_its_arguments_before_the_corpus_is_read(self, args, named, tmp_path, monkeypatch, capsys):
+        def read_canonical(corpus_dir):
+            pytest.fail("the corpus was read before the arguments were checked")
+
+        monkeypatch.setattr("wristfall.cli.read_canonical", read_canonical)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("")
+        assert main(["evaluate", "--corpus", "corpus", *args]) == 3
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize("out", ["afile", "afile/corpus"], ids=["a-file", "under-a-file"])
+    def test_ingest_checks_out_before_the_manifest_is_read(self, out, tmp_path, monkeypatch, capsys):
+        def load_manifest(path):
+            pytest.fail("the manifest was read before --out was checked")
+
+        monkeypatch.setattr("wristfall.cli.load_manifest", load_manifest)
+        (tmp_path / "manifest.json").write_bytes(manifest_file())
+        (tmp_path / "afile").write_text("")
+        out = str(tmp_path / out)
+        assert main(["ingest", "--manifest", str(tmp_path / "manifest.json"), "--out", out]) == 3
+        captured = capsys.readouterr()
+        assert out in captured.err
+        assert captured.out == ""
 
 
 class TestEvaluateCommand:
@@ -459,6 +511,22 @@ class TestDetectStream:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("gap", [1e-300, 5e-324])
+    def test_rows_at_an_enormous_rate(self, gap, threshold_config_path, tmp_path, monkeypatch, capsys):
+        """The gravity mean of avd spans at most the window, so a rate of 1e300 Hz or inf gives a verdict and a series."""
+        text = "".join(f"{i * gap!r},0.1,0.2,1.0,1,2,3\n" for i in range(49))
+        trial = tmp_path / "trial.csv"
+        trial.write_text(CANONICAL_HEADER + "\n" + text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = self.run_stream(
+                ["detect-stream", "--threshold-config", str(threshold_config_path)], text, monkeypatch, capsys
+            )
+            assert main(["export-plots", "--trial", str(trial), "--out", str(tmp_path / "series.csv")]) == 0
+        assert (code, err) == (0, "")
+        assert out == f"{48 * gap!r},ADL,0.000000\n"
+        assert [str(w.message) for w in caught] == []
 
     def test_undecodable_byte_skipped_under_strict_stdin(self, threshold_config_path, monkeypatch, capsys):
         trials = [t for t in synthesize(seed=55, n_subjects=2, trials_per_subject=4) if t.label.value == "Fall"]
@@ -797,6 +865,10 @@ class TestLoaderFaults:
             pytest.param(manifest_file(layout=layout(file_glob=5)), id="file_glob-int"),
             pytest.param(manifest_file(layout=layout(delimiter="")), id="delimiter-empty"),
             pytest.param(manifest_file(layout=layout(time_column=-1)), id="time_column-negative"),
+            pytest.param(
+                manifest_file(layout=layout(mode="interleaved", sensor_type_column=5, sensor_id_column=6)),
+                id="interleaved-no-sample_no_column",
+            ),
         ],
     )
     def test_bad_manifest_is_a_data_error_naming_it(self, content, tmp_path, capsys):
@@ -956,6 +1028,50 @@ class TestUsage:
         out = tmp_path / "c"
         assert main(["--config", str(cfg), "synthesize", "--out", str(out)]) == 0
         assert "24 trials" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "spelling",
+        [["--config={}", "synthesize"], ["synthesize", "--config={}"], ["--config", "{}", "synthesize"]],
+        ids=["equals-before", "equals-after", "space-before"],
+    )
+    def test_config_file_applies_in_every_spelling(self, spelling, tmp_path, capsys):
+        cfg = tmp_path / "s5.json"
+        cfg.write_text(json.dumps({"seed": 5}))
+        sizes = ["--subjects", "2", "--trials-per-subject", "3"]
+        assert main(["synthesize", "--seed", "5", *sizes, "--out", str(tmp_path / "want")]) == 0
+        assert main([arg.format(cfg) for arg in spelling] + [*sizes, "--out", str(tmp_path / "got")]) == 0
+        assert read_tree(tmp_path / "got") == read_tree(tmp_path / "want")
+
+    def test_abbreviated_config_flag_is_a_usage_error(self, tmp_path):
+        cfg = tmp_path / "s5.json"
+        cfg.write_text(json.dumps({"seed": 5}))
+        with pytest.raises(SystemExit) as exc:
+            main(["--conf", str(cfg), "synthesize", "--out", str(tmp_path / "c")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize(
+        "config,command",
+        [
+            ({"params": 5}, ["train", "--kind", "rf", "--corpus", "c", "--out", "m.json"]),
+            ({"params": [1]}, ["evaluate", "--detector", "rf", "--corpus", "c", "--out", "r"]),
+            ({"signals": 5}, ["evaluate", "--detector", "threshold", "--corpus", "c", "--out", "r"]),
+            ({"trial": 5}, ["export-plots", "--out", "o.csv"]),
+            ({"threshold_config": 5}, ["detect-stream"]),
+            ({"predictions": "no"}, ["evaluate", "--detector", "knn", "--corpus", "c", "--out", "r"]),
+            ({"view": "nope"}, ["train", "--kind", "knn", "--corpus", "c", "--out", "m.json"]),
+        ],
+        ids=["params-int", "params-list", "signals-int", "trial-int", "threshold_config-int", "predictions-string",
+             "view-not-a-choice"],
+    )
+    def test_config_value_its_flag_cannot_take_is_a_usage_error(self, config, command, tmp_path, monkeypatch, capsys):
+        """Exit 2 naming the key, before any file is read."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", "run.json", *command])
+        assert exc.value.code == 2
+        assert f"config key {next(iter(config))!r}" in capsys.readouterr().err
 
     def test_config_file_unknown_keys_fatal(self, tmp_path):
         cfg = tmp_path / "run.json"

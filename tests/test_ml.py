@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wristfall.core import Label
 from wristfall.errors import DataError, IncompleteFeatureVector, SingleClassTrainingSet
@@ -13,6 +15,8 @@ from wristfall.ml import (
     LinearSVM,
     RandomForestClassifier,
     Standardizer,
+    _grow_tree,
+    _majority,
     load_model,
     predict,
     save_model,
@@ -110,7 +114,68 @@ class TestKNN:
             assert la is lb
 
 
+def reference_grow_tree(X, y, rng, depth, max_depth, mtry, min_leaf):
+    """`_grow_tree` with its split search as one loop over the drawn features, kept as the reference for the 2-D pass."""
+    n = y.shape[0]
+    n_fall = int(y.sum())
+    if depth >= max_depth or n < 2 * min_leaf or n_fall == 0 or n_fall == n:
+        return {"leaf": _majority(y)}
+
+    n_feats = X.shape[1]
+    feats = rng.choice(n_feats, size=min(mtry, n_feats), replace=False)
+    best = None  # (weighted gini, feature, threshold); first feature wins ties
+    for f in feats:
+        xf = X[:, f]
+        order = np.argsort(xf, kind="stable")
+        xs = xf[order]
+        ys = y[order]
+        pos = np.arange(n - 1)
+        valid = xs[pos] < xs[pos + 1]
+        if min_leaf > 1:
+            valid &= (pos + 1 >= min_leaf) & (n - pos - 1 >= min_leaf)
+        if not valid.any():
+            continue
+        nl = (pos + 1).astype(float)
+        nr = n - nl
+        fl = np.cumsum(ys)[pos].astype(float)
+        fr = n_fall - fl
+        gini_l = 1.0 - (fl / nl) ** 2 - ((nl - fl) / nl) ** 2
+        gini_r = 1.0 - (fr / nr) ** 2 - ((nr - fr) / nr) ** 2
+        weighted = (nl * gini_l + nr * gini_r) / n
+        weighted[~valid] = np.inf
+        j = int(np.argmin(weighted))
+        if best is None or weighted[j] < best[0]:
+            best = (float(weighted[j]), int(f), 0.5 * (float(xs[j]) + float(xs[j + 1])))
+
+    if best is None:
+        return {"leaf": _majority(y)}
+    _, f, thr = best
+    mask = X[:, f] <= thr
+    if not mask.any() or mask.all():  # midpoint rounded onto a sample value
+        return {"leaf": _majority(y)}
+    return {
+        "f": f,
+        "thr": thr,
+        "l": reference_grow_tree(X[mask], y[mask], rng, depth + 1, max_depth, mtry, min_leaf),
+        "r": reference_grow_tree(X[~mask], y[~mask], rng, depth + 1, max_depth, mtry, min_leaf),
+    }
+
+
 class TestRandomForest:
+    @given(data=st.data(), n=st.integers(2, 40), d=st.integers(1, 6), integer=st.booleans(), seed=st.integers(0, 2**32))
+    @settings(max_examples=300, deadline=None)
+    def test_tree_equals_the_per_feature_reference(self, data, n, d, integer, seed):
+        """Tie-heavy columns: integers 0-2, or normals rounded to 0.1; every argument of the search is drawn."""
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, 3, size=(n, d)).astype(float) if integer else np.round(rng.normal(size=(n, d)), 1)
+        y = rng.integers(0, 2, size=n)
+        mtry = data.draw(st.integers(1, d), label="mtry")
+        min_leaf = data.draw(st.integers(1, 5), label="min_leaf")
+        max_depth = data.draw(st.integers(0, 9), label="max_depth")
+        args = (0, max_depth, mtry, min_leaf)
+        want = reference_grow_tree(X, y, np.random.default_rng(seed), *args)
+        assert _grow_tree(X, y, np.random.default_rng(seed), *args) == want
+
     def test_single_tree_memorizes_distinct_points(self):
         X = np.array([[float(i), float(i % 3)] for i in range(8)])
         y = np.array([0, 1, 1, 0, 1, 0, 0, 1])
