@@ -194,14 +194,10 @@ def _stdin_lines():
     Reads whatever the pipe holds (at most STDIN_READ_BYTES) without waiting
     for more, so a verdict is no later than with line-by-line reading.
     """
-    buffer = getattr(sys.stdin, "buffer", None)
-    if buffer is None:
-        yield sys.stdin.read().split("\n")
-        return
-    # an undecodable byte then fails the row parser like any other bad field, whatever sys.stdin.errors is
+    # decoded from the bytes here, so an undecodable byte fails the row parser whatever sys.stdin.errors is
     decoder = codecs.getincrementaldecoder(sys.stdin.encoding)("surrogateescape")
     tail = ""
-    while chunk := buffer.read1(STDIN_READ_BYTES):
+    while chunk := sys.stdin.buffer.read1(STDIN_READ_BYTES):
         lines = (tail + decoder.decode(chunk)).split("\n")
         tail = lines.pop()
         if lines:

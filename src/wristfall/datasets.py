@@ -588,24 +588,17 @@ def _index_entry(corpus_dir: Path, index_path: Path, line_no: int, raw: bytes) -
 def read_canonical(corpus_dir) -> list[TrialRecording]:
     """The trials of a canonical corpus; a bad index entry or trial file raises CanonicalFormatError naming its line.
 
-    The trial files are read on every CPU (`_map_files`). Of several bad lines, the first in index order is
-    reported: a bad index line is raised only once the trial files listed before it have been read.
+    The whole index is checked first: a bad index line is raised before any trial file is opened. The trial
+    files are then read on every CPU (`_map_files`); of several bad ones, the first in index order is reported.
     """
     corpus_dir = Path(corpus_dir)
     index_path = corpus_dir / INDEX_NAME
     if not index_path.is_file():
         raise ManifestRootMissing(f"no {INDEX_NAME} under {corpus_dir}")
-    entries, index_error = [], None
+    entries = []
     with open(index_path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
-            try:
-                entry = _index_entry(corpus_dir, index_path, line_no, raw)
-            except CanonicalFormatError as exc:
-                index_error = exc
-                break
-            if entry is not None:
+            if entry := _index_entry(corpus_dir, index_path, line_no, raw):
                 entries.append(entry)
     arrays = _map_files(read_canonical_trial, [trial_path for trial_path, _ in entries])
-    if index_error is not None:
-        raise index_error
     return [TrialRecording(**fields, t=t, acc=acc, gyr=gyr) for (_, fields), (t, acc, gyr) in zip(entries, arrays)]

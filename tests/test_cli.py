@@ -25,6 +25,11 @@ def corpus_dir(tmp_path):
     return out
 
 
+def stdin_of(text):
+    """A stdin that holds `text` as UTF-8 bytes, as a pipe does."""
+    return io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
+
+
 def read_tree(root):
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
@@ -334,7 +339,7 @@ class TestDetectStream:
         return cfg
 
     def run_stream(self, args, text, monkeypatch, capsys):
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        monkeypatch.setattr("sys.stdin", stdin_of(text))
         code = main(args)
         captured = capsys.readouterr()
         return code, captured.out, captured.err
@@ -803,7 +808,7 @@ class TestLoaderFaults:
             flag = {"model": "--model", "threshold_config": "--threshold-config", "report": "--report"}[target]
             command = "export-plots" if target == "report" else "detect-stream"
             argv = [command, flag, str(path)] + (["--out", str(tmp_path / "x.csv")] if target == "report" else [])
-        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        monkeypatch.setattr("sys.stdin", stdin_of(""))
         code = main(argv)
         err = capsys.readouterr().err
         assert code == 3
@@ -822,7 +827,7 @@ class TestLoaderFaults:
         """The base of the model faults above is a valid model file, so each fault is its one change."""
         path = tmp_path / "model.json"
         path.write_bytes(model_file(kind))
-        monkeypatch.setattr("sys.stdin", io.StringIO("".join(f"{i * 0.04!r},0,0,1,0,0,0\n" for i in range(100))))
+        monkeypatch.setattr("sys.stdin", stdin_of("".join(f"{i * 0.04!r},0,0,1,0,0,0\n" for i in range(100))))
         assert main(["detect-stream", "--model", str(path)]) == 0
         assert capsys.readouterr().out.count(",") == 2
 
@@ -932,7 +937,7 @@ class TestWindowSeconds:
     }
 
     def run(self, argv, monkeypatch, capsys):
-        monkeypatch.setattr("sys.stdin", io.StringIO("".join(f"{i * 0.04!r},0,0,1,0,0,0\n" for i in range(100))))
+        monkeypatch.setattr("sys.stdin", stdin_of("".join(f"{i * 0.04!r},0,0,1,0,0,0\n" for i in range(100))))
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

@@ -613,18 +613,10 @@ class TestMapFiles:
         assert serial == forked
         assert sorted(map(recording_key, synth_trials)) == forked[1]
 
-    # (trial files made bad, index line made bad, the file or line whose error is reported); with 3 CPUs the
-    # parent reads trials 0, 3, 6, 9 and the two children 1, 4, 7, 10 and 2, 5, 8, 11
-    FAULTS = {
-        "first-in-a-child": ((4, 8, 9), 11, "trials/4"),
-        "first-in-the-parent": ((3, 5, 10), 12, "trials/3"),
-        "first-in-the-index": ((8, 10), 6, "index.jsonl:6"),
-        "only-in-the-last-child": ((2,), None, "trials/2"),
-    }
-
-    @pytest.mark.parametrize("fault", list(FAULTS))
-    def test_first_fault_in_index_order_is_raised(self, fault, tmp_path, monkeypatch):
-        bad_trials, bad_line, expected = self.FAULTS[fault]
+    @staticmethod
+    def faulty_corpus(tmp_path, bad_trials, bad_line=None):
+        """A 12-trial corpus whose trial files `bad_trials` (index order) have a short row and whose index line
+        `bad_line` is not JSON; returns it and its trial paths."""
         corpus = tmp_path / "corpus"
         write_canonical(synthesize(seed=5, n_subjects=3, trials_per_subject=4), corpus)
         index = (corpus / "index.jsonl").read_text().splitlines()
@@ -636,16 +628,37 @@ class TestMapFiles:
         if bad_line is not None:
             index[bad_line - 1] = "{not json"
             (corpus / "index.jsonl").write_text("\n".join(index) + "\n")
+        return corpus, paths
 
+    # trial files made bad -> the one whose error is reported; with 3 CPUs the parent reads trials 0, 3, 6, 9 and
+    # the two children 1, 4, 7, 10 and 2, 5, 8, 11
+    FAULTS = {
+        "first-in-a-child": ((4, 8, 9), 4),
+        "first-in-the-parent": ((3, 5, 10), 3),
+        "only-in-the-last-child": ((2,), 2),
+    }
+
+    @pytest.mark.parametrize("fault", list(FAULTS))
+    def test_first_fault_in_index_order_is_raised(self, fault, tmp_path, monkeypatch):
+        bad_trials, expected = self.FAULTS[fault]
+        corpus, paths = self.faulty_corpus(tmp_path, bad_trials)
         serial, forked = serial_and_forked(monkeypatch, lambda _: error_text(read_canonical, corpus))
-        assert serial == forked
-        kind, message = forked
-        assert kind is CanonicalFormatError
-        if expected.startswith("trials/"):
-            i = int(expected.split("/")[1])
-            assert message == f"{paths[i]}:{5 + i}: expected 7 fields, got 6"
-        else:
-            assert message.startswith(f"{corpus / expected}: bad JSON")
+        assert serial == forked == (CanonicalFormatError, f"{paths[expected]}:{5 + expected}: expected 7 fields, got 6")
+
+    @pytest.mark.parametrize(
+        "bad_trials", [(), (8, 10), (1, 3)], ids=["no-bad-trial", "bad-trials-after", "bad-trials-before"]
+    )
+    def test_a_bad_index_line_is_raised_before_any_trial_file_is_read(self, bad_trials, tmp_path, monkeypatch):
+        corpus, _ = self.faulty_corpus(tmp_path, bad_trials, bad_line=6)
+        read = []
+        real_read = datasets.read_canonical_trial
+        monkeypatch.setattr(datasets, "read_canonical_trial", lambda path: read.append(path) or real_read(path))
+        monkeypatch.setattr(datasets, "MIN_FORK_ITEMS", 2)
+        for cpus in (1, 3):
+            monkeypatch.setattr(datasets, "_usable_cpus", lambda: cpus)
+            kind, message = error_text(read_canonical, corpus)
+            assert kind is CanonicalFormatError and message.startswith(f"{corpus / 'index.jsonl'}:6: bad JSON")
+        assert read == []
 
     def test_an_unexpected_error_in_a_child_is_raised(self, monkeypatch):
         monkeypatch.setattr(datasets, "MIN_FORK_ITEMS", 2)
