@@ -232,9 +232,9 @@ def cmd_detect_stream(args) -> int:
         first = 0  # first row that may close the open window
         while (cut := first + int(np.searchsorted(t[first:], start_t + window_seconds))) < len(t):
             pending.append(values[lo:cut])
-            if _emit_stream_window(np.concatenate(pending), index, detector):
+            if _emit_stream_window(np.concatenate(pending), index, detector):  # else the one row joins the next
                 index += 1
-            pending = []
+                pending = []
             start_t = t[cut]
             lo, first = cut, cut + 1
         pending.append(values[lo:])
@@ -363,6 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     """Load `--config FILE` or `--config=FILE` JSON defaults into the parser; a key no flag takes is a usage error."""
     argv = [part for arg in argv for part in (arg.split("=", 1) if arg.startswith("--config=") else [arg])]
+    if argv.count("--config") > 1:  # in either spelling, before or after the command
+        parser.error("--config was given more than once")
     if "--config" not in argv:
         return argv
     at = argv.index("--config")

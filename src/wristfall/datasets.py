@@ -306,7 +306,8 @@ def _time_axis(t_raw: np.ndarray | list[float] | None, n: int, layout: LayoutSpe
     if t_raw is None:
         return np.arange(n) / rate_hz
     t_raw = np.asarray(t_raw, dtype=float)
-    return (t_raw - t_raw[0]) * TIME_UNIT_TO_S[layout.time_unit]
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite result is refused by TrialRecording.validate
+        return (t_raw - t_raw[0]) * TIME_UNIT_TO_S[layout.time_unit]
 
 
 def _parse_columns(rows: list[list[str]], layout: LayoutSpec, rate_hz: float):
@@ -342,7 +343,7 @@ def _parse_interleaved(rows: list[list[str]], layout: LayoutSpec, rate_hz: float
                 acc_rows[sample_no] = (t_raw, xyz)
             elif kind == layout.gyr_type_value:
                 gyr_rows[sample_no] = xyz
-        except (IndexError, ValueError) as exc:
+        except (IndexError, ValueError, OverflowError) as exc:  # OverflowError: an infinite sample number
             raise DataError(f"row {i}: {exc}") from None
     common = sorted(acc_rows.keys() & gyr_rows.keys())
     if not common:

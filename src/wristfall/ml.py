@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import Label, is_int, is_real
 from .errors import DataError, IncompleteFeatureVector, NonFiniteSignal, SingleClassTrainingSet, reading
-from .features import FEATURE_VIEWS, N_FEATURES
+from .features import FEATURE_NAMES, FEATURE_VIEWS, N_FEATURES
 
 MODEL_KINDS = ("knn", "rf", "svm")
 
@@ -53,7 +53,9 @@ class Standardizer:
 
     @classmethod
     def fit(cls, X: np.ndarray) -> "Standardizer":
-        return cls(mean=X.mean(axis=0), std=X.std(axis=0))
+        """The statistics of the columns of X; an overflow leaves inf or nan in them, without a warning."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return cls(mean=X.mean(axis=0), std=X.std(axis=0))
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(X)
@@ -330,6 +332,9 @@ def train(
         raise SingleClassTrainingSet("training set must contain both falls and ADLs")
     X = X[:, FEATURE_VIEWS[feature_view]]
     standardizer = Standardizer.fit(X)
+    if not (finite := np.isfinite(standardizer.mean) & np.isfinite(standardizer.std)).all():
+        name = FEATURE_NAMES[FEATURE_VIEWS[feature_view]][np.argmin(finite)]
+        raise NonFiniteSignal(f"feature {name}: its mean or spread over the training windows is not finite")
     classifier.fit(standardizer.transform(X), y, seed)
     return ClassifierModel(kind, feature_view, standardizer, classifier, seed)
 

@@ -320,6 +320,33 @@ class TestFitFaults:
         else:
             assert fit_lines[0].startswith(f"error: [{label}] ")
 
+    SPREAD_ERROR = "error: [training] feature gyr_y_var: its mean or spread over the training windows is not finite\n"
+
+    @pytest.mark.parametrize(
+        "command,expected",
+        [
+            (["train", "--kind", "knn"], (3, SPREAD_ERROR)),
+            (["train", "--kind", "rf"], (3, SPREAD_ERROR)),
+            (["train", "--kind", "svm"], (3, SPREAD_ERROR)),
+            (["evaluate", "--detector", "svm"], (3, SPREAD_ERROR)),
+            (["calibrate"], (0, "")),  # no voted signal reads the gyroscope
+        ],
+        ids=["train-knn", "train-rf", "train-svm", "evaluate-svm", "calibrate"],
+    )
+    def test_feature_spread_that_overflows_names_the_feature(self, command, expected, tmp_path, capsys):
+        """Every feature is finite, but the spread of gyr_y_var over the training windows overflows: no warning."""
+        corpus = tmp_path / "c"
+        assert main(["synthesize", "--seed", "4", "--subjects", "4", "--trials-per-subject", "6", "--out", str(corpus)]) == 0
+        path = corpus / "trials" / "S04_SYN_FALL_003.csv"
+        lines = path.read_text().split("\n")
+        lines[151] = "6.0,0.0,0.0,1.0,0.0,1e150,0.0"
+        path.write_text("\n".join(lines))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command[0], "--corpus", str(corpus), *command[1:], "--seed", "3", "--out", str(tmp_path / "o")])
+        assert (code, capsys.readouterr().err) == expected
+
 
 class TestDetectStream:
     def stream_text(self, trials):
@@ -577,6 +604,20 @@ class TestDetectStream:
         assert (code, captured.out, captured.err) == expected
         assert expected[2] == "warning: line 101 skipped (non-numeric field)\n"
         assert len(expected[1].splitlines()) >= 2
+
+
+    @pytest.mark.parametrize("limit", [None, 7], ids=["one-read", "trickle"])
+    def test_a_row_alone_in_its_window_joins_the_next(self, limit, tmp_path, monkeypatch, capsys):
+        """The impact row at t=10 is followed by a 15 s gap: it is voted on with the rows from t=25, not dropped."""
+        cfg = tmp_path / "thresholds.txt"
+        cfg.write_text("smv_acc = 2.0\n")
+        rows = [f"{i / 25!r},0,0,1,0,0,0" for i in range(250)] + ["10.0,9.0,0.0,0.0,0.0,0.0,0.0"]
+        rows += [f"{25 + i / 25!r},0,0,1,0,0,0" for i in range(250)]
+        data = ("\n".join(rows) + "\n").encode()
+        stdin = io.BytesIO(data) if limit is None else self.Trickle(data, limit)
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(stdin, encoding="utf-8"))
+        assert main(["detect-stream", "--threshold-config", str(cfg), "--window-seconds", "10"]) == 0
+        assert capsys.readouterr() == ("9.96,ADL,0.000000\n34.96,Fall,1.000000\n", "")
 
 
 class TestExportPlots:
@@ -1046,6 +1087,25 @@ class TestUsage:
         assert main(["synthesize", "--seed", "5", *sizes, "--out", str(tmp_path / "want")]) == 0
         assert main([arg.format(cfg) for arg in spelling] + [*sizes, "--out", str(tmp_path / "got")]) == 0
         assert read_tree(tmp_path / "got") == read_tree(tmp_path / "want")
+
+    @pytest.mark.parametrize(
+        "spelling",
+        [
+            ["--config", "{5}", "--config", "{9}", "synthesize"],
+            ["--config={5}", "--config={9}", "synthesize"],
+            ["--config", "{5}", "synthesize", "--config={9}"],
+        ],
+        ids=["space-twice", "equals-twice", "space-then-equals-after"],
+    )
+    def test_second_config_flag_is_a_usage_error(self, spelling, tmp_path, capsys):
+        for seed in (5, 9):
+            (tmp_path / f"s{seed}.json").write_text(json.dumps({"seed": seed}))
+        argv = [arg.replace("{5}", str(tmp_path / "s5.json")).replace("{9}", str(tmp_path / "s9.json")) for arg in spelling]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path / "c")])
+        assert exc.value.code == 2
+        assert "--config was given more than once" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
 
     def test_abbreviated_config_flag_is_a_usage_error(self, tmp_path):
         cfg = tmp_path / "s5.json"

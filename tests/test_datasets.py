@@ -212,6 +212,33 @@ class TestInterleavedAdapter:
         assert report.n_trials == 0
         assert any("no paired" in reason for _, reason in report.skipped)
 
+    def test_infinite_sample_number_or_timestamp_is_a_skip(self, tmp_path, monkeypatch):
+        """No exit 4 and no numpy warning, whether ingest reads the files serially or forked."""
+        rng = np.random.default_rng(52)
+        for trial in range(1, 5):
+            acc = rng.normal(0, 0.2, (60, 3)) + np.array([0, 0, 1.0])
+            write_interleaved_trial(tmp_path, "01", "Walking", trial, acc, rng.normal(0, 30, (60, 3)))
+        for trial, first_row in ((2, "0.0;inf;0.9;0.2;0.3;0;3"), (3, "1e999;0;0.9;0.2;0.3;0;3")):
+            path = tmp_path / f"UMA_01_Walking_{trial}.csv"
+            lines = path.read_text().split("\n")
+            lines[2] = first_row
+            path.write_text("\n".join(lines))
+
+        def run(tag):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                trials, report = ingest(interleaved_manifest(tmp_path))
+            return [rec.trial_id for rec in trials], report.skipped
+
+        serial, forked = serial_and_forked(monkeypatch, run)
+        assert serial == forked == (
+            ["01_Walking_1", "01_Walking_4"],
+            [
+                ("UMA_01_Walking_2.csv", "row 1: cannot convert float infinity to integer"),
+                ("UMA_01_Walking_3.csv", "recording '01_Walking_3' invalid: non-finite timestamp"),
+            ],
+        )
+
 
 class TestManifestIO:
     def test_round_trip(self, tmp_path):
