@@ -99,16 +99,14 @@ class TrialRecording:
             raise InvalidRecording(self.trial_id, "non-finite timestamp")
         if self.t[0] < 0:
             raise InvalidRecording(self.trial_id, "negative start timestamp")
-        gaps = np.diff(self.t)
-        if np.any(gaps <= 0):
-            bad = int(np.argmax(gaps <= 0)) + 1
-            raise InvalidRecording(self.trial_id, f"timestamps not strictly increasing at sample {bad}")
+        if (down := self.t[1:] <= self.t[:-1]).any():  # compared, not subtracted: a gap may overflow
+            raise InvalidRecording(self.trial_id, f"timestamps not strictly increasing at sample {np.argmax(down) + 1}")
         if not (np.all(np.isfinite(self.acc)) and np.all(np.isfinite(self.gyr))):
             raise InvalidRecording(self.trial_id, "non-finite channel value")
         if not is_rate(self.sample_rate_hz):
             lo, hi = RATE_BOUNDS_HZ
             raise InvalidRecording(self.trial_id, f"sample rate {self.sample_rate_hz} Hz outside [{lo}, {hi}]")
-        median_gap = float(np.median(gaps))
+        median_gap = float(np.median(np.diff(self.t)))  # increasing from 0 or above, so no gap overflows
         implied = 1.0 / median_gap
         if abs(implied - self.sample_rate_hz) > RATE_GAP_RELTOL * self.sample_rate_hz:
             raise InvalidRecording(
@@ -143,11 +141,13 @@ class SignalWindow:
 
 def window_from_arrays(ref: str, t: np.ndarray, acc: np.ndarray, gyr: np.ndarray, index: int = 0) -> SignalWindow:
     """An unlabeled window (placeholder label ADL) over raw arrays, at the rate of the median sample gap."""
+    with np.errstate(over="ignore"):  # rows from -1e308 to 1e308 are a gap of inf: a rate of 0
+        gap = float(np.median(np.diff(t)))
     return SignalWindow(
         recording_ref=ref,
         subject_id="",
         label=Label.ADL,
-        sample_rate_hz=1.0 / float(np.median(np.diff(t))),
+        sample_rate_hz=1.0 / gap,
         window_index=index,
         start_t=float(t[0]),
         end_t=float(t[-1]),

@@ -522,7 +522,7 @@ def parse_canonical_rows(lines: Sequence[str], prev_t: float) -> tuple[np.ndarra
                 values.shape == (len(lines), 7)
                 and np.isfinite(values).all()
                 and values[0, 0] > prev_t
-                and (np.diff(values[:, 0]) > 0).all()
+                and (values[1:, 0] > values[:-1, 0]).all()
             ):
                 return values, []
     rows, bad = [], []

@@ -53,8 +53,7 @@ class Standardizer:
 
     @classmethod
     def fit(cls, X: np.ndarray) -> "Standardizer":
-        """The statistics of the columns of X; an overflow leaves inf or nan in them, without a warning."""
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves inf or nan, which train refuses
             return cls(mean=X.mean(axis=0), std=X.std(axis=0))
 
     def transform(self, X: np.ndarray) -> np.ndarray:
