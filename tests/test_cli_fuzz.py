@@ -115,7 +115,8 @@ def fitted(tmp_path_factory):
 # timestamps further apart than the largest float: a numpy overflow warning in the check of a block of rows (the
 # second 64 KiB read, which holds no header), and in the rate of a window of the first two rows (every later row
 # is below the second, so it is skipped)
-@example(detector="threshold", window="60", t_scale=1.0, edits=[("field", 600, 0, "-1.7e308"), ("field", 601, 0, "1.7e308")])
+@example(detector="threshold", window="60", t_scale=1.0,
+         edits=[("field", 600, 0, "-1.7e308"), ("field", 601, 0, "1.7e308")])
 @example(detector="svm", window="60", t_scale=1.0, edits=[("field", 0, 0, "-1.7e308"), ("field", 1, 0, "1.7e308")])
 def test_detect_stream(fitted, detector, window, t_scale, edits):
     _, detectors, values = fitted
@@ -139,7 +140,8 @@ def raw_manifest(root, mode):
                             sample_no_column=1, value_columns=(2, 3, 4), **common)
     rng = np.random.default_rng(7)
     files = {}
-    for k, (subject, code) in enumerate([("S01", "A01"), ("S01", "F01"), ("S02", "A01"), ("S02", "F01"), ("S03", "A01")]):
+    trials = [("S01", "A01"), ("S01", "F01"), ("S02", "A01"), ("S02", "F01"), ("S03", "A01")]
+    for k, (subject, code) in enumerate(trials):
         acc = rng.normal(0, 0.2, (60, 3)) + np.array([0.0, 0.0, 1.0])
         gyr = rng.normal(0, 30, (60, 3))
         lines = []
@@ -209,7 +211,8 @@ COMMANDS = (
 # a finite value whose spread over the development windows overflows: a numpy warning, then exit 4 under -W error
 @example(command=["train", "--kind", "knn"], trial=22, edits=[("field", 150, 5, "1e150")], index_edit=None)
 # timestamps further apart than the largest float: a numpy overflow warning in the row check
-@example(command=["calibrate"], trial=6, edits=[("field", 0, 0, "-1.7e308"), ("field", 1, 0, "1.7e308")], index_edit=None)
+@example(command=["calibrate"], trial=6, edits=[("field", 0, 0, "-1.7e308"), ("field", 1, 0, "1.7e308")],
+         index_edit=None)
 def test_fit_commands(fitted, command, trial, edits, index_edit):
     corpus = fitted[0]
     with tempfile.TemporaryDirectory() as tmp:
