@@ -605,7 +605,6 @@ class TestDetectStream:
         assert expected[2] == "warning: line 101 skipped (non-numeric field)\n"
         assert len(expected[1].splitlines()) >= 2
 
-
     @pytest.mark.parametrize("limit", [None, 7], ids=["one-read", "trickle"])
     def test_a_row_alone_in_its_window_joins_the_next(self, limit, tmp_path, monkeypatch, capsys):
         """The impact row at t=10 is followed by a 15 s gap: it is voted on with the rows from t=25, not dropped."""
