@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DEFAULT_WINDOW_SECONDS, Label, is_int, is_real, window_from_arrays
+from .core import DEFAULT_WINDOW_SECONDS, Label, is_int, is_real, window_bounds, window_from_arrays
 from .datasets import (
     CANONICAL_HEADER,
     ingest,
@@ -178,16 +178,6 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _emit_stream_window(samples: np.ndarray, index: int, detector) -> bool:
-    """Print the 't_end,label,score' line of an (n, 7) window; a window under 2 samples prints nothing."""
-    if len(samples) < 2:
-        return False
-    window = window_from_arrays("stream", samples[:, 0], samples[:, 1:4], samples[:, 4:7], index)
-    [(label, score)] = classify_many(detector, [window])
-    print(f"{window.end_t!r},{label.value},{score:.6f}")
-    return True
-
-
 def _stdin_lines():
     """Lists of stdin's lines as they arrive; the text after the last newline comes last.
 
@@ -209,36 +199,31 @@ def cmd_detect_stream(args) -> int:
     if bool(args.model) == bool(args.threshold_config):
         raise DataError("provide exactly one of --model or --threshold-config")
     detector = load_model(args.model) if args.model else load_threshold_config(args.threshold_config)
+    pieces = []  # the rows not yet in a printed window, one piece per block
 
-    window_seconds = args.window_seconds
-    pending = [np.empty((0, 7))]  # the rows of the open window, one piece per block
-    start_t: float | None = None
-    last_t = -math.inf
-    index = 0
-    line_no = 0
-    for lines in _stdin_lines():
-        values, bad = parse_canonical_rows(lines, last_t)
-        for i, reason in bad:
-            if lines[i].strip() not in ("", CANONICAL_HEADER):
-                print(f"warning: line {line_no + i + 1} skipped ({reason})", file=sys.stderr)
-        line_no += len(lines)
-        if not len(values):
-            continue
-        t = values[:, 0]
-        last_t = float(t[-1])  # a numpy scalar's repr would leak into warnings
-        if start_t is None:
-            start_t = t[0]
-        lo = 0  # first row of the block not yet in a closed window
-        first = 0  # first row that may close the open window
-        while (cut := first + int(np.searchsorted(t[first:], start_t + window_seconds))) < len(t):
-            pending.append(values[lo:cut])
-            if _emit_stream_window(np.concatenate(pending), index, detector):  # else the one row joins the next
-                index += 1
-                pending = []
-            start_t = t[cut]
-            lo, first = cut, cut + 1
-        pending.append(values[lo:])
-    _emit_stream_window(np.concatenate(pending), index, detector)
+    def times():
+        """The `t` column of each block of accepted rows, after the block's warnings."""
+        last_t = -math.inf
+        line_no = 0
+        for lines in _stdin_lines():
+            values, bad = parse_canonical_rows(lines, last_t)
+            for i, reason in bad:
+                if lines[i].strip() not in ("", CANONICAL_HEADER):
+                    print(f"warning: line {line_no + i + 1} skipped ({reason})", file=sys.stderr)
+            line_no += len(lines)
+            if len(values):
+                last_t = float(values[-1, 0])  # a numpy scalar's repr would leak into warnings
+                pieces.append(values)
+                yield values[:, 0]
+
+    for index, (a, b) in enumerate(window_bounds(times(), args.window_seconds)):
+        rows = np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
+        if b - a >= 2:  # window_from_arrays takes the median gap; only a stream of one row has a shorter window
+            window = window_from_arrays("stream", rows[: b - a, 0], rows[: b - a, 1:4], rows[: b - a, 4:7], index)
+            [(label, score)] = classify_many(detector, [window])
+            print(f"{window.end_t!r},{label.value},{score:.6f}")
+        # a copy, so that the rest of a concatenation does not keep the printed window alive
+        pieces[:] = [rows[b - a :].copy() if len(pieces) > 1 else rows[b - a :]]
     return EXIT_OK
 
 

@@ -181,53 +181,67 @@ def _window_bins(t: np.ndarray, t0: float, window_seconds: float) -> np.ndarray:
     return k
 
 
-def segment(
-    recording: TrialRecording,
-    window_seconds: float = DEFAULT_WINDOW_SECONDS,
-    min_samples: int = DEFAULT_MIN_SAMPLES,
-) -> list[SignalWindow]:
-    """Split a recording into consecutive non-overlapping windows of `window_seconds`.
+def window_bounds(t_blocks, window_seconds: float = DEFAULT_WINDOW_SECONDS, min_samples: int = DEFAULT_MIN_SAMPLES):
+    """The (a, b) row ranges of consecutive non-overlapping windows of `window_seconds` over timestamps read in blocks.
 
-    Boundary policy: sample i belongs to window k when
-    t0 + k*window_seconds <= t[i] < t0 + (k+1)*window_seconds. A window with
-    fewer than `min_samples` samples merges into a neighbour: the first window
-    into the next, any other into the previous. So a trailing remainder shorter
-    than `window_seconds` becomes its own window when it has at least
-    `min_samples` samples; a recording shorter than `window_seconds` yields
-    exactly one window. Deterministic: equal inputs give identical boundaries.
+    Boundary policy: row i belongs to window k when t0 + k*window_seconds <= t[i] < t0 + (k+1)*window_seconds, t0
+    being the first row's timestamp. A window with fewer than `min_samples` rows merges into a neighbour: the first
+    window into the next, any other into the previous. So a trailing remainder shorter than `window_seconds` becomes
+    its own window when it has at least `min_samples` rows; rows spanning less than `window_seconds` give exactly one
+    window. Row indices count from the first block, so any split of the same rows into blocks gives the same ranges.
+    A range is yielded as soon as the rows read decide it: once `min_samples` rows lie past its end, or at the next
+    boundary. The last one comes after the final block; no rows give no range.
     """
     if not (math.isfinite(window_seconds) and window_seconds > 0):
         raise ValueError("window_seconds must be finite and positive")
     if min_samples < 1:
         raise ValueError("min_samples must be >= 1")
-    n = recording.n_samples
-    if n == 0:
-        raise EmptyRecording(recording.trial_id)
+    t0 = last_bin = 0.0
+    start = cut = n = 0  # the open window's first row, the boundary row not yet kept or dropped (or start), rows read
+    for t in t_blocks:
+        if not len(t):
+            continue
+        if not n:
+            t0 = float(t[0])
+        bins = _window_bins(t, t0, window_seconds)
+        # A window starts at every row whose bin differs from the previous row's; a cut is kept only when the
+        # segments on both sides of it reach min_samples.
+        for edge in (np.flatnonzero(np.diff(bins, prepend=last_bin if n else bins[0])) + n).tolist():
+            if cut - start >= min_samples and edge - cut >= min_samples:
+                yield start, cut
+                start = cut
+            cut = edge
+        n += len(t)
+        last_bin = bins[-1]
+        if cut - start >= min_samples and n - cut >= min_samples:  # the next boundary is at row n or later
+            yield start, cut
+            start = cut
+    if n:
+        yield start, n
 
+
+def segment(
+    recording: TrialRecording,
+    window_seconds: float = DEFAULT_WINDOW_SECONDS,
+    min_samples: int = DEFAULT_MIN_SAMPLES,
+) -> list[SignalWindow]:
+    """Split a recording into the windows of `window_bounds`; equal inputs give identical windows."""
     t = recording.t
-    # A window starts at every sample whose bin differs from the previous sample's.
-    edges = [0, *(np.flatnonzero(np.diff(_window_bins(t, float(t[0]), window_seconds))) + 1).tolist(), n]
-    # Keep a cut only when the segments on both sides of it reach min_samples.
-    kept = [0]
-    for cut, nxt in zip(edges[1:-1], edges[2:]):
-        if cut - kept[-1] >= min_samples and nxt - cut >= min_samples:
-            kept.append(cut)
-    kept.append(n)
-
-    windows = []
-    for idx, (a, b) in enumerate(zip(kept, kept[1:])):
-        windows.append(
-            SignalWindow(
-                recording_ref=recording.trial_id,
-                subject_id=recording.subject_id,
-                label=recording.label,
-                sample_rate_hz=recording.sample_rate_hz,
-                window_index=idx,
-                start_t=float(t[a]),
-                end_t=float(t[b - 1]),
-                t=t[a:b],
-                acc=recording.acc[a:b],
-                gyr=recording.gyr[a:b],
-            )
+    windows = [
+        SignalWindow(
+            recording_ref=recording.trial_id,
+            subject_id=recording.subject_id,
+            label=recording.label,
+            sample_rate_hz=recording.sample_rate_hz,
+            window_index=idx,
+            start_t=float(t[a]),
+            end_t=float(t[b - 1]),
+            t=t[a:b],
+            acc=recording.acc[a:b],
+            gyr=recording.gyr[a:b],
         )
+        for idx, (a, b) in enumerate(window_bounds([t], window_seconds, min_samples))
+    ]
+    if not windows:
+        raise EmptyRecording(recording.trial_id)
     return windows

@@ -1,17 +1,29 @@
+import contextlib
 import io
 import json
 import time
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import make_recording
 from test_datasets import columns_manifest, write_columns_trial
 from wristfall.cli import main
-from wristfall.core import window_from_arrays
+from wristfall.core import segment, window_from_arrays
 from wristfall.datasets import CANONICAL_HEADER, read_canonical, read_canonical_trial, save_manifest
 from wristfall.errors import CanonicalFormatError
-from wristfall.evaluation import DetectorSpec, EvalReport, report_json, run_experiment, split_subjects
+from wristfall.evaluation import (
+    DetectorSpec,
+    EvalReport,
+    classify_many,
+    report_json,
+    run_experiment,
+    split_subjects,
+)
 from wristfall.ml import save_model
 from wristfall.signals import derive_all
 from wristfall.synthetic import synthesize
@@ -348,6 +360,14 @@ class TestFitFaults:
         assert (code, capsys.readouterr().err) == expected
 
 
+@pytest.fixture(scope="module")
+def vote_config(tmp_path_factory):
+    """A threshold file that votes on all three signals."""
+    path = tmp_path_factory.mktemp("vote") / "thresholds.txt"
+    path.write_text("smv_acc = 3.15\nfi = 5.0\navd = 1.25\n")
+    return path
+
+
 class TestDetectStream:
     def stream_text(self, trials):
         lines = ["t,acc_x,acc_y,acc_z,gyr_x,gyr_y,gyr_z"]
@@ -606,8 +626,9 @@ class TestDetectStream:
         assert len(expected[1].splitlines()) >= 2
 
     @pytest.mark.parametrize("limit", [None, 7], ids=["one-read", "trickle"])
-    def test_a_row_alone_in_its_window_joins_the_next(self, limit, tmp_path, monkeypatch, capsys):
-        """The impact row at t=10 is followed by a 15 s gap: it is voted on with the rows from t=25, not dropped."""
+    def test_a_row_alone_in_its_window_merges_into_the_previous(self, limit, tmp_path, monkeypatch, capsys):
+        """The impact row at t=10 is alone in the window [10, 20): as in `segment`, it is voted on with the rows before
+        it, not dropped. The rows from t=25 fill the windows [20, 30) and [30, 40)."""
         cfg = tmp_path / "thresholds.txt"
         cfg.write_text("smv_acc = 2.0\n")
         rows = [f"{i / 25!r},0,0,1,0,0,0" for i in range(250)] + ["10.0,9.0,0.0,0.0,0.0,0.0,0.0"]
@@ -616,7 +637,37 @@ class TestDetectStream:
         stdin = io.BytesIO(data) if limit is None else self.Trickle(data, limit)
         monkeypatch.setattr("sys.stdin", io.TextIOWrapper(stdin, encoding="utf-8"))
         assert main(["detect-stream", "--threshold-config", str(cfg), "--window-seconds", "10"]) == 0
-        assert capsys.readouterr() == ("9.96,ADL,0.000000\n34.96,Fall,1.000000\n", "")
+        assert capsys.readouterr() == ("10.0,Fall,1.000000\n29.96,ADL,0.000000\n34.96,ADL,0.000000\n", "")
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(
+        # runs of 25 Hz rows broken by longer gaps; a run of 0 puts a row alone first, between two gaps or last
+        head=st.integers(0, 80),
+        runs=st.lists(st.tuples(st.sampled_from([0.5, 3.0, 15.0]), st.integers(0, 80)), max_size=5),
+        window_seconds=st.sampled_from([0.01, 0.03, 0.05, 0.5, 2.5, 10.0]),
+        limit=st.sampled_from([5, 97, 4096]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_stream_windows_are_the_windows_of_segment(self, vote_config, head, runs, window_seconds, limit, seed):
+        """For any gaps and read sizes, the stream prints the verdict of each window `segment` cuts from its rows."""
+        gaps = [0.04] * head + [g for gap, run in runs for g in [gap] + [0.04] * run]
+        t = np.concatenate([[0.0], np.cumsum(gaps)])
+        rng = np.random.default_rng(seed)
+        acc = rng.normal(0.0, 0.3, (t.size, 3)) + [0.0, 0.0, 1.0]
+        acc[rng.random(t.size) < 0.05] *= 8.0  # a spike now and then, so that verdicts differ
+        gyr = rng.normal(0.0, 20.0, (t.size, 3))
+        data = "".join(",".join(map(repr, row)) + "\n" for row in np.column_stack((t, acc, gyr)).tolist()).encode()
+        detector = load_threshold_config(vote_config)
+        expected = []
+        for index, w in enumerate(segment(make_recording(t, acc, gyr), window_seconds=window_seconds)):
+            if w.n_samples >= 2:  # only a stream of one row has a shorter window
+                [(label, score)] = classify_many(detector, [window_from_arrays("stream", w.t, w.acc, w.gyr, index)])
+                expected.append(f"{w.end_t!r},{label.value},{score:.6f}\n")
+        out, err = io.StringIO(), io.StringIO()
+        stdin = io.TextIOWrapper(self.Trickle(data, limit), encoding="utf-8")
+        with mock.patch("sys.stdin", stdin), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["detect-stream", "--threshold-config", str(vote_config), "--window-seconds", str(window_seconds)])
+        assert (code, out.getvalue(), err.getvalue()) == (0, "".join(expected), "")
 
 
 class TestExportPlots:

@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_recording
-from wristfall.core import Label, segment
+from wristfall.core import Label, segment, window_bounds
 from wristfall.errors import EmptyRecording, InvalidRecording
 
 
@@ -194,3 +194,37 @@ class TestSegment:
         assert [(w.start_t, w.end_t, w.n_samples) for w in first] == [
             (w.start_t, w.end_t, w.n_samples) for w in second
         ]
+
+
+class TestWindowBounds:
+    @given(
+        gaps=st.lists(st.sampled_from((0.04,) * 6 + (0.5, 3.0, 15.0)), max_size=200),
+        window=st.sampled_from([0.01, 0.05, 0.5, 2.5, 10.0]),
+        min_samples=st.integers(1, 4),
+        splits=st.lists(st.integers(0, 202), max_size=12),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_split_into_blocks_gives_the_ranges_of_one_block(self, gaps, window, min_samples, splits):
+        t = np.concatenate([[0.0], np.cumsum(gaps)])
+        whole = list(window_bounds([t], window, min_samples))
+        assert [a for a, _ in whole] == [0, *(b for _, b in whole[:-1])] and whole[-1][1] == t.size
+        # sorted split points with repeats and points past the end also give empty blocks
+        assert list(window_bounds(np.split(t, sorted(splits)), window, min_samples)) == whole
+
+    @pytest.mark.parametrize("min_samples", [1, 2, 3])
+    def test_a_range_is_yielded_once_min_samples_rows_lie_past_it(self, min_samples):
+        """Read one row per block: every range but the last comes as soon as the next window holds min_samples rows."""
+        t = np.concatenate([np.arange(30) / 25, 5.0 + np.arange(40) / 25, [9.0], 20.0 + np.arange(3) / 25])
+        read = []
+
+        def blocks():
+            for i in range(t.size):
+                read.append(i + 1)
+                yield t[i : i + 1]
+
+        seen = [(a, b, read[-1]) for a, b in window_bounds(blocks(), 2.0, min_samples)]
+        assert [(a, b) for a, b, _ in seen] == list(window_bounds([t], 2.0, min_samples))
+        assert [n for _, _, n in seen[:-1]] == [b + min_samples for _, b, _ in seen[:-1]]
+
+    def test_no_rows_no_range(self):
+        assert list(window_bounds([np.empty(0), np.empty(0)], 1.0)) == []
