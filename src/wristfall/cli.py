@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import csv
 import json
 import math
 import os
@@ -29,13 +30,13 @@ from .datasets import (
     read_canonical,
     read_canonical_trial,
     write_canonical,
-    write_repr_csv,
 )
 from .errors import DataError, WristfallError, reading
 from .evaluation import (
     AccessLog,
     DetectorSpec,
     EvalReport,
+    _derive_checked,
     _fmt_pct,
     classify_many,
     fit_on_dev,
@@ -46,7 +47,6 @@ from .evaluation import (
 )
 from .features import FEATURE_VIEWS
 from .ml import MODEL_KINDS, load_model, save_model
-from .signals import derive_all
 from .synthetic import synthesize
 from .threshold import DEFAULT_SIGNALS, THRESHOLD_SIGNALS, load_threshold_config, save_threshold_config
 
@@ -248,22 +248,20 @@ def cmd_export_plots(args) -> int:
         t, acc, gyr = read_canonical_trial(args.trial)
         if len(t) < 2:  # window_from_arrays takes the median gap between samples
             raise DataError(f"{args.trial}: a trial needs at least 2 samples, got {len(t)}")
-        derived = derive_all(window_from_arrays(Path(args.trial).stem, t, acc, gyr))
+        derived = _derive_checked(window_from_arrays(args.trial, t, acc, gyr), THRESHOLD_SIGNALS)
         series = np.column_stack((t, derived.smv_acc, derived.smv_gyr, derived.fi, derived.avd))
-        write_repr_csv(out, "t,smv_acc,smv_gyr,fi,avd", series)
+        rows = [("t", "smv_acc", "smv_gyr", "fi", "avd"), *series.tolist()]  # a float's str is its repr
     elif args.report:
         cells = _pct_cells(_read_report(Path(args.report)))
-        lines = ["metric,value_pct", *map(",".join, zip(("accuracy", "sensitivity", "specificity"), cells))]
-        out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rows = [("metric", "value_pct"), *zip(("accuracy", "sensitivity", "specificity"), cells)]
     else:
         report_paths = sorted(Path(args.reports).glob("**/report.json"))
         if not report_paths:
             raise DataError(f"no report.json files under {args.reports}")
-        lines = ["detector,dataset,accuracy_pct,sensitivity_pct,specificity_pct"]
-        for path in report_paths:
-            r = _read_report(path)
-            lines.append(",".join([r.detector, r.dataset, *_pct_cells(r)]))
-        out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rows = [("detector", "dataset", "accuracy_pct", "sensitivity_pct", "specificity_pct")]
+        rows += [(r.detector, r.dataset, *_pct_cells(r)) for r in map(_read_report, report_paths)]
+    with open(out, "w", newline="", encoding="utf-8") as fh:  # opened only once every input is read and checked
+        csv.writer(fh, lineterminator="\n").writerows(rows)
     print(f"wrote {out}")
     return EXIT_OK
 

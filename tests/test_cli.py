@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import time
@@ -706,6 +707,34 @@ class TestExportPlots:
         assert "internal error" not in err
         assert [str(w.message) for w in caught] == []
 
+    def test_trial_whose_signals_overflow_is_a_data_error(self, corpus_dir, tmp_path, capsys):
+        """A finite row of 1e308 overflows the derived signals: exit 3 naming the file, no warning and no output."""
+        lines = sorted(corpus_dir.glob("trials/*.csv"))[0].read_text().splitlines()
+        fields = lines[4].split(",")
+        lines[4] = ",".join([fields[0], "1e308", "1e308", "1e308", *fields[4:]])
+        big = tmp_path / "big.csv"
+        big.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "series.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["export-plots", "--trial", str(big), "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: window {big}#w0: derived signal smv_acc contains non-finite values\n"
+        assert [str(w.message) for w in caught] == []
+        assert not out.exists()
+
+    def test_reports_with_a_dataset_name_to_quote(self, corpus_dir, tmp_path):
+        """A comma, a quote or a newline in a name is quoted, so every row reads back as 5 fields."""
+        name = 'a,b "c"\nd'
+        out = tmp_path / "reports" / "run0"
+        main(["evaluate", "--corpus", str(corpus_dir), "--detector", "threshold", "--dataset-name", name, "--out", str(out)])
+        table = tmp_path / "table.csv"
+        assert main(["export-plots", "--reports", str(tmp_path / "reports"), "--out", str(table)]) == 0
+        with open(table, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(row) for row in rows] == [5, 5]
+        assert rows[1][1] == name
+
     def test_report_metrics(self, corpus_dir, tmp_path):
         out_dir = tmp_path / "eval"
         main(["evaluate", "--corpus", str(corpus_dir), "--detector", "threshold", "--seed", "4", "--out", str(out_dir)])
@@ -717,6 +746,7 @@ class TestExportPlots:
 
     def test_reports_table_consistent_with_evaluate_outputs(self, corpus_dir, tmp_path):
         detectors = [
+            ("threshold", []),  # threshold(avd>..., fi>..., smv_acc>...): a name with commas
             ("threshold", ["--signals", "smv_acc"]),
             ("knn", ["--view", "acc44"]),
             ("knn", ["--view", "combined88"]),
@@ -731,11 +761,12 @@ class TestExportPlots:
             expected[doc["detector"] + "|" + doc["dataset"]] = doc
         table = tmp_path / "table.csv"
         assert main(["export-plots", "--reports", str(reports_dir), "--out", str(table)]) == 0
-        lines = table.read_text().strip().splitlines()
-        assert lines[0] == "detector,dataset,accuracy_pct,sensitivity_pct,specificity_pct"
-        assert len(lines) == len(detectors) + 1
-        for line in lines[1:]:
-            detector, dataset, acc, se, sp = line.split(",")
+        with open(table, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["detector", "dataset", "accuracy_pct", "sensitivity_pct", "specificity_pct"]
+        assert len(rows) == len(detectors) + 1
+        for row in rows[1:]:
+            detector, dataset, acc, se, sp = row
             doc = expected[detector + "|" + dataset]
             assert float(acc) == doc["accuracy_pct"]
             assert float(se) == doc["sensitivity_pct"]

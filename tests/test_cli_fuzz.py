@@ -201,6 +201,12 @@ COMMANDS = (
 )
 
 
+def edited_trial(path, edits):
+    """The bytes of the canonical trial file at `path`, with `edits` applied to its data rows."""
+    header, *lines = path.read_text().splitlines()
+    return to_bytes([header, *edit_lines(lines, edits, ",", header)])
+
+
 @GATE
 @given(
     command=st.sampled_from(COMMANDS),
@@ -220,10 +226,22 @@ def test_fit_commands(fitted, command, trial, edits, index_edit):
         shutil.copytree(corpus, copy)
         index = (copy / "index.jsonl").read_text().splitlines()
         path = copy / json.loads(index[trial])["path"]
-        header, *lines = path.read_text().splitlines()
-        path.write_bytes(to_bytes([header, *edit_lines(lines, edits, ",", header)]))
+        path.write_bytes(edited_trial(path, edits))
         if index_edit is not None:
             line, key, value = index_edit
             index[line] = json.dumps({**json.loads(index[line]), key: value})
             (copy / "index.jsonl").write_text("\n".join(index) + "\n")
         run([command[0], "--corpus", str(copy), *command[1:], *COMMAND_SEED, "--out", str(Path(tmp) / "o")])
+
+
+@GATE
+@given(trial=st.integers(0, 23), edits=line_edits)
+# a finite row of 1e308: four numpy warnings, and inf and nan in the series, then exit 4 under -W error
+@example(trial=0, edits=[("field", 3, 1, "1e308"), ("field", 3, 2, "1e308"), ("field", 3, 3, "1e308")])
+def test_export_plots_trial(fitted, trial, edits):
+    corpus = fitted[0]
+    index = (corpus / "index.jsonl").read_text().splitlines()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trial.csv"
+        path.write_bytes(edited_trial(corpus / json.loads(index[trial])["path"], edits))
+        run(["export-plots", "--trial", str(path), "--out", str(Path(tmp) / "series.csv")])
