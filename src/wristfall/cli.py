@@ -26,12 +26,13 @@ from .datasets import (
     CANONICAL_HEADER,
     ingest,
     load_manifest,
+    map_trials,
     parse_canonical_rows,
-    read_canonical,
     read_canonical_trial,
+    read_index,
     write_canonical,
 )
-from .errors import DataError, WristfallError, reading
+from .errors import DataError, WristfallError, read_json, reading
 from .evaluation import (
     AccessLog,
     DetectorSpec,
@@ -91,7 +92,7 @@ def _parse_params(value: str | None) -> dict:
         return {}
     try:
         params = json.loads(value)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not JSON, nested too deep, or an integer of too many digits
         raise DataError(f"--params is not valid JSON: {exc}") from None
     if not isinstance(params, dict):
         raise DataError("--params must be a JSON object")
@@ -139,8 +140,9 @@ def _check_out_dir(value: str) -> None:
 def cmd_calibrate(args) -> int:
     _check_out_file(args.out)  # before the corpus is read and fitted
     spec = DetectorSpec(kind="threshold", signals=_parse_signals(args.signals))
-    # fit_on_dev empties the list read_canonical returns, which frees the evaluation recordings before fitting
-    config, split, _ = fit_on_dev(read_canonical(args.corpus), spec, args.seed, args.window_seconds, AccessLog())
+    # from the index, fit_on_dev opens only the development subjects' trial files, each reduced in a file worker
+    entries = read_index(args.corpus)
+    config, split, _ = fit_on_dev(entries, spec, args.seed, args.window_seconds, AccessLog(), map_trials)
     save_threshold_config(config, args.out)
     print(f"calibrated on {len(split.dev_subjects)} dev subjects: " + config.describe())
     return EXIT_OK
@@ -149,7 +151,8 @@ def cmd_calibrate(args) -> int:
 def cmd_train(args) -> int:
     _check_out_file(args.out)
     spec = DetectorSpec(kind=args.kind, feature_view=args.view, params=_parse_params(args.params))
-    model, split, n_windows = fit_on_dev(read_canonical(args.corpus), spec, args.seed, args.window_seconds, AccessLog())
+    entries = read_index(args.corpus)
+    model, split, n_windows = fit_on_dev(entries, spec, args.seed, args.window_seconds, AccessLog(), map_trials)
     save_model(model, args.out)
     print(f"trained {model.describe()} on {n_windows} dev windows from {len(split.dev_subjects)} subjects")
     return EXIT_OK
@@ -161,9 +164,9 @@ def cmd_evaluate(args) -> int:
     else:
         spec = DetectorSpec(kind=args.detector, feature_view=args.view, params=_parse_params(args.params))
     _check_out_dir(args.out)  # the spec and --out are checked before the corpus is read
-    trials = read_canonical(args.corpus)
+    entries = read_index(args.corpus)
     dataset_name = args.dataset_name or Path(args.corpus).name
-    result = run_experiment(trials, spec, args.seed, window_seconds=args.window_seconds, dataset_name=dataset_name)
+    result = run_experiment(entries, spec, args.seed, args.window_seconds, dataset_name, map_trials)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -229,8 +232,9 @@ def cmd_detect_stream(args) -> int:
 
 def _read_report(path: Path) -> EvalReport:
     """The report in a `report.json`; a file that is not one raises DataError naming it."""
+    doc = read_json(path)
     with reading(path):
-        return EvalReport.from_dict(json.loads(path.read_text(encoding="utf-8")))
+        return EvalReport.from_dict(doc)
 
 
 def _pct_cells(report: EvalReport) -> list[str]:
@@ -354,8 +358,8 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
     if at + 1 >= len(argv):
         parser.error("--config needs a file argument")
     try:
-        doc = json.loads(Path(argv[at + 1]).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
+        doc = read_json(argv[at + 1])
+    except (OSError, DataError) as exc:  # unreadable, or not a JSON file
         parser.error(f"cannot read config file: {exc}")
     if not isinstance(doc, dict):
         parser.error("config file must hold a JSON object")

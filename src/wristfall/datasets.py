@@ -20,8 +20,9 @@ printed with repr so they round-trip bit-exactly) plus an `index.jsonl` file
 with one record per trial (subject, activity code, label, rate, relative
 path). Rewriting the same trials produces byte-identical output.
 
-Ingest, `write_canonical` and `read_canonical` spread their per-file work over
-the CPUs the process may use (`_map_files`); `taskset -c 0` runs them serially.
+Ingest, `write_canonical` and `map_trials` (which `read_canonical` and the
+fitting commands read through) spread their per-file work over the CPUs the
+process may use (`_map_files`); `taskset -c 0` runs them serially.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import re
 import tempfile
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Iterable, NoReturn, Sequence
+from typing import Callable, Iterable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -45,6 +46,8 @@ from .errors import (
     DataError,
     InvalidRecording,
     ManifestRootMissing,
+    read_json,
+    read_json_line,
     reading,
 )
 
@@ -122,7 +125,8 @@ def _map_files(fn: Callable, items: Sequence) -> list:
     no partial list is ever returned.
 
     Forking is safe here: the toolkit starts no thread, and the children call
-    no BLAS (OpenBLAS shuts its worker threads down before any fork anyway).
+    no BLAS. The parent may have (`evaluate` forks again after fitting), but
+    OpenBLAS shuts its worker threads down before any fork.
     """
     k = min(_usable_cpus(), len(items))
     if k < 2 or len(items) < MIN_FORK_ITEMS:
@@ -258,8 +262,8 @@ class IngestReport:
 def load_manifest(path) -> DatasetManifest:
     """The manifest in `path`; a file that is not one, or a value of the wrong type, raises DataError naming it."""
     path = Path(path)
-    with reading(path), open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
+    with reading(path):
         if not isinstance(doc, dict):
             raise DataError("a manifest must be a JSON object")
         unknown = set(doc) - {f.name for f in fields(DatasetManifest)}
@@ -555,18 +559,22 @@ def read_canonical_trial(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return values[:, 0].copy(), values[:, 1:4].copy(), values[:, 4:7].copy()
 
 
-def _index_entry(corpus_dir: Path, index_path: Path, line_no: int, raw: bytes) -> tuple[Path, dict] | None:
+class IndexEntry(NamedTuple):
+    """One line of a corpus index: the trial file, and the fields of its recording other than the arrays."""
+
+    path: Path
+    fields: dict
+
+    @property
+    def subject_id(self) -> str:
+        return self.fields["subject_id"]
+
+
+def _index_entry(corpus_dir: Path, index_path: Path, line_no: int, raw: bytes) -> IndexEntry | None:
     """(trial file, recording fields) of one index line, or None for a blank one; raises CanonicalFormatError."""
-    try:
-        line = raw.decode("utf-8").strip()
-    except UnicodeDecodeError as exc:
-        raise CanonicalFormatError(str(index_path), line_no, f"not UTF-8: {exc}") from None
-    if not line:
+    entry = read_json_line(index_path, line_no, raw)
+    if entry is None:
         return None
-    try:
-        entry = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise CanonicalFormatError(str(index_path), line_no, f"bad JSON: {exc}") from None
     try:
         trial_path = corpus_dir / entry["path"]
         fields = dict(
@@ -583,23 +591,39 @@ def _index_entry(corpus_dir: Path, index_path: Path, line_no: int, raw: bytes) -
         raise CanonicalFormatError(str(index_path), line_no, f"index entry missing {exc}") from None
     except (DataError, TypeError, ValueError) as exc:  # not an object, or a value of the wrong type
         raise CanonicalFormatError(str(index_path), line_no, f"bad index entry: {exc}") from None
-    return trial_path, fields
+    return IndexEntry(trial_path, fields)
 
 
-def read_canonical(corpus_dir) -> list[TrialRecording]:
-    """The trials of a canonical corpus; a bad index entry or trial file raises CanonicalFormatError naming its line.
+def read_index(corpus_dir) -> list[IndexEntry]:
+    """The entries of a canonical corpus's index, in index order.
 
-    The whole index is checked first: a bad index line is raised before any trial file is opened. The trial
-    files are then read on every CPU (`_map_files`); of several bad ones, the first in index order is reported.
+    The whole index is checked and no trial file is opened: a bad index line raises CanonicalFormatError naming it.
     """
     corpus_dir = Path(corpus_dir)
     index_path = corpus_dir / INDEX_NAME
     if not index_path.is_file():
         raise ManifestRootMissing(f"no {INDEX_NAME} under {corpus_dir}")
-    entries = []
     with open(index_path, "rb") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            if entry := _index_entry(corpus_dir, index_path, line_no, raw):
-                entries.append(entry)
-    arrays = _map_files(read_canonical_trial, [trial_path for trial_path, _ in entries])
-    return [TrialRecording(**fields, t=t, acc=acc, gyr=gyr) for (_, fields), (t, acc, gyr) in zip(entries, arrays)]
+        entries = (_index_entry(corpus_dir, index_path, line_no, raw) for line_no, raw in enumerate(fh, start=1))
+        return [entry for entry in entries if entry is not None]
+
+
+def read_trial(entry: IndexEntry) -> TrialRecording:
+    """The recording of one index entry; a bad line in its trial file raises CanonicalFormatError naming it."""
+    trial_path, fields = entry
+    t, acc, gyr = read_canonical_trial(trial_path)
+    return TrialRecording(**fields, t=t, acc=acc, gyr=gyr)
+
+
+def map_trials(fn: Callable[[TrialRecording], object], entries: Sequence[IndexEntry]) -> list:
+    """[fn(read_trial(entry)) for entry in entries], on every CPU (`_map_files`).
+
+    A file worker reads each recording and hands back only what `fn` makes of it, so a caller that reduces a
+    recording to a few numbers never holds its samples. Of several failing entries, the first in order is raised.
+    """
+    return _map_files(lambda entry: fn(read_trial(entry)), entries)
+
+
+def read_canonical(corpus_dir) -> list[TrialRecording]:
+    """The trials of a canonical corpus: `read_index`, then every trial file through `map_trials`."""
+    return map_trials(lambda rec: rec, read_index(corpus_dir))

@@ -1,7 +1,10 @@
-"""Exception types shared across the toolkit, and `reading`, which turns a fault in a file's content into one."""
+"""Exception types shared across the toolkit; `reading`, which turns a fault in a file's content into one; and the
+JSON readers every file the toolkit decodes goes through."""
 
 import contextlib
 import copyreg
+import json
+from pathlib import Path
 
 
 class WristfallError(Exception):
@@ -92,3 +95,30 @@ def reading(path):
         raise DataError(f"{path}: missing key {exc}") from None
     except (DataError, AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: {exc}") from None
+
+
+def read_json(path):
+    """The JSON value in the UTF-8 file at `path`; a file that does not decode raises DataError naming the path.
+
+    Besides bytes that are not UTF-8 and text that is not JSON, that covers nesting too deep for the decoder
+    (RecursionError) and an integer past Python's digit limit (a ValueError). An OSError passes: it names the path.
+    """
+    try:
+        return json.loads(Path(path).read_bytes().decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
+def read_json_line(path, line_no: int, raw: bytes):
+    """The JSON value of `raw`, line `line_no` of the file at `path`, or None for a blank line.
+
+    A line that does not decode, for any of the reasons of `read_json`, raises CanonicalFormatError naming the line.
+    """
+    try:
+        line = raw.decode("utf-8").strip()
+    except UnicodeDecodeError as exc:
+        raise CanonicalFormatError(str(path), line_no, f"not UTF-8: {exc}") from None
+    try:
+        return json.loads(line) if line else None
+    except (ValueError, RecursionError) as exc:
+        raise CanonicalFormatError(str(path), line_no, f"bad JSON: {exc}") from None

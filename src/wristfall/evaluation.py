@@ -13,16 +13,16 @@ import csv
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .core import DEFAULT_WINDOW_SECONDS, Label, SignalWindow, TrialRecording, is_int, segment
 from .errors import DataError, ExperimentStageError, NonFiniteSignal, TooFewSubjects, WristfallError
-from .features import extract_many
+from .features import N_FEATURES, extract_many
 from .ml import ClassifierModel, predict, train
 from .signals import DerivedSignalSet, derive_all
-from .threshold import DEFAULT_SIGNALS, ThresholdConfig, calibrate, detect
+from .threshold import DEFAULT_SIGNALS, ThresholdConfig, calibrate_peaks, vote
 
 EVAL_FRACTION = 0.2
 
@@ -157,9 +157,13 @@ def _fmt_pct(value: float | None) -> str:
     return "-" if value is None else f"{value:.1f}%"
 
 
+# Each C0 control character as its escape (a newline as the two characters \n), so a name keeps its header one line.
+_C0_ESCAPES = {code: chr(code).encode("unicode_escape").decode("ascii") for code in range(0x20)}
+
+
 def report_table(reports: Sequence[EvalReport]) -> str:
-    """Aligned plain-text table: one metric per row, one detector per column."""
-    headers = [f"{r.detector} [{r.dataset}]" if r.dataset else r.detector for r in reports]
+    """Aligned plain-text table: one metric per row, one detector per column, with C0 controls escaped in headers."""
+    headers = [(f"{r.detector} [{r.dataset}]" if r.dataset else r.detector).translate(_C0_ESCAPES) for r in reports]
     rows = [
         ("Accuracy", [_fmt_pct(r.accuracy) for r in reports]),
         ("Sensitivity (SE)", [_fmt_pct(r.sensitivity) for r in reports]),
@@ -213,28 +217,66 @@ class ExperimentResult:
     detector: ThresholdConfig | ClassifierModel
 
 
-def windows_of(trials: Iterable[TrialRecording], subjects: Iterable[str], window_seconds: float) -> list[SignalWindow]:
-    """Windows of the trials whose subject is in `subjects`, in trial order."""
+class WindowRow(NamedTuple):
+    """What a detector reads of one window: `values` is its 88 features, or the peak of each signal a threshold
+    detector votes on (`window_values`)."""
+
+    window_ref: str
+    subject_id: str
+    label: Label
+    values: np.ndarray
+
+
+def window_values(windows: Sequence[SignalWindow], signals: tuple[str, ...] | None) -> np.ndarray:
+    """One row per window: the peak of each of `signals` (a threshold detector), or with None its 88 features.
+
+    A signal holding inf or nan raises NonFiniteSignal (`_derive_checked`); on the finite signals left, a value
+    exceeds a threshold exactly when the peak does, so the peaks are all the vote and the grid search read.
+    """
+    if signals is None:
+        return extract_many(windows)
+    peaks = np.empty((len(windows), len(signals)))
+    for i, w in enumerate(windows):
+        derived = _derive_checked(w, signals)
+        peaks[i] = [derived.by_name(name).max() for name in signals]
+    return peaks
+
+
+def trial_rows(rec: TrialRecording, signals: tuple[str, ...] | None, window_seconds: float) -> list[WindowRow]:
+    """The rows (`window_values`) of the windows `segment` cuts from one recording, in window order."""
+    windows = segment(rec, window_seconds=window_seconds)
+    return [
+        WindowRow(w.window_ref, w.subject_id, w.label, values)
+        for w, values in zip(windows, window_values(windows, signals))
+    ]
+
+
+def _rows(trials: Sequence, subjects: Iterable[str], signals, window_seconds: float, stage: str, map_trials):
+    """The rows of every window of the trials of `subjects`, in trial order; a toolkit error is labelled `stage`.
+
+    `trials` are recordings, with `map` as `map_trials`, or corpus index entries, with `datasets.map_trials`, which
+    reduces each trial file to its rows in a file worker.
+    """
     subjects = set(subjects)
-    windows: list[SignalWindow] = []
-    for rec in trials:
-        if rec.subject_id in subjects:
-            windows.extend(segment(rec, window_seconds=window_seconds))
-    return windows
+    chosen = [trial for trial in trials if trial.subject_id in subjects]
+    per_trial = map_trials(lambda rec: _stage(stage, trial_rows, rec, signals, window_seconds), chosen)
+    return [row for rows in per_trial for row in rows]
 
 
-def fit_detector(
-    spec: DetectorSpec, dev_windows: Sequence[SignalWindow], seed: int
-) -> ThresholdConfig | ClassifierModel:
-    """Calibrate thresholds or train a classifier on development windows, as `spec` says."""
+def _matrix(rows: Sequence[WindowRow]) -> np.ndarray:
+    """The values of `rows`, one row each."""
+    return np.stack([r.values for r in rows]) if rows else np.empty((0, N_FEATURES))
+
+
+def fit_detector(spec: DetectorSpec, dev_rows: Sequence[WindowRow], seed: int) -> ThresholdConfig | ClassifierModel:
+    """Calibrate thresholds or train a classifier on the rows of the development windows, as `spec` says."""
+    labels = [r.label for r in dev_rows]
     if spec.kind == "threshold":
         unknown = set(spec.params) - {"grids"}
         if unknown:
             raise DataError(f"unknown threshold parameters: {sorted(unknown)}; expected only 'grids'")
-        pairs = [(w, _derive_checked(w, spec.signals)) for w in dev_windows]
-        return calibrate(pairs, signals=spec.signals, grids=spec.params.get("grids"))
-    X = extract_many(dev_windows)
-    return train(spec.kind, spec.feature_view, X, [w.label for w in dev_windows], seed, **spec.params)
+        return calibrate_peaks(_matrix(dev_rows), labels, spec.signals, spec.params.get("grids"))
+    return train(spec.kind, spec.feature_view, _matrix(dev_rows), labels, seed, **spec.params)
 
 
 def _derive_checked(window: SignalWindow, signals: Iterable[str]) -> DerivedSignalSet:
@@ -250,24 +292,25 @@ def _derive_checked(window: SignalWindow, signals: Iterable[str]) -> DerivedSign
     return derived
 
 
-def _vote(config: ThresholdConfig, window: SignalWindow) -> tuple[Label, float]:
-    """The threshold detector's verdict for one window and the fraction of its signals voting Fall."""
-    verdict, votes = detect(window, _derive_checked(window, config.signals), config)
-    return verdict, sum(v is Label.FALL for v in votes.values()) / len(votes)
+def classify_rows(detector: ThresholdConfig | ClassifierModel, values: np.ndarray) -> list[tuple[Label, float]]:
+    """Verdict and score for each row of `window_values` (the peaks of `detector.signals`, or the 88 features).
+
+    The score is the fraction of signals voting Fall for a threshold detector, and `predict`'s score for a classifier.
+    """
+    if isinstance(detector, ThresholdConfig):
+        return [vote(detector, peaks) for peaks in values.tolist()]
+    return [predict(detector, row) for row in values]
 
 
 def classify_many(
     detector: ThresholdConfig | ClassifierModel, windows: Sequence[SignalWindow]
 ) -> list[tuple[Label, float]]:
-    """Verdict and score for each window, in order.
+    """Verdict and score (`classify_rows`) for each window, in order.
 
-    The score is the fraction of signals voting Fall for a threshold detector,
-    and `predict`'s score for a classifier. A non-finite value in a signal the
-    detector reads raises NonFiniteSignal, as a vote on it would be meaningless.
+    A non-finite value in a signal the detector reads raises NonFiniteSignal, as a vote on it would be meaningless.
     """
-    if isinstance(detector, ThresholdConfig):
-        return [_vote(detector, w) for w in windows]
-    return [predict(detector, row) for row in extract_many(windows)]
+    signals = detector.signals if isinstance(detector, ThresholdConfig) else None
+    return classify_rows(detector, window_values(windows, signals))
 
 
 def _stage(name: str, fn, *args):
@@ -279,55 +322,66 @@ def _stage(name: str, fn, *args):
 
 
 def fit_on_dev(
-    trials: list[TrialRecording], spec: DetectorSpec, seed: int, window_seconds: float, log: AccessLog
+    trials: Sequence, spec: DetectorSpec, seed: int, window_seconds: float, log: AccessLog, map_trials=map
 ) -> tuple[ThresholdConfig | ClassifierModel, SubjectSplit, int]:
     """Fit `spec` on the development subjects of `trials`: (detector, split, number of development windows).
 
-    Records each development window's subject in `log` at the fit stages. Empties the list `trials` once the
-    development windows are cut, so recordings nothing else holds are freed before fitting; pass a copy to keep it.
+    `trials` are recordings, or the entries of `datasets.read_index` with `datasets.map_trials` as `map_trials`:
+    the split is then taken from the index, and only the development subjects' trial files are opened, each
+    reduced to its window rows in a file worker. Records each development window's subject in `log` at the fit
+    stages.
     """
-    split = _stage("split", split_subjects, (r.subject_id for r in trials), seed)
+    split = _stage("split", split_subjects, (trial.subject_id for trial in trials), seed)
     fit_stages = (STAGE_CALIBRATION,) if spec.kind == "threshold" else (STAGE_STANDARDIZATION, STAGE_TRAINING)
-    dev_windows = _stage(fit_stages[-1], windows_of, trials, split.dev_subjects, window_seconds)
-    trials.clear()
-    for w in dev_windows:
+    signals = spec.signals if spec.kind == "threshold" else None
+    dev_rows = _rows(trials, split.dev_subjects, signals, window_seconds, fit_stages[-1], map_trials)
+    for r in dev_rows:
         for name in fit_stages:
-            log.record(w.subject_id, name)
-    return _stage(fit_stages[-1], fit_detector, spec, dev_windows, seed), split, len(dev_windows)
+            log.record(r.subject_id, name)
+    return _stage(fit_stages[-1], fit_detector, spec, dev_rows, seed), split, len(dev_rows)
 
 
 def predict_subjects(
     detector: ThresholdConfig | ClassifierModel,
-    trials: Iterable[TrialRecording],
+    trials: Sequence,
     subjects: Iterable[str],
     window_seconds: float,
     log: AccessLog,
+    map_trials=map,
 ) -> list[PredictionRecord]:
-    """Predictions for the windows of the trials of `subjects`, in trial order, each recorded in `log`."""
-    windows = windows_of(trials, subjects, window_seconds)
-    for w in windows:
-        log.record(w.subject_id, STAGE_PREDICTION)
+    """Predictions for the windows of the trials of `subjects`, in trial order, each recorded in `log`.
+
+    `trials` and `map_trials` are as in `fit_on_dev`.
+    """
+    signals = detector.signals if isinstance(detector, ThresholdConfig) else None
+    rows = _rows(trials, subjects, signals, window_seconds, STAGE_PREDICTION, map_trials)
+    for r in rows:
+        log.record(r.subject_id, STAGE_PREDICTION)
+    verdicts = _stage(STAGE_PREDICTION, classify_rows, detector, _matrix(rows))
     return [
-        PredictionRecord(w.window_ref, w.subject_id, w.label, predicted, float(score))
-        for w, (predicted, score) in zip(windows, classify_many(detector, windows))
+        PredictionRecord(r.window_ref, r.subject_id, r.label, predicted, float(score))
+        for r, (predicted, score) in zip(rows, verdicts)
     ]
 
 
 def run_experiment(
-    trials: Sequence[TrialRecording],
+    trials: Sequence,
     spec: DetectorSpec,
     seed: int,
     window_seconds: float = DEFAULT_WINDOW_SECONDS,
     dataset_name: str = "",
+    map_trials=map,
 ) -> ExperimentResult:
-    """Full subject-disjoint evaluation of one detector configuration.
+    """Full subject-disjoint evaluation of one detector configuration: `fit_on_dev`, then `predict_subjects`.
 
     No evaluation-subject data reaches calibration, standardization, or
-    training; the returned access log substantiates that.
+    training; the returned access log substantiates that. `trials` and
+    `map_trials` are as in `fit_on_dev`; the evaluation subjects' trials are
+    opened only once the detector is fitted.
     """
     log = AccessLog()
-    detector, split, _ = fit_on_dev(list(trials), spec, seed, window_seconds, log)
-    records = _stage(STAGE_PREDICTION, predict_subjects, detector, trials, split.eval_subjects, window_seconds, log)
+    detector, split, _ = fit_on_dev(trials, spec, seed, window_seconds, log, map_trials)
+    records = predict_subjects(detector, trials, split.eval_subjects, window_seconds, log, map_trials)
     pairs = [(r.predicted, r.actual) for r in records]
     report = _stage("metrics", compute_metrics, pairs, detector.describe(), dataset_name)
     return ExperimentResult(report=report, split=split, access_log=log, predictions=records, detector=detector)

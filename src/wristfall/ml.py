@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import Label, is_int, is_real
-from .errors import DataError, IncompleteFeatureVector, NonFiniteSignal, SingleClassTrainingSet, reading
+from .errors import DataError, IncompleteFeatureVector, NonFiniteSignal, SingleClassTrainingSet, read_json, reading
 from .features import FEATURE_NAMES, FEATURE_VIEWS, N_FEATURES
 
 MODEL_KINDS = ("knn", "rf", "svm")
@@ -370,8 +370,8 @@ def save_model(model: ClassifierModel, path) -> None:
 
 def load_model(path) -> ClassifierModel:
     """The model `save_model` wrote to `path`; a file that is not one or does not fit raises DataError naming it."""
-    with reading(path), open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
+    with reading(path):
         if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
             raise DataError(f"not a {MODEL_FORMAT} file")
         if doc.get("version") != MODEL_VERSION:

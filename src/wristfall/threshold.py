@@ -66,9 +66,22 @@ def detect(
     for name, threshold in config.thresholds.items():
         series = derived.by_name(name)
         votes[name] = Label.FALL if bool(np.any(series > threshold)) else Label.ADL
-    fall_votes = sum(1 for v in votes.values() if v is Label.FALL)
-    verdict = Label.FALL if 2 * fall_votes >= len(votes) else Label.ADL
-    return verdict, votes
+    return _verdict(sum(v is Label.FALL for v in votes.values()), len(votes)), votes
+
+
+def vote(config: ThresholdConfig, peaks: Sequence[float]) -> tuple[Label, float]:
+    """Verdict and fraction of signals voting Fall, from each signal's peak over a window, in `config.signals` order.
+
+    A signal votes Fall when its peak exceeds its threshold: on a finite signal that is `detect`'s vote, as some value
+    exceeds the threshold exactly when the largest one does.
+    """
+    fall_votes = sum(peak > threshold for peak, threshold in zip(peaks, config.thresholds.values()))
+    return _verdict(fall_votes, len(config.thresholds)), fall_votes / len(config.thresholds)
+
+
+def _verdict(fall_votes: int, n_votes: int) -> Label:
+    """The majority of the votes; an exact tie is Fall."""
+    return Label.FALL if 2 * fall_votes >= n_votes else Label.ADL
 
 
 def fall_score(derived: DerivedSignalSet, config: ThresholdConfig) -> float:
@@ -87,13 +100,28 @@ def calibrate(
     signals: Iterable[str] = DEFAULT_SIGNALS,
     grids: Mapping[str, tuple[float, float, float]] | None = None,
 ) -> ThresholdConfig:
-    """Grid-search per-signal thresholds on a development set.
+    """`calibrate_peaks` on the peak of each of `signals` over each (window, derived signals) pair."""
+    signals = tuple(signals)
+    peaks = np.array([[float(np.max(d.by_name(name))) for name in signals] for _, d in dev_windows])
+    labels = [w.label for w, _ in dev_windows]
+    return calibrate_peaks(peaks.reshape(len(dev_windows), len(signals)), labels, signals, grids)
+
+
+def calibrate_peaks(
+    peaks: np.ndarray,
+    labels: Sequence[Label],
+    signals: Iterable[str] = DEFAULT_SIGNALS,
+    grids: Mapping[str, tuple[float, float, float]] | None = None,
+) -> ThresholdConfig:
+    """Grid-search per-signal thresholds on a development set: one row of `peaks` per window, one column per signal.
 
     For each signal independently, pick the grid point with the best
     specificity among those reaching 100% sensitivity; if no grid point
     reaches 100% sensitivity, pick the best sensitivity, breaking ties by
-    higher specificity and then by the larger threshold. The result does not
-    depend on the ordering of `dev_windows`.
+    higher specificity and then by the larger threshold. A signal votes Fall
+    on a window when its peak there exceeds the threshold, so the peaks are
+    all the search reads. The result does not depend on the order of the
+    windows.
     """
     signals = tuple(signals)
     if not signals:
@@ -113,15 +141,14 @@ def calibrate(
             raise DataError(f"grid for {name} has more than {MAX_GRID_POINTS} points")
     grids = {**DEFAULT_GRIDS, **grids}
 
-    labels = np.array([w.label is Label.FALL for w, _ in dev_windows], dtype=bool)
+    labels = np.array([label is Label.FALL for label in labels], dtype=bool)
     if not (labels.any() and (~labels).any()):
         raise SingleClassDevSet("development set must contain both falls and ADLs")
 
     chosen: dict[str, float] = {}
-    for name in signals:
-        peaks = np.array([float(np.max(d.by_name(name))) for _, d in dev_windows])
-        fall_peaks = peaks[labels]
-        adl_peaks = peaks[~labels]
+    for name, column in zip(signals, np.asarray(peaks, dtype=float).T):
+        fall_peaks = column[labels]
+        adl_peaks = column[~labels]
         best = None  # (se, sp, threshold)
         for theta in grid_points(*grids[name]):
             se = float(np.mean(fall_peaks > theta))

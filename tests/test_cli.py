@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import gc
 import io
 import json
 import time
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 from conftest import make_recording
 from test_datasets import columns_manifest, write_columns_trial
 from wristfall.cli import main
-from wristfall.core import segment, window_from_arrays
+from wristfall import evaluation
+from wristfall.core import SignalWindow, TrialRecording, segment, window_from_arrays
 from wristfall.datasets import CANONICAL_HEADER, read_canonical, read_canonical_trial, save_manifest
 from wristfall.errors import CanonicalFormatError
 from wristfall.evaluation import (
@@ -166,10 +168,10 @@ class TestCalibrateAndTrain:
     @pytest.mark.parametrize("command", ["calibrate", "train"])
     @pytest.mark.parametrize("out", ["missing/out.file", ""], ids=["parent-missing", "a-directory"])
     def test_unwritable_out_is_found_before_the_corpus_is_read(self, command, out, tmp_path, monkeypatch, capsys):
-        def read_canonical(corpus_dir):
+        def read_index(corpus_dir):
             pytest.fail("the corpus was read before --out was checked")
 
-        monkeypatch.setattr("wristfall.cli.read_canonical", read_canonical)
+        monkeypatch.setattr("wristfall.cli.read_index", read_index)
         out = str(tmp_path / out)
         kind = ["--kind", "knn"] if command == "train" else []
         assert main([command, "--corpus", str(tmp_path), *kind, "--out", out]) == 3
@@ -186,10 +188,10 @@ class TestCalibrateAndTrain:
         ids=["out-a-file", "out-under-a-file", "params-not-json", "unknown-signal"],
     )
     def test_evaluate_checks_its_arguments_before_the_corpus_is_read(self, args, named, tmp_path, monkeypatch, capsys):
-        def read_canonical(corpus_dir):
+        def read_index(corpus_dir):
             pytest.fail("the corpus was read before the arguments were checked")
 
-        monkeypatch.setattr("wristfall.cli.read_canonical", read_canonical)
+        monkeypatch.setattr("wristfall.cli.read_index", read_index)
         monkeypatch.chdir(tmp_path)
         (tmp_path / "afile").write_text("")
         assert main(["evaluate", "--corpus", "corpus", *args]) == 3
@@ -246,6 +248,20 @@ class TestEvaluateCommand:
         assert main([*command, "--corpus", str(corpus_dir), "--out", str(tmp_path / "o")]) == 3
         assert f"{trial_csv}:6: non-numeric field" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("via", ["flag", "corpus-name"])
+    def test_control_character_in_dataset_name_is_escaped_in_report_txt(self, via, corpus_dir, tmp_path):
+        """The report.txt header stays one line; report.json keeps the name as it is."""
+        if via == "flag":
+            corpus, name_flag = corpus_dir, ["--dataset-name", "two\nlines\x1b"]
+        else:
+            corpus, name_flag = corpus_dir.rename(tmp_path / "two\nlines\x1b"), []
+        out = tmp_path / "ev"
+        argv = ["evaluate", "--corpus", str(corpus), "--detector", "threshold", *name_flag, "--out", str(out)]
+        assert main(argv) == 0
+        lines = (out / "report.txt").read_text().split("\n")
+        assert len(lines) == 5 and lines[0].endswith("[two\\nlines\\x1b]") and lines[4] == ""
+        assert json.loads((out / "report.json").read_text())["dataset"] == "two\nlines\x1b"
+
     def test_missing_corpus(self, tmp_path):
         assert main(["evaluate", "--corpus", str(tmp_path / "nope"), "--detector", "threshold", "--out", str(tmp_path / "o")]) == 3
 
@@ -257,7 +273,7 @@ class TestEvaluateCommand:
     def test_unexpected_error_is_internal(self, command, corpus_dir, tmp_path, monkeypatch, capsys):
         """Only a data error gets a stage label and exit 3; a bug is exit 4 in every command."""
 
-        def boom(spec, dev_windows, seed):
+        def boom(spec, dev_rows, seed):
             raise RuntimeError("boom")
 
         monkeypatch.setattr("wristfall.evaluation.fit_detector", boom)
@@ -359,6 +375,59 @@ class TestFitFaults:
             warnings.simplefilter("error")
             code = main([command[0], "--corpus", str(corpus), *command[1:], "--seed", "3", "--out", str(tmp_path / "o")])
         assert (code, capsys.readouterr().err) == expected
+
+
+class TestSubjectScopedReads:
+    """calibrate and train open only the development subjects' trial files; evaluate opens the others after fitting."""
+
+    FIT_COMMANDS = {"calibrate": ["calibrate"], "train": ["train", "--kind", "rf", "--params", '{"n_trees": 5}']}
+
+    @staticmethod
+    def corrupt_evaluation_trial(corpus):
+        """Make line 6 of an evaluation subject's trial file (at seed 0) non-numeric; returns that file."""
+        entries = [json.loads(line) for line in (corpus / "index.jsonl").read_text().splitlines()]
+        eval_subjects = split_subjects([e["subject_id"] for e in entries], 0).eval_subjects
+        path = corpus / next(e["path"] for e in entries if e["subject_id"] in eval_subjects)
+        lines = path.read_text().split("\n")
+        lines[5] = lines[5].replace(",", ",x", 1)
+        path.write_text("\n".join(lines))
+        return path
+
+    @pytest.mark.parametrize("command", list(FIT_COMMANDS))
+    def test_fit_writes_the_same_bytes_with_an_evaluation_trial_corrupt(self, command, corpus_dir, tmp_path):
+        argv = [*self.FIT_COMMANDS[command], "--corpus", str(corpus_dir)]
+        assert main([*argv, "--out", str(tmp_path / "clean")]) == 0
+        self.corrupt_evaluation_trial(corpus_dir)
+        assert main([*argv, "--out", str(tmp_path / "corrupt")]) == 0
+        assert (tmp_path / "corrupt").read_bytes() == (tmp_path / "clean").read_bytes()
+
+    def test_evaluate_reports_the_corrupt_evaluation_trial(self, corpus_dir, tmp_path, capsys):
+        path = self.corrupt_evaluation_trial(corpus_dir)
+        assert main(["evaluate", "--corpus", str(corpus_dir), "--detector", "knn", "--out", str(tmp_path / "ev")]) == 3
+        assert capsys.readouterr().err == f"error: {path}:6: non-numeric field\n"
+
+    @pytest.mark.parametrize(
+        "command", [["calibrate"], ["train", "--kind", "knn"], ["evaluate", "--detector", "knn"]],
+        ids=["calibrate", "train", "evaluate"],
+    )
+    def test_no_recording_or_window_is_alive_at_fit_time(self, command, corpus_dir, tmp_path, monkeypatch):
+        """The file workers hand back window rows: the parent holds no samples when it fits."""
+
+        def alive():
+            gc.collect()
+            return sum(isinstance(obj, (TrialRecording, SignalWindow)) for obj in gc.get_objects())
+
+        real_fit = evaluation.fit_detector
+        at_fit = []
+
+        def fit(spec, dev_rows, seed):
+            at_fit.append(alive())
+            return real_fit(spec, dev_rows, seed)
+
+        monkeypatch.setattr(evaluation, "fit_detector", fit)
+        before = alive()
+        assert main([command[0], "--corpus", str(corpus_dir), *command[1:], "--out", str(tmp_path / "o")]) == 0
+        assert at_fit == [before]
 
 
 @pytest.fixture(scope="module")
@@ -797,6 +866,17 @@ class TestExportPlots:
         assert main(["export-plots", "--out", str(tmp_path / "x.csv")]) == 3
 
 
+# JSON nested deeper than the decoder's recursion limit, and an integer past Python's 4300-digit conversion limit
+DEEP = b"[" * 1500 + b"]" * 1500
+DIGITS = b"1" * 5000
+
+
+def rf_chain_model(splits) -> bytes:
+    """An rf model file whose one tree is a chain of `splits` splits, each with a leaf on its right."""
+    chain = b'{"f": 0, "thr": 0.5, "l": ' * splits + b'{"leaf": 0}' + b', "r": {"leaf": 1}}' * splits
+    return model_file("rf", lambda doc: doc["state"]["trees"][0].clear()).replace(b"[{}]", b"[" + chain + b"]")
+
+
 def model_file(kind, edit=lambda doc: None) -> bytes:
     """A small valid acc44 model file of `kind`, changed by `edit(doc)`."""
     tree = {"f": 0, "thr": 0.5, "l": {"leaf": 0}, "r": {"leaf": 1}}
@@ -880,6 +960,9 @@ class TestLoaderFaults:
             "knn-y-short": model_file("knn", lambda d: d["state"].update(y=[0])),
             "seed-1e400": model_file("knn").replace(b'"seed": 0', b'"seed": 1e400'),
             "seed-1.5": model_file("knn", lambda d: d.update(seed=1.5)),
+            "nested-1500": b'{"format": ' + DEEP + b"}",
+            "seed-5000-digits": model_file("knn").replace(b'"seed": 0', b'"seed": ' + DIGITS),
+            "rf-chain-1500": rf_chain_model(1500),
         },
         "threshold_config": {
             "undecodable": b"smv_acc = 2.5  # \xff\n",
@@ -902,6 +985,8 @@ class TestLoaderFaults:
             "rate-1e9": index_entry(sample_rate_hz=1e9),
             "rate-string": index_entry(sample_rate_hz="25"),
             "rate-int-beyond-float": index_entry(sample_rate_hz=10**400),
+            "nested-1500": DEEP + b"\n",
+            "rate-5000-digits": index_entry().replace(b'"sample_rate_hz": 25.0', b'"sample_rate_hz": ' + DIGITS),
         },
         "report": {
             "undecodable": b'{"detector": "svm\xff"}\n',
@@ -912,6 +997,8 @@ class TestLoaderFaults:
             "tp-string": report_file(lambda d: d["confusion"].update(tp="3")),
             "all-zero": report_file(lambda d: d["confusion"].update(tp=0, fn=0, tn=0, fp=0)),
             "tp-int-beyond-float": report_file(lambda d: d["confusion"].update(tp=10**400)),
+            "nested-1500": DEEP,
+            "tp-5000-digits": report_file().replace(b'"tp": 3', b'"tp": ' + DIGITS),
         },
     }
 
@@ -996,6 +1083,9 @@ class TestLoaderFaults:
                 manifest_file(layout=layout(mode="interleaved", sensor_type_column=5, sensor_id_column=6)),
                 id="interleaved-no-sample_no_column",
             ),
+            pytest.param(DEEP, id="nested-1500"),
+            pytest.param(manifest_file().replace(b'"nominal_rate_hz": 25.0', b'"nominal_rate_hz": ' + DIGITS),
+                         id="rate-5000-digits"),
         ],
     )
     def test_bad_manifest_is_a_data_error_naming_it(self, content, tmp_path, capsys):
@@ -1045,6 +1135,15 @@ class TestBadParams:
         assert code == 3
         assert "internal error" not in err
         assert named in err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("params", [DEEP, b'{"k": ' + DIGITS + b"}"], ids=["nested-1500", "k-5000-digits"])
+    def test_params_that_do_not_decode(self, params, corpus_dir, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        argv = ["train", "--corpus", str(corpus_dir), "--kind", "knn", "--params", params.decode(), "--out", str(out)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("error: --params is not valid JSON: ")
         assert not out.exists()
 
 
@@ -1218,6 +1317,19 @@ class TestUsage:
             main(["--config", "run.json", *command])
         assert exc.value.code == 2
         assert f"config key {next(iter(config))!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content", [DEEP, b'{"seed": ' + DIGITS + b"}", b'{"seed": 5\xff}', b"{"],
+        ids=["nested-1500", "seed-5000-digits", "undecodable", "malformed"],
+    )
+    def test_config_file_that_does_not_decode_is_a_usage_error(self, content, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_bytes(content)
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "synthesize", "--out", str(tmp_path / "c")])
+        assert exc.value.code == 2
+        assert f"cannot read config file: {cfg}: " in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
 
     def test_config_file_unknown_keys_fatal(self, tmp_path):
         cfg = tmp_path / "run.json"

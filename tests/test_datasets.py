@@ -565,6 +565,26 @@ class TestMapFiles:
         items = [f"item {i}" for i in range(n)]
         assert datasets._map_files(lambda x: (x, x.upper()), items) == [(x, x.upper()) for x in items]
 
+    def test_a_fork_after_a_blas_call_warns_nothing(self):
+        """Python 3.12+ warns (DeprecationWarning) when it forks with another thread alive: BLAS threads must not be.
+
+        Under `-W error` CPython drops that warning without a trace, so it is shown (`always`) and stderr checked.
+        """
+        code = (
+            "import numpy as np\n"
+            "from wristfall import datasets\n"
+            "a = np.arange(40000.0).reshape(200, 200)\n"
+            "np.dot(a, a)\n"
+            "datasets.MIN_FORK_ITEMS, datasets._usable_cpus = 2, lambda: 2\n"
+            "assert datasets._map_files(lambda x: x * 2, list(range(8))) == list(range(0, 16, 2))\n"
+        )
+        src = str(Path(datasets.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-W", "always::DeprecationWarning", "-c", code], env=env, capture_output=True, text=True
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+
     def test_fewer_items_than_the_minimum_stay_in_process(self, monkeypatch):
         monkeypatch.setattr(datasets, "_usable_cpus", lambda: 2)
         items = list(range(datasets.MIN_FORK_ITEMS - 1))

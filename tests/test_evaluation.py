@@ -1,11 +1,9 @@
-import weakref
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wristfall.core import Label
+from wristfall.core import Label, segment
 from wristfall.errors import ExperimentStageError, TooFewSubjects
 from wristfall import evaluation
 from wristfall.evaluation import (
@@ -14,7 +12,6 @@ from wristfall.evaluation import (
     EvalReport,
     classify_many,
     compute_metrics,
-    fit_detector,
     fit_on_dev,
     predict_subjects,
     predictions_csv,
@@ -22,13 +19,17 @@ from wristfall.evaluation import (
     report_table,
     run_experiment,
     split_subjects,
-    windows_of,
 )
 from wristfall.signals import derive_all
 from wristfall.synthetic import synthesize
 from wristfall.threshold import ThresholdConfig, detect, fall_score
 
 F, A = Label.FALL, Label.ADL
+
+
+def windows_of(trials, subjects, window_seconds):
+    """The windows of the trials of `subjects`, in trial order."""
+    return [w for rec in trials if rec.subject_id in subjects for w in segment(rec, window_seconds=window_seconds)]
 
 
 class TestSplit:
@@ -143,21 +144,22 @@ class TestFitOnDev:
         assert (records, split, log.events) == (result.predictions, result.split, result.access_log.events)
         assert n_dev_windows == len(windows_of(corpus, split.dev_subjects, 60.0))
 
-    def test_evaluation_recordings_are_freed_before_fitting(self, monkeypatch):
-        """fit_on_dev empties the list it is given, so the evaluation subjects' recordings are gone at fit time."""
-        trials = synthesize(seed=88, n_subjects=6, trials_per_subject=16)
-        eval_subjects = split_subjects((r.subject_id for r in trials), 5).eval_subjects
-        eval_refs = [weakref.ref(r) for r in trials if r.subject_id in eval_subjects]
-        freed_at_fit = []
+    def test_only_development_trials_are_reduced_before_fitting(self, corpus, monkeypatch):
+        """map_trials gets the development subjects' trials, and the evaluation subjects' only after the fit."""
+        events = []
         real_fit = evaluation.fit_detector
 
-        def fit(spec, dev_windows, seed):
-            freed_at_fit.append(sum(ref() is None for ref in eval_refs))
-            return real_fit(spec, dev_windows, seed)
+        def fit(spec, dev_rows, seed):
+            events.append("fit")
+            return real_fit(spec, dev_rows, seed)
+
+        def map_trials(fn, trials):
+            events.append({rec.subject_id for rec in trials})
+            return map(fn, trials)
 
         monkeypatch.setattr(evaluation, "fit_detector", fit)
-        fit_on_dev(trials, DetectorSpec(kind="threshold"), 5, 60.0, AccessLog())
-        assert trials == [] and eval_refs and freed_at_fit == [len(eval_refs)]
+        result = run_experiment(corpus, DetectorSpec(kind="threshold"), 5, map_trials=map_trials)
+        assert events == [set(result.split.dev_subjects), "fit", set(result.split.eval_subjects)]
 
     def test_run_experiment_keeps_the_callers_trials(self, corpus):
         trials = list(corpus)
@@ -253,8 +255,7 @@ class TestClassify:
         ids=lambda spec: spec.kind,
     )
     def test_classify_many_matches_one_window_at_a_time(self, corpus, spec):
-        split = split_subjects((t.subject_id for t in corpus), seed=3)
-        detector = fit_detector(spec, windows_of(corpus, split.dev_subjects, 60.0), seed=3)
+        detector, split, _ = fit_on_dev(corpus, spec, 3, 60.0, AccessLog())
         windows = windows_of(corpus, split.eval_subjects, 5.0)  # many windows, of several lengths
         assert len({w.n_samples for w in windows}) > 1
         many = classify_many(detector, windows)

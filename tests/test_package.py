@@ -21,6 +21,7 @@ def test_every_exported_name_resolves():
         (cli, "_read_corpus"),
         (features, "extract"),
         (evaluation, "classify"),
+        (evaluation, "windows_of"),
     ],
 )
 def test_removed_name_is_gone(module, name):
