@@ -1,8 +1,9 @@
 """Subject-disjoint evaluation: splitting, metrics, and the experiment pipeline.
 
-The pipeline is split → segment → derive → fit on development subjects only →
-predict on evaluation subjects → confusion metrics (Fall is the positive
-class). Every consumption of a subject's data is recorded in an AccessLog
+The pipeline is split → segment → reduce each window to the row its detector
+reads (88 features, or the peak of each voted signal) → fit on development
+subjects only → predict on evaluation subjects → confusion metrics (Fall is
+the positive class). Every consumption of a subject's data is recorded in an AccessLog
 keyed by (subject_id, stage) so tests can prove that no evaluation subject is
 touched during calibration, standardization, or training.
 """
