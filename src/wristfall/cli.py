@@ -26,7 +26,6 @@ from .datasets import (
     CANONICAL_HEADER,
     ingest,
     load_manifest,
-    map_trials,
     parse_canonical_rows,
     read_canonical_trial,
     read_index,
@@ -142,7 +141,7 @@ def cmd_calibrate(args) -> int:
     spec = DetectorSpec(kind="threshold", signals=_parse_signals(args.signals))
     # from the index, fit_on_dev opens only the development subjects' trial files, each reduced in a file worker
     entries = read_index(args.corpus)
-    config, split, _ = fit_on_dev(entries, spec, args.seed, args.window_seconds, AccessLog(), map_trials)
+    config, split, _ = fit_on_dev(entries, spec, args.seed, args.window_seconds, AccessLog())
     save_threshold_config(config, args.out)
     print(f"calibrated on {len(split.dev_subjects)} dev subjects: " + config.describe())
     return EXIT_OK
@@ -152,7 +151,7 @@ def cmd_train(args) -> int:
     _check_out_file(args.out)
     spec = DetectorSpec(kind=args.kind, feature_view=args.view, params=_parse_params(args.params))
     entries = read_index(args.corpus)
-    model, split, n_windows = fit_on_dev(entries, spec, args.seed, args.window_seconds, AccessLog(), map_trials)
+    model, split, n_windows = fit_on_dev(entries, spec, args.seed, args.window_seconds, AccessLog())
     save_model(model, args.out)
     print(f"trained {model.describe()} on {n_windows} dev windows from {len(split.dev_subjects)} subjects")
     return EXIT_OK
@@ -166,7 +165,7 @@ def cmd_evaluate(args) -> int:
     _check_out_dir(args.out)  # the spec and --out are checked before the corpus is read
     entries = read_index(args.corpus)
     dataset_name = args.dataset_name or Path(args.corpus).name
-    result = run_experiment(entries, spec, args.seed, args.window_seconds, dataset_name, map_trials)
+    result = run_experiment(entries, spec, args.seed, args.window_seconds, dataset_name)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -19,6 +19,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .core import DEFAULT_WINDOW_SECONDS, Label, SignalWindow, TrialRecording, is_int, segment
+from .datasets import IndexEntry, map_trials
 from .errors import DataError, ExperimentStageError, NonFiniteSignal, TooFewSubjects, WristfallError
 from .features import N_FEATURES, extract_many
 from .ml import ClassifierModel, predict, train
@@ -252,15 +253,16 @@ def trial_rows(rec: TrialRecording, signals: tuple[str, ...] | None, window_seco
     ]
 
 
-def _rows(trials: Sequence, subjects: Iterable[str], signals, window_seconds: float, stage: str, map_trials):
+def _rows(trials: Sequence, subjects: Iterable[str], signals, window_seconds: float, stage: str):
     """The rows of every window of the trials of `subjects`, in trial order; a toolkit error is labelled `stage`.
 
-    `trials` are recordings, with `map` as `map_trials`, or corpus index entries, with `datasets.map_trials`, which
-    reduces each trial file to its rows in a file worker.
+    `trials` are recordings, reduced in this process, or corpus index entries (`datasets.read_index`), each read
+    and reduced to its rows in a file worker by `datasets.map_trials`.
     """
     subjects = set(subjects)
     chosen = [trial for trial in trials if trial.subject_id in subjects]
-    per_trial = map_trials(lambda rec: _stage(stage, trial_rows, rec, signals, window_seconds), chosen)
+    mapper = map_trials if chosen and isinstance(chosen[0], IndexEntry) else map
+    per_trial = mapper(lambda rec: _stage(stage, trial_rows, rec, signals, window_seconds), chosen)
     return [row for rows in per_trial for row in rows]
 
 
@@ -323,19 +325,18 @@ def _stage(name: str, fn, *args):
 
 
 def fit_on_dev(
-    trials: Sequence, spec: DetectorSpec, seed: int, window_seconds: float, log: AccessLog, map_trials=map
+    trials: Sequence, spec: DetectorSpec, seed: int, window_seconds: float, log: AccessLog
 ) -> tuple[ThresholdConfig | ClassifierModel, SubjectSplit, int]:
     """Fit `spec` on the development subjects of `trials`: (detector, split, number of development windows).
 
-    `trials` are recordings, or the entries of `datasets.read_index` with `datasets.map_trials` as `map_trials`:
-    the split is then taken from the index, and only the development subjects' trial files are opened, each
-    reduced to its window rows in a file worker. Records each development window's subject in `log` at the fit
-    stages.
+    `trials` are recordings, or the entries of `datasets.read_index`: the split is then taken from the index, and
+    only the development subjects' trial files are opened, each reduced to its window rows in a file worker.
+    Records each development window's subject in `log` at the fit stages.
     """
     split = _stage("split", split_subjects, (trial.subject_id for trial in trials), seed)
     fit_stages = (STAGE_CALIBRATION,) if spec.kind == "threshold" else (STAGE_STANDARDIZATION, STAGE_TRAINING)
     signals = spec.signals if spec.kind == "threshold" else None
-    dev_rows = _rows(trials, split.dev_subjects, signals, window_seconds, fit_stages[-1], map_trials)
+    dev_rows = _rows(trials, split.dev_subjects, signals, window_seconds, fit_stages[-1])
     for r in dev_rows:
         for name in fit_stages:
             log.record(r.subject_id, name)
@@ -348,14 +349,13 @@ def predict_subjects(
     subjects: Iterable[str],
     window_seconds: float,
     log: AccessLog,
-    map_trials=map,
 ) -> list[PredictionRecord]:
     """Predictions for the windows of the trials of `subjects`, in trial order, each recorded in `log`.
 
-    `trials` and `map_trials` are as in `fit_on_dev`.
+    `trials` are as in `fit_on_dev`.
     """
     signals = detector.signals if isinstance(detector, ThresholdConfig) else None
-    rows = _rows(trials, subjects, signals, window_seconds, STAGE_PREDICTION, map_trials)
+    rows = _rows(trials, subjects, signals, window_seconds, STAGE_PREDICTION)
     for r in rows:
         log.record(r.subject_id, STAGE_PREDICTION)
     verdicts = _stage(STAGE_PREDICTION, classify_rows, detector, _matrix(rows))
@@ -371,18 +371,17 @@ def run_experiment(
     seed: int,
     window_seconds: float = DEFAULT_WINDOW_SECONDS,
     dataset_name: str = "",
-    map_trials=map,
 ) -> ExperimentResult:
     """Full subject-disjoint evaluation of one detector configuration: `fit_on_dev`, then `predict_subjects`.
 
     No evaluation-subject data reaches calibration, standardization, or
-    training; the returned access log substantiates that. `trials` and
-    `map_trials` are as in `fit_on_dev`; the evaluation subjects' trials are
-    opened only once the detector is fitted.
+    training; the returned access log substantiates that. `trials` are as in
+    `fit_on_dev`; the evaluation subjects' trials are opened only once the
+    detector is fitted.
     """
     log = AccessLog()
-    detector, split, _ = fit_on_dev(trials, spec, seed, window_seconds, log, map_trials)
-    records = predict_subjects(detector, trials, split.eval_subjects, window_seconds, log, map_trials)
+    detector, split, _ = fit_on_dev(trials, spec, seed, window_seconds, log)
+    records = predict_subjects(detector, trials, split.eval_subjects, window_seconds, log)
     pairs = [(r.predicted, r.actual) for r in records]
     report = _stage("metrics", compute_metrics, pairs, detector.describe(), dataset_name)
     return ExperimentResult(report=report, split=split, access_log=log, predictions=records, detector=detector)

@@ -866,8 +866,9 @@ class TestExportPlots:
         assert main(["export-plots", "--out", str(tmp_path / "x.csv")]) == 3
 
 
-# JSON nested deeper than the decoder's recursion limit, and an integer past Python's 4300-digit conversion limit
-DEEP = b"[" * 1500 + b"]" * 1500
+# JSON nested deeper than the decoder's limit on every supported Python (about 1000 levels up to 3.11, several
+# thousand from 3.12 on, where the C decoder has its own limit), and an integer past the 4300-digit conversion limit
+DEEP = b"[" * 100_000 + b"]" * 100_000
 DIGITS = b"1" * 5000
 
 
@@ -960,9 +961,9 @@ class TestLoaderFaults:
             "knn-y-short": model_file("knn", lambda d: d["state"].update(y=[0])),
             "seed-1e400": model_file("knn").replace(b'"seed": 0', b'"seed": 1e400'),
             "seed-1.5": model_file("knn", lambda d: d.update(seed=1.5)),
-            "nested-1500": b'{"format": ' + DEEP + b"}",
+            "nested-100000": b'{"format": ' + DEEP + b"}",
             "seed-5000-digits": model_file("knn").replace(b'"seed": 0', b'"seed": ' + DIGITS),
-            "rf-chain-1500": rf_chain_model(1500),
+            "rf-chain-100000": rf_chain_model(100_000),
         },
         "threshold_config": {
             "undecodable": b"smv_acc = 2.5  # \xff\n",
@@ -985,7 +986,7 @@ class TestLoaderFaults:
             "rate-1e9": index_entry(sample_rate_hz=1e9),
             "rate-string": index_entry(sample_rate_hz="25"),
             "rate-int-beyond-float": index_entry(sample_rate_hz=10**400),
-            "nested-1500": DEEP + b"\n",
+            "nested-100000": DEEP + b"\n",
             "rate-5000-digits": index_entry().replace(b'"sample_rate_hz": 25.0', b'"sample_rate_hz": ' + DIGITS),
         },
         "report": {
@@ -997,7 +998,7 @@ class TestLoaderFaults:
             "tp-string": report_file(lambda d: d["confusion"].update(tp="3")),
             "all-zero": report_file(lambda d: d["confusion"].update(tp=0, fn=0, tn=0, fp=0)),
             "tp-int-beyond-float": report_file(lambda d: d["confusion"].update(tp=10**400)),
-            "nested-1500": DEEP,
+            "nested-100000": DEEP,
             "tp-5000-digits": report_file().replace(b'"tp": 3', b'"tp": ' + DIGITS),
         },
     }
@@ -1083,7 +1084,7 @@ class TestLoaderFaults:
                 manifest_file(layout=layout(mode="interleaved", sensor_type_column=5, sensor_id_column=6)),
                 id="interleaved-no-sample_no_column",
             ),
-            pytest.param(DEEP, id="nested-1500"),
+            pytest.param(DEEP, id="nested-100000"),
             pytest.param(manifest_file().replace(b'"nominal_rate_hz": 25.0', b'"nominal_rate_hz": ' + DIGITS),
                          id="rate-5000-digits"),
         ],
@@ -1138,7 +1139,7 @@ class TestBadParams:
         assert not out.exists()
 
 
-    @pytest.mark.parametrize("params", [DEEP, b'{"k": ' + DIGITS + b"}"], ids=["nested-1500", "k-5000-digits"])
+    @pytest.mark.parametrize("params", [DEEP, b'{"k": ' + DIGITS + b"}"], ids=["nested-100000", "k-5000-digits"])
     def test_params_that_do_not_decode(self, params, corpus_dir, tmp_path, capsys):
         out = tmp_path / "m.json"
         argv = ["train", "--corpus", str(corpus_dir), "--kind", "knn", "--params", params.decode(), "--out", str(out)]
@@ -1320,7 +1321,7 @@ class TestUsage:
 
     @pytest.mark.parametrize(
         "content", [DEEP, b'{"seed": ' + DIGITS + b"}", b'{"seed": 5\xff}', b"{"],
-        ids=["nested-1500", "seed-5000-digits", "undecodable", "malformed"],
+        ids=["nested-100000", "seed-5000-digits", "undecodable", "malformed"],
     )
     def test_config_file_that_does_not_decode_is_a_usage_error(self, content, tmp_path, capsys):
         cfg = tmp_path / "run.json"

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wristfall.core import Label, segment
+from wristfall.datasets import read_canonical, read_index, write_canonical
 from wristfall.errors import ExperimentStageError, TooFewSubjects
 from wristfall import evaluation
 from wristfall.evaluation import (
@@ -144,22 +145,26 @@ class TestFitOnDev:
         assert (records, split, log.events) == (result.predictions, result.split, result.access_log.events)
         assert n_dev_windows == len(windows_of(corpus, split.dev_subjects, 60.0))
 
-    def test_only_development_trials_are_reduced_before_fitting(self, corpus, monkeypatch):
-        """map_trials gets the development subjects' trials, and the evaluation subjects' only after the fit."""
+    def test_only_development_trials_are_reduced_before_fitting(self, corpus, tmp_path, monkeypatch):
+        """On index entries, map_trials gets the development subjects' trials, the evaluation subjects' after the fit."""
+        write_canonical(corpus, tmp_path)
         events = []
-        real_fit = evaluation.fit_detector
+        real_fit, real_map = evaluation.fit_detector, evaluation.map_trials
 
         def fit(spec, dev_rows, seed):
             events.append("fit")
             return real_fit(spec, dev_rows, seed)
 
-        def map_trials(fn, trials):
-            events.append({rec.subject_id for rec in trials})
-            return map(fn, trials)
+        def map_trials(fn, entries):
+            events.append({entry.subject_id for entry in entries})
+            return real_map(fn, entries)
 
         monkeypatch.setattr(evaluation, "fit_detector", fit)
-        result = run_experiment(corpus, DetectorSpec(kind="threshold"), 5, map_trials=map_trials)
+        monkeypatch.setattr(evaluation, "map_trials", map_trials)
+        spec = DetectorSpec(kind="threshold")
+        result = run_experiment(read_index(tmp_path), spec, 5)
         assert events == [set(result.split.dev_subjects), "fit", set(result.split.eval_subjects)]
+        assert result.predictions == run_experiment(read_canonical(tmp_path), spec, 5).predictions
 
     def test_run_experiment_keeps_the_callers_trials(self, corpus):
         trials = list(corpus)
