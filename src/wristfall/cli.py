@@ -220,10 +220,10 @@ def cmd_detect_stream(args) -> int:
 
     for index, (a, b) in enumerate(window_bounds(times(), args.window_seconds)):
         rows = np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
-        if b - a >= 2:  # window_from_arrays takes the median gap; only a stream of one row has a shorter window
+        if b - a >= 2:  # only a stream of one row has a shorter window, and it gives no verdict
             window = window_from_arrays("stream", rows[: b - a, 0], rows[: b - a, 1:4], rows[: b - a, 4:7], index)
             [(label, score)] = classify_many(detector, [window])
-            print(f"{window.end_t!r},{label.value},{score:.6f}")
+            print(f"{window.end_t!r},{label.value},{score:.6f}", flush=True)  # each verdict as soon as it is known
         # a copy, so that the rest of a concatenation does not keep the printed window alive
         pieces[:] = [rows[b - a :].copy() if len(pieces) > 1 else rows[b - a :]]
     return EXIT_OK
@@ -249,7 +249,7 @@ def cmd_export_plots(args) -> int:
 
     if args.trial:
         t, acc, gyr = read_canonical_trial(args.trial)
-        if len(t) < 2:  # window_from_arrays takes the median gap between samples
+        if len(t) < 2:  # as TrialRecording.validate asks
             raise DataError(f"{args.trial}: a trial needs at least 2 samples, got {len(t)}")
         derived = _derive_checked(window_from_arrays(args.trial, t, acc, gyr), THRESHOLD_SIGNALS)
         series = np.column_stack((t, derived.smv_acc, derived.smv_gyr, derived.fi, derived.avd))

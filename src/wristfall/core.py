@@ -139,14 +139,16 @@ class SignalWindow:
         return int(self.t.shape[0])
 
 
-def window_from_arrays(ref: str, t: np.ndarray, acc: np.ndarray, gyr: np.ndarray, index: int = 0) -> SignalWindow:
-    """An unlabeled window (placeholder label ADL) over raw arrays, at the rate of the median sample gap."""
-    with np.errstate(over="ignore"):  # rows from -1e308 to 1e308 are a gap of inf: a rate of 0
-        gap = float(np.median(np.diff(t)))
+def window_from_arrays(
+    ref: str, t: np.ndarray, acc: np.ndarray, gyr: np.ndarray, index: int = 0, subject_id: str = "", label=Label.ADL
+) -> SignalWindow:
+    """The window over raw arrays (label ADL unless given), at the rate of its own rows: one over their median gap."""
+    with np.errstate(over="ignore"):  # one row has no gap, and rows from -1e308 to 1e308 a gap of inf: both 0 Hz
+        gap = float(np.median(np.diff(t))) if len(t) > 1 else math.inf
     return SignalWindow(
         recording_ref=ref,
-        subject_id="",
-        label=Label.ADL,
+        subject_id=subject_id,
+        label=label,
         sample_rate_hz=1.0 / gap,
         window_index=index,
         start_t=float(t[0]),
@@ -225,21 +227,10 @@ def segment(
     window_seconds: float = DEFAULT_WINDOW_SECONDS,
     min_samples: int = DEFAULT_MIN_SAMPLES,
 ) -> list[SignalWindow]:
-    """Split a recording into the windows of `window_bounds`; equal inputs give identical windows."""
-    t = recording.t
+    """The windows of `window_bounds` over a recording, each at its rows' rate (the declared one is not read)."""
+    rec, t = recording, recording.t
     windows = [
-        SignalWindow(
-            recording_ref=recording.trial_id,
-            subject_id=recording.subject_id,
-            label=recording.label,
-            sample_rate_hz=recording.sample_rate_hz,
-            window_index=idx,
-            start_t=float(t[a]),
-            end_t=float(t[b - 1]),
-            t=t[a:b],
-            acc=recording.acc[a:b],
-            gyr=recording.gyr[a:b],
-        )
+        window_from_arrays(rec.trial_id, t[a:b], rec.acc[a:b], rec.gyr[a:b], idx, rec.subject_id, rec.label)
         for idx, (a, b) in enumerate(window_bounds([t], window_seconds, min_samples))
     ]
     if not windows:

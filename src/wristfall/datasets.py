@@ -597,15 +597,23 @@ def _index_entry(corpus_dir: Path, index_path: Path, line_no: int, raw: bytes) -
 def read_index(corpus_dir) -> list[IndexEntry]:
     """The entries of a canonical corpus's index, in index order.
 
-    The whole index is checked and no trial file is opened: a bad index line raises CanonicalFormatError naming it.
+    Every line is checked before a trial file is opened: a bad line, or one that repeats a trial_id or trial file
+    (compared as normalized paths), raises CanonicalFormatError naming it.
     """
     corpus_dir = Path(corpus_dir)
     index_path = corpus_dir / INDEX_NAME
     if not index_path.is_file():
         raise ManifestRootMissing(f"no {INDEX_NAME} under {corpus_dir}")
+    entries, seen = [], {}
     with open(index_path, "rb") as fh:
-        entries = (_index_entry(corpus_dir, index_path, line_no, raw) for line_no, raw in enumerate(fh, start=1))
-        return [entry for entry in entries if entry is not None]
+        for line_no, raw in enumerate(fh, start=1):
+            if entry := _index_entry(corpus_dir, index_path, line_no, raw):
+                # a trial listed twice would be read twice: fitted twice, or both fitted and scored
+                for key in (f"trial_id {entry.fields['trial_id']}", f"trial file {os.path.normpath(entry.path)}"):
+                    if seen.setdefault(key, line_no) != line_no:
+                        raise CanonicalFormatError(str(index_path), line_no, f"{key} repeats line {seen[key]}")
+                entries.append(entry)
+    return entries
 
 
 def read_trial(entry: IndexEntry) -> TrialRecording:

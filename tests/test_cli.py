@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_recording
@@ -164,6 +164,24 @@ class TestCalibrateAndTrain:
         spec = DetectorSpec("threshold", signals=("smv_acc", "smv_gyr", "avd"))
         save_threshold_config(run_experiment(read_canonical(corpus_dir), spec, 6).detector, lib_path)
         assert cli_path.read_bytes() == lib_path.read_bytes()
+
+    def test_a_declared_rate_moves_no_threshold_and_no_verdict(self, tmp_path, capsys):
+        """25 Hz rows declared at 21 Hz, as `validate` allows: AVD's one-second mean spans the rows' 25 samples, so
+        the threshold file and every prediction are those of the corpus declared at 25 Hz."""
+        outputs = []
+        for rate in (25.0, 21.0):
+            corpus, cfg, ev = tmp_path / f"corpus-{rate}", tmp_path / f"avd-{rate}.txt", tmp_path / f"ev-{rate}"
+            assert main(["synthesize", "--subjects", "3", "--trials-per-subject", "12", "--out", str(corpus)]) == 0
+            index = corpus / "index.jsonl"
+            index.write_text(index.read_text().replace('"sample_rate_hz": 25.0', f'"sample_rate_hz": {rate}'))
+            for rec in read_canonical(corpus):
+                assert rec.sample_rate_hz == rate
+                rec.validate()
+            assert main(["calibrate", "--corpus", str(corpus), "--signals", "avd", "--out", str(cfg)]) == 0
+            args = ["--detector", "threshold", "--signals", "avd", "--predictions", "--out", str(ev)]
+            assert main(["evaluate", "--corpus", str(corpus), *args]) == 0
+            outputs.append((cfg.read_text(), (ev / "predictions.csv").read_text()))
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("command", ["calibrate", "train"])
     @pytest.mark.parametrize("out", ["missing/out.file", ""], ids=["parent-missing", "a-directory"])
@@ -432,9 +450,10 @@ class TestSubjectScopedReads:
 
 @pytest.fixture(scope="module")
 def vote_config(tmp_path_factory):
-    """A threshold file that votes on all three signals."""
+    """A threshold file that votes on all three signals; AVD's peak passes 10 g on a large spike only, so its vote
+    varies and a change of the window's rate can flip it."""
     path = tmp_path_factory.mktemp("vote") / "thresholds.txt"
-    path.write_text("smv_acc = 3.15\nfi = 5.0\navd = 1.25\n")
+    path.write_text("smv_acc = 3.15\nfi = 5.0\navd = 10.0\n")
     return path
 
 
@@ -709,6 +728,35 @@ class TestDetectStream:
         assert main(["detect-stream", "--threshold-config", str(cfg), "--window-seconds", "10"]) == 0
         assert capsys.readouterr() == ("10.0,Fall,1.000000\n29.96,ADL,0.000000\n34.96,ADL,0.000000\n", "")
 
+    def test_each_verdict_is_flushed_before_stdin_is_read_again(self, vote_config, monkeypatch):
+        """On a pipe, a verdict leaves as soon as it is known, not in the next 8 KiB of buffered output."""
+        events = []
+
+        class Stdout(io.StringIO):
+            def write(self, text):
+                events.append("write")
+                return super().write(text)
+
+            def flush(self):
+                events.append("flush")
+
+        class Stdin(self.Trickle):
+            def read1(self, size=-1):
+                events.append("read")
+                return super().read1(size)
+
+        rows = "".join(f"{i / 25!r},0,0,{9 if i % 97 == 0 else 1},0,0,0\n" for i in range(1000))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(Stdin(rows.encode(), 97), encoding="utf-8"))
+        monkeypatch.setattr("sys.stdout", stdout := Stdout())
+        assert main(["detect-stream", "--threshold-config", str(vote_config), "--window-seconds", "2"]) == 0
+        assert len(stdout.getvalue().splitlines()) == 20
+        assert events[events.index("write") :].count("read") > 1  # verdicts are printed between reads
+        unflushed = False  # a verdict was written and not yet flushed
+        for event in events:
+            assert not (event == "read" and unflushed)
+            unflushed = event == "write" or unflushed and event != "flush"
+        assert not unflushed
+
     @settings(derandomize=True, database=None, deadline=None, max_examples=100)
     @given(
         # runs of 25 Hz rows broken by longer gaps; a run of 0 puts a row alone first, between two gaps or last
@@ -717,9 +765,14 @@ class TestDetectStream:
         window_seconds=st.sampled_from([0.01, 0.03, 0.05, 0.5, 2.5, 10.0]),
         limit=st.sampled_from([5, 97, 4096]),
         seed=st.integers(0, 2**16),
+        declared=st.floats(21.0, 30.0),  # the recording's declared rate, which a stream does not have
     )
-    def test_stream_windows_are_the_windows_of_segment(self, vote_config, head, runs, window_seconds, limit, seed):
-        """For any gaps and read sizes, the stream prints the verdict of each window `segment` cuts from its rows."""
+    # window 0 peaks at AVD 9.64 at its rows' 25 Hz and at 10.14 at the declared 21 Hz
+    @example(head=80, runs=[], window_seconds=2.5, limit=97, seed=150, declared=21.0)
+    def test_stream_windows_are_the_windows_of_segment(
+        self, vote_config, head, runs, window_seconds, limit, seed, declared
+    ):
+        """For any gaps, read sizes and declared rate, the stream prints the verdict of each window of `segment`."""
         gaps = [0.04] * head + [g for gap, run in runs for g in [gap] + [0.04] * run]
         t = np.concatenate([[0.0], np.cumsum(gaps)])
         rng = np.random.default_rng(seed)
@@ -729,9 +782,9 @@ class TestDetectStream:
         data = "".join(",".join(map(repr, row)) + "\n" for row in np.column_stack((t, acc, gyr)).tolist()).encode()
         detector = load_threshold_config(vote_config)
         expected = []
-        for index, w in enumerate(segment(make_recording(t, acc, gyr), window_seconds=window_seconds)):
+        for w in segment(make_recording(t, acc, gyr, rate=declared), window_seconds=window_seconds):
             if w.n_samples >= 2:  # only a stream of one row has a shorter window
-                [(label, score)] = classify_many(detector, [window_from_arrays("stream", w.t, w.acc, w.gyr, index)])
+                [(label, score)] = classify_many(detector, [w])
                 expected.append(f"{w.end_t!r},{label.value},{score:.6f}\n")
         out, err = io.StringIO(), io.StringIO()
         stdin = io.TextIOWrapper(self.Trickle(data, limit), encoding="utf-8")
@@ -924,7 +977,7 @@ def layout(**changes) -> dict:
 
 
 def index_entry(**changes) -> bytes:
-    """An index.jsonl line for a trial file of the `corpus_dir` corpus under a new trial id, with `changes` made."""
+    """An index.jsonl line for a new trial of the `corpus_dir` corpus (see `append_index_line`), with `changes` made."""
     entry = {
         "trial_id": "S01_SYN_ADL_000_again",
         "subject_id": "S01",
@@ -932,9 +985,17 @@ def index_entry(**changes) -> bytes:
         "label": "ADL",
         "sample_rate_hz": 25.0,
         "source": "Synthetic",
-        "path": "trials/S01_SYN_ADL_000.csv",
+        "path": "trials/S01_SYN_ADL_000_again.csv",
     }
     return json.dumps({**entry, **changes}).encode() + b"\n"
+
+
+def append_index_line(corpus, line: bytes) -> None:
+    """Append `line` to the corpus's index, and write the trial file of `index_entry()`: a copy of a listed one."""
+    trials = corpus / "trials"
+    (trials / "S01_SYN_ADL_000_again.csv").write_bytes((trials / "S01_SYN_ADL_000.csv").read_bytes())
+    index = corpus / "index.jsonl"
+    index.write_bytes(index.read_bytes() + line)
 
 
 class TestLoaderFaults:
@@ -988,6 +1049,8 @@ class TestLoaderFaults:
             "rate-int-beyond-float": index_entry(sample_rate_hz=10**400),
             "nested-100000": DEEP + b"\n",
             "rate-5000-digits": index_entry().replace(b'"sample_rate_hz": 25.0', b'"sample_rate_hz": ' + DIGITS),
+            "repeated-trial-id": index_entry(trial_id="S01_SYN_ADL_000"),
+            "repeated-path": index_entry(path="trials/./S01_SYN_ADL_000.csv"),  # the same file, spelled otherwise
         },
         "report": {
             "undecodable": b'{"detector": "svm\xff"}\n',
@@ -1010,7 +1073,7 @@ class TestLoaderFaults:
         content = self.FAULTS[target][fault]
         if target == "index":
             path = corpus_dir / "index.jsonl"
-            path.write_bytes(path.read_bytes() + content)
+            append_index_line(corpus_dir, content)
             argv = ["evaluate", "--corpus", str(corpus_dir), "--detector", "knn", "--out", str(tmp_path / "ev")]
         else:
             path = tmp_path / f"faulty-{target}.file"
@@ -1027,10 +1090,22 @@ class TestLoaderFaults:
 
     def test_unchanged_index_entry_reads(self, corpus_dir, tmp_path, capsys):
         """The base of the index faults above reads, so each fault is its one change."""
-        path = corpus_dir / "index.jsonl"
-        path.write_bytes(path.read_bytes() + index_entry())
+        append_index_line(corpus_dir, index_entry())
         assert main(["evaluate", "--corpus", str(corpus_dir), "--detector", "knn", "--out", str(tmp_path / "ev")]) == 0
         assert len(read_canonical(corpus_dir)) == 61
+
+    @pytest.mark.parametrize("fault", ["repeated-trial-id", "repeated-path"])
+    def test_a_repeated_trial_names_the_line_and_the_one_it_repeats(self, fault, corpus_dir, tmp_path, capsys):
+        """A trial listed twice would be read twice, and could be both fitted and scored: no trial file is read."""
+        index = corpus_dir / "index.jsonl"
+        first = next(n for n, line in enumerate(index.read_text().splitlines(), 1) if "S01_SYN_ADL_000.csv" in line)
+        append_index_line(corpus_dir, self.FAULTS["index"][fault])
+        with mock.patch("wristfall.evaluation.map_trials") as map_trials:
+            code = main(["evaluate", "--corpus", str(corpus_dir), "--detector", "knn", "--out", str(tmp_path / "ev")])
+        err = capsys.readouterr().err
+        assert (code, map_trials.call_count) == (3, 0)
+        assert err.startswith(f"error: {index}:61: {'trial_id' if fault == 'repeated-trial-id' else 'trial file'} ")
+        assert err.endswith(f" repeats line {first}\n")
 
     @pytest.mark.parametrize("kind", ["knn", "rf", "svm"])
     def test_unchanged_model_file_loads(self, kind, tmp_path, monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import make_recording
 from wristfall.core import Label, segment, window_bounds
 from wristfall.errors import EmptyRecording, InvalidRecording
+from wristfall.signals import derive_all
 
 
 def regular_recording(duration_s, rate, **kwargs):
@@ -136,6 +138,22 @@ class TestSegment:
         rec = make_recording(np.array([]), np.zeros((0, 3)))
         with pytest.raises(EmptyRecording):
             segment(rec)
+
+    def test_window_rate_is_that_of_its_rows_not_the_declared_one(self):
+        """25 Hz rows declared at 21 Hz, which `validate` allows: every window reads 25 Hz."""
+        rec = make_recording(np.arange(3250) / 25.0, np.zeros((3250, 3)), rate=21.0)
+        rec.validate()
+        assert [w.sample_rate_hz for w in segment(rec, window_seconds=60)] == pytest.approx([25.0] * 3)
+
+    def test_a_window_of_one_row_reads_0_hz_without_a_warning(self):
+        """One row has no gap: its rate is 0 Hz, as for a gap that overflows, and nothing warns."""
+        rec = make_recording([0.5], [[0.0, 0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            [window] = segment(rec)
+            derived = derive_all(window)
+        assert window.sample_rate_hz == 0.0
+        assert derived.avd.tolist() == [1.0]
 
     def test_window_metadata(self):
         rec = regular_recording(130, 25, label=Label.FALL, trial_id="rec9", subject="S07")
