@@ -617,10 +617,17 @@ def read_index(corpus_dir) -> list[IndexEntry]:
 
 
 def read_trial(entry: IndexEntry) -> TrialRecording:
-    """The recording of one index entry; a bad line in its trial file raises CanonicalFormatError naming it."""
+    """The recording of one index entry, checked as `ingest` checks one (`TrialRecording.validate`).
+
+    A bad line in its trial file raises CanonicalFormatError naming it, and a recording that fails a check, such as
+    one of fewer than 2 rows or a declared rate 20 % off its rows' rate, a DataError naming the file.
+    """
     trial_path, fields = entry
     t, acc, gyr = read_canonical_trial(trial_path)
-    return TrialRecording(**fields, t=t, acc=acc, gyr=gyr)
+    rec = TrialRecording(**fields, t=t, acc=acc, gyr=gyr)
+    with reading(trial_path):
+        rec.validate()
+    return rec
 
 
 def map_trials(fn: Callable[[TrialRecording], object], entries: Sequence[IndexEntry]) -> list:

@@ -202,12 +202,16 @@ def predictions_csv(records: Sequence[PredictionRecord], path) -> None:
 
 @dataclass(frozen=True)
 class DetectorSpec:
-    """What to run: 'threshold' with a signal set, or 'knn'/'rf'/'svm' with a view."""
+    """What to run: 'threshold' with a signal set, or 'knn'/'rf'/'svm' with a view and hyperparameter `params`."""
 
     kind: str
     signals: tuple[str, ...] = DEFAULT_SIGNALS
     feature_view: str = "combined88"
     params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.kind == "threshold" and self.params:  # refused as the spec is built, before any corpus is read
+            raise DataError(f"unknown threshold parameters: {sorted(self.params)}; the threshold detector takes none")
 
 
 @dataclass
@@ -275,10 +279,7 @@ def fit_detector(spec: DetectorSpec, dev_rows: Sequence[WindowRow], seed: int) -
     """Calibrate thresholds or train a classifier on the rows of the development windows, as `spec` says."""
     labels = [r.label for r in dev_rows]
     if spec.kind == "threshold":
-        unknown = set(spec.params) - {"grids"}
-        if unknown:
-            raise DataError(f"unknown threshold parameters: {sorted(unknown)}; expected only 'grids'")
-        return calibrate_peaks(_matrix(dev_rows), labels, spec.signals, spec.params.get("grids"))
+        return calibrate_peaks(_matrix(dev_rows), labels, spec.signals)
     return train(spec.kind, spec.feature_view, _matrix(dev_rows), labels, seed, **spec.params)
 
 

@@ -78,14 +78,12 @@ def fall_index(window: SignalWindow, history: int = FI_HISTORY_SAMPLES) -> np.nd
     return fi
 
 
-def avd(window: SignalWindow, gravity_smoothing_seconds: float = GRAVITY_SMOOTHING_SECONDS) -> np.ndarray:
+def avd(window: SignalWindow) -> np.ndarray:
     """Absolute projection of acceleration onto the trailing-moving-average gravity estimate."""
-    if gravity_smoothing_seconds <= 0:
-        raise ValueError("gravity_smoothing_seconds must be positive")
     acc = window.acc
     n = window.n_samples
     # capped at the window length: a trailing mean over more samples than the window holds is the mean over all
-    m = max(1, int(round(min(gravity_smoothing_seconds * window.sample_rate_hz, n))))
+    m = max(1, int(round(min(GRAVITY_SMOOTHING_SECONDS * window.sample_rate_hz, n))))
 
     cum = np.vstack([np.zeros(3), np.cumsum(acc, axis=0)])
     t_idx = np.arange(n)

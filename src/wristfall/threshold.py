@@ -9,13 +9,12 @@ subject to 100% sensitivity.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Label, SignalWindow, is_real
+from .core import Label, SignalWindow
 from .errors import DataError, NoSignalsEnabled, SingleClassDevSet, reading
 from .signals import DerivedSignalSet
 
@@ -24,15 +23,13 @@ THRESHOLD_SIGNALS = tuple(SIGNAL_UNITS)
 # The signals voted on when a caller names none.
 DEFAULT_SIGNALS = ("smv_acc", "fi", "avd")
 
-# Per-signal (lo, hi, step) calibration grids.
+# The (lo, hi, step) calibration grid of each signal.
 DEFAULT_GRIDS: dict[str, tuple[float, float, float]] = {
     "smv_acc": (1.5, 6.0, 0.05),
     "fi": (0.5, 10.0, 0.05),
     "avd": (1.2, 4.0, 0.05),
     "smv_gyr": (100.0, 1000.0, 5.0),
 }
-# The most points a calibration grid may have; the largest default grid has 191.
-MAX_GRID_POINTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -98,20 +95,18 @@ def grid_points(lo: float, hi: float, step: float) -> np.ndarray:
 def calibrate(
     dev_windows: Sequence[tuple[SignalWindow, DerivedSignalSet]],
     signals: Iterable[str] = DEFAULT_SIGNALS,
-    grids: Mapping[str, tuple[float, float, float]] | None = None,
 ) -> ThresholdConfig:
     """`calibrate_peaks` on the peak of each of `signals` over each (window, derived signals) pair."""
     signals = tuple(signals)
     peaks = np.array([[float(np.max(d.by_name(name))) for name in signals] for _, d in dev_windows])
     labels = [w.label for w, _ in dev_windows]
-    return calibrate_peaks(peaks.reshape(len(dev_windows), len(signals)), labels, signals, grids)
+    return calibrate_peaks(peaks.reshape(len(dev_windows), len(signals)), labels, signals)
 
 
 def calibrate_peaks(
     peaks: np.ndarray,
     labels: Sequence[Label],
     signals: Iterable[str] = DEFAULT_SIGNALS,
-    grids: Mapping[str, tuple[float, float, float]] | None = None,
 ) -> ThresholdConfig:
     """Grid-search per-signal thresholds on a development set: one row of `peaks` per window, one column per signal.
 
@@ -126,20 +121,6 @@ def calibrate_peaks(
     signals = tuple(signals)
     if not signals:
         raise NoSignalsEnabled("no signals requested for calibration")
-    grids = {} if grids is None else grids
-    if not isinstance(grids, Mapping):
-        raise DataError(f"grids must be a JSON object of signal name to [lo, hi, step], got {grids!r}")
-    for name, grid in grids.items():
-        if name not in DEFAULT_GRIDS:
-            raise DataError(f"unknown grid signal {name!r}")
-        numbers = isinstance(grid, (list, tuple)) and len(grid) == 3 and all(map(is_real, grid))
-        if not (numbers and grid[2] > 0 and grid[1] >= grid[0]):
-            raise DataError(f"grid for {name} must be three finite numbers lo, hi, step with step > 0 and hi >= lo")
-        lo, hi, step = map(float, grid)
-        intervals = (hi - lo) / step  # checked before grid_points rounds it to an int
-        if not (math.isfinite(intervals) and round(intervals) + 1 <= MAX_GRID_POINTS):
-            raise DataError(f"grid for {name} has more than {MAX_GRID_POINTS} points")
-    grids = {**DEFAULT_GRIDS, **grids}
 
     labels = np.array([label is Label.FALL for label in labels], dtype=bool)
     if not (labels.any() and (~labels).any()):
@@ -150,7 +131,7 @@ def calibrate_peaks(
         fall_peaks = column[labels]
         adl_peaks = column[~labels]
         best = None  # (se, sp, threshold)
-        for theta in grid_points(*grids[name]):
+        for theta in grid_points(*DEFAULT_GRIDS[name]):
             se = float(np.mean(fall_peaks > theta))
             sp = float(np.mean(adl_peaks <= theta))
             cand = (se, sp, float(theta))

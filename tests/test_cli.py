@@ -202,8 +202,9 @@ class TestCalibrateAndTrain:
             (["--detector", "rf", "--out", "afile/report"], "afile/report"),
             (["--detector", "rf", "--params", "{bad", "--out", "report"], "--params"),
             (["--detector", "threshold", "--signals", "smv", "--out", "report"], "'smv'"),
+            (["--detector", "threshold", "--params", '{"grids": {}}', "--out", "report"], "'grids'"),
         ],
-        ids=["out-a-file", "out-under-a-file", "params-not-json", "unknown-signal"],
+        ids=["out-a-file", "out-under-a-file", "params-not-json", "unknown-signal", "threshold-grids"],
     )
     def test_evaluate_checks_its_arguments_before_the_corpus_is_read(self, args, named, tmp_path, monkeypatch, capsys):
         def read_index(corpus_dir):
@@ -311,11 +312,29 @@ def keep_index_entries(corpus, keep):
     path.write_text("".join(line + "\n" for line in path.read_text().splitlines() if keep(json.loads(line))))
 
 
-def empty_dev_trial(corpus):
-    """Cut a development subject's trial file (at seed 0) to its header."""
-    subjects = [json.loads(line)["subject_id"] for line in (corpus / "index.jsonl").read_text().splitlines()]
-    dev_subject = split_subjects(subjects, 0).dev_subjects[0]
-    sorted(corpus.glob(f"trials/{dev_subject}_*.csv"))[0].write_text(CANONICAL_HEADER + "\n")
+def dev_trial(corpus):
+    """The index line (counted from 0) and the trial file of the first development subject's first trial (seed 0)."""
+    entries = [json.loads(line) for line in (corpus / "index.jsonl").read_text().splitlines()]
+    dev_subject = split_subjects([e["subject_id"] for e in entries], 0).dev_subjects[0]
+    i = next(i for i, e in enumerate(entries) if e["subject_id"] == dev_subject)
+    return i, corpus / entries[i]["path"]
+
+
+def cut_dev_trial(corpus, n_rows):
+    """Cut `dev_trial`'s file to its header and its first `n_rows` rows; returns the file."""
+    _, path = dev_trial(corpus)
+    path.write_text("".join(line + "\n" for line in path.read_text().splitlines()[: 1 + n_rows]))
+    return path
+
+
+def declare_dev_trial_rate(corpus, rate):
+    """Declare `rate` Hz in `dev_trial`'s index entry, for rows sampled at 25 Hz; returns the trial file."""
+    i, path = dev_trial(corpus)
+    index = corpus / "index.jsonl"
+    lines = index.read_text().splitlines()
+    lines[i] = json.dumps({**json.loads(lines[i]), "sample_rate_hz": rate})
+    index.write_text("".join(line + "\n" for line in lines))
+    return path
 
 
 def huge_dev_fall_row(corpus):
@@ -331,10 +350,15 @@ def huge_dev_fall_row(corpus):
 class TestFitFaults:
     """A corpus fault is exit 3 with one `error:` line, the same from the command that fits and from evaluate."""
 
-    FAULTS = {  # fault -> (how to make it, stage label for threshold, for svm; None: named by the index line)
+    # fault -> (how to make it, stage label for threshold, for svm; None: named by the file at fault, which the
+    # maker returns, or else by the index line it edits)
+    FAULTS = {
         "subject_id-int": (lambda c: edit_index_entry(c, subject_id=5), None, None),
         "sample_rate_hz-nan": (lambda c: edit_index_entry(c, sample_rate_hz=float("nan")), None, None),
-        "header-only-trial": (empty_dev_trial, "calibration", "training"),
+        # a trial file is checked as it is read, as ingest checks a raw file
+        "header-only-trial": (lambda c: cut_dev_trial(c, 0), None, None),
+        "one-row-trial": (lambda c: cut_dev_trial(c, 1), None, None),
+        "rate-15-declared-for-25": (lambda c: declare_dev_trial_rate(c, 15.0), None, None),
         "one-subject": (lambda c: keep_index_entries(c, lambda e: e["subject_id"] == "S01"), "split", "split"),
         "one-class": (lambda c: keep_index_entries(c, lambda e: e["label"] == "ADL"), "calibration", "training"),
         "huge-dev-fall-row": (huge_dev_fall_row, "calibration", "training"),
@@ -348,7 +372,7 @@ class TestFitFaults:
     @pytest.mark.parametrize("fault", list(FAULTS))
     def test_same_error_from_fit_and_evaluate(self, fault, pair, corpus_dir, tmp_path, capsys):
         make, threshold_label, svm_label = self.FAULTS[fault]
-        make(corpus_dir)
+        named = make(corpus_dir) or "index.jsonl:1"
         lines = []
         for command in self.PAIRS[pair]:
             with warnings.catch_warnings(record=True) as caught:
@@ -363,7 +387,7 @@ class TestFitFaults:
         assert evaluate_lines == fit_lines
         label = threshold_label if pair == "threshold" else svm_label
         if label is None:
-            assert "index.jsonl:1: " in fit_lines[0] and not fit_lines[0].startswith("error: [")
+            assert f"{named}: " in fit_lines[0] and not fit_lines[0].startswith("error: [")
         else:
             assert fit_lines[0].startswith(f"error: [{label}] ")
 
@@ -1189,18 +1213,12 @@ class TestBadParams:
             ("train", "svm", {"lam": 0}, "lam"),
             ("train", "knn", {"k": 5.0}, "k"),
             ("evaluate", "threshold", {"k": 3}, "'k'"),
-            ("evaluate", "threshold", {"grids": {"smv_acc": [1.5, 6.0, 0]}}, "smv_acc"),
-            ("evaluate", "threshold", {"grids": {"fi": [10.0, 0.5, 0.05]}}, "fi"),
-            ("evaluate", "threshold", {"grids": [1]}, "grids"),
-            ("evaluate", "threshold", {"grids": 5}, "grids"),
-            ("evaluate", "threshold", {"grids": {"smv_acc": [0, 1e9, 1e-9]}}, "grid for smv_acc"),
-            ("evaluate", "threshold", {"grids": {"fi": [0, 1e300, 1e-300]}}, "grid for fi"),
-            ("evaluate", "threshold", {"grids": {"avd": [0, 10**400, 1]}}, "grid for avd"),
+            # the threshold detector takes no parameters: its calibration grids are fixed
+            ("evaluate", "threshold", {"grids": {"smv_acc": [1.5, 6.0, 0.05]}}, "'grids'"),
             ("train", "svm", {"lam": 10**400}, "lam"),
         ],
         ids=["knn-k", "svm-epochs", "rf-mtry", "rf-n_trees", "rf-max_depth", "svm-lam", "knn-k-float",
-             "threshold-k", "grid-step-0", "grid-hi-below-lo", "grids-list", "grids-int", "grid-1e18-points",
-             "grid-infinite-points", "grid-int-beyond-float", "svm-lam-int-beyond-float"],
+             "threshold-k", "threshold-grids", "svm-lam-int-beyond-float"],
     )
     def test_rejected(self, command, detector, params, named, corpus_dir, tmp_path, capsys):
         out = tmp_path / "out"
