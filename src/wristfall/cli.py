@@ -24,11 +24,12 @@ import numpy as np
 from .core import DEFAULT_WINDOW_SECONDS, Label, is_int, is_real, window_bounds, window_from_arrays
 from .datasets import (
     CANONICAL_HEADER,
-    ingest,
     load_manifest,
+    map_raw_trials,
     parse_canonical_rows,
     read_canonical_trial,
     read_index,
+    staged_corpus,
     write_canonical,
 )
 from .errors import DataError, WristfallError, read_json, reading
@@ -101,18 +102,22 @@ def _parse_params(value: str | None) -> dict:
 def cmd_ingest(args) -> int:
     _check_out_dir(args.out)  # before the manifest and raw files are read
     manifest = load_manifest(_resolve_manifest(args.manifest))
-    trials, report = ingest(manifest)
-    print(report.summary())
-    exp = manifest.expected or {}
-    found = (("participants", "participants", len(report.subjects)), ("adl_trials", "ADL trials", report.n_adl),
-             ("fall_trials", "fall trials", report.n_fall))
-    mismatches = [f"{name} {n} != {exp[key]}" for key, name, n in found if key in exp and n != exp[key]]
-    if mismatches:
-        print("warning: corpus does not match manifest expectations: " + "; ".join(mismatches), file=sys.stderr)
     out = Path(args.out)
-    write_canonical(trials, out)
-    report_doc = {**asdict(report), "skipped": [{"path": p, "reason": r} for p, r in report.skipped]}
-    (out / "ingest_report.json").write_text(json.dumps(report_doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    # each file worker writes its trial file and hands back only the trial's index fields; if anything fails, the
+    # staged files go and --out is left as it was found
+    with staged_corpus(out) as (stage, commit):
+        kept, report = map_raw_trials(stage, manifest)
+        print(report.summary())
+        exp = manifest.expected or {}
+        found = (("participants", "participants", len(report.subjects)), ("adl_trials", "ADL trials", report.n_adl),
+                 ("fall_trials", "fall trials", report.n_fall))
+        mismatches = [f"{name} {n} != {exp[key]}" for key, name, n in found if key in exp and n != exp[key]]
+        if mismatches:
+            print("warning: corpus does not match manifest expectations: " + "; ".join(mismatches), file=sys.stderr)
+        commit(kept)
+        report_doc = {**asdict(report), "skipped": [{"path": p, "reason": r} for p, r in report.skipped]}
+        report_text = json.dumps(report_doc, indent=2, sort_keys=True) + "\n"
+        (out / "ingest_report.json").write_text(report_text, encoding="utf-8")
     return EXIT_OK
 
 

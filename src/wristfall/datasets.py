@@ -20,19 +20,22 @@ printed with repr so they round-trip bit-exactly) plus an `index.jsonl` file
 with one record per trial (subject, activity code, label, rate, relative
 path). Rewriting the same trials produces byte-identical output.
 
-Ingest, `write_canonical` and `map_trials` (which `read_canonical` and the
-fitting commands read through) spread their per-file work over the CPUs the
-process may use (`_map_files`); `taskset -c 0` runs them serially.
+`map_raw_trials` (which `ingest` and the `ingest` command parse through),
+`write_canonical` and `map_trials` (which `read_canonical` and the fitting
+commands read through) spread their per-file work over the CPUs the process
+may use (`_map_files`); `taskset -c 0` runs them serially.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import os
 import pickle
 import re
+import shutil
 import tempfile
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -376,69 +379,76 @@ def _trial_id(subject: str, code: str, trial: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]", "-", raw)
 
 
-def ingest(manifest: DatasetManifest) -> tuple[list[TrialRecording], IngestReport]:
-    """Parse every raw trial under the manifest root, one file per call on every CPU (`_map_files`).
+def map_raw_trials(fn: Callable[[TrialRecording], object], manifest: DatasetManifest) -> tuple[list, IngestReport]:
+    """Parse and check every raw trial under the manifest root, one file per call on every CPU (`_map_files`).
 
-    Trials failing validation are skipped and reported with their path and
-    reason, never silently dropped. A file whose trial id an earlier kept file
-    already gave is skipped as a duplicate.
+    Returns one `(index fields, fn(recording))` per kept trial, in path order, and the report. A file worker hands
+    back only what `fn` makes of a recording, so the caller holds no samples unless `fn` returns them. Trials
+    failing validation are skipped and reported with their path and reason, never silently dropped. A file whose
+    trial id an earlier kept file already gave is skipped as a duplicate; any other file that cannot be read
+    raises its OSError.
     """
     root = manifest.root
     if not root.is_dir():
         raise ManifestRootMissing(f"manifest root {root} is not a readable directory")
     pattern = re.compile(manifest.layout.path_regex)
 
-    def load(path: Path) -> tuple[str, str | None, TrialRecording | str | OSError]:
-        """(rel, trial id, the validated recording or the reason the file is skipped); no id if the path is skipped."""
+    def load(path: Path) -> tuple[str, dict | None, str | OSError | None, object]:
+        """(rel, index fields or None if the path is skipped, the reason the file is skipped or None, fn(rec))."""
         rel = path.relative_to(root).as_posix()
         match = pattern.search(rel)
         if not match:
-            return rel, None, "path does not match the layout's path_regex"
+            return rel, None, "path does not match the layout's path_regex", None
         groups = match.groupdict()
-        subject = groups.get("subject", "")
         code = groups.get("code", "")
         label = manifest.label_for(code)
         if label is None:
-            return rel, None, f"activity code {code!r} not in task table"
-        tid = _trial_id(subject, code, groups.get("trial", ""))
+            return rel, None, f"activity code {code!r} not in task table", None
+        subject = groups.get("subject", "")
+        fields = dict(
+            trial_id=_trial_id(subject, code, groups.get("trial", "")),
+            subject_id=subject,
+            activity_code=code,
+            label=label,
+            sample_rate_hz=manifest.nominal_rate_hz,
+            source=manifest.source,
+        )
         try:
             t, acc, gyr = parse_trial_file(path, manifest.layout, manifest.nominal_rate_hz)
-            rec = TrialRecording(
-                trial_id=tid,
-                subject_id=subject,
-                activity_code=code,
-                label=label,
-                sample_rate_hz=manifest.nominal_rate_hz,
-                t=t,
-                acc=acc,
-                gyr=gyr,
-                source=manifest.source,
-            )
+            rec = TrialRecording(**fields, t=t, acc=acc, gyr=gyr)
             rec.validate()
         except (DataError, InvalidRecording, UnicodeDecodeError) as exc:
-            return rel, tid, str(exc)
+            return rel, fields, str(exc), None
         except OSError as exc:  # raised by the walk below unless the file is a duplicate, whose content is ignored
-            return rel, tid, exc
-        return rel, tid, rec
+            return rel, fields, exc, None
+        return rel, fields, None, fn(rec)
 
     report = IngestReport()
-    trials: list[TrialRecording] = []
+    kept: list[tuple[dict, object]] = []
     kept_ids: set[str] = set()
-    for rel, tid, rec in _map_files(load, sorted(root.glob(manifest.layout.file_glob))):
+    for rel, fields, reason, value in _map_files(load, sorted(root.glob(manifest.layout.file_glob))):
+        tid = fields["trial_id"] if fields else None
         if tid in kept_ids:
-            rec = f"duplicate trial id {tid}"
-        elif isinstance(rec, OSError):
-            raise rec
-        if isinstance(rec, str):
-            report.skipped.append((rel, rec))
+            reason = f"duplicate trial id {tid}"
+        elif isinstance(reason, OSError):
+            raise reason
+        if reason is not None:
+            report.skipped.append((rel, reason))
             continue
         kept_ids.add(tid)
-        trials.append(rec)
-    report.n_trials = len(trials)
-    report.n_fall = sum(rec.label is Label.FALL for rec in trials)
+        kept.append((fields, value))
+    report.n_trials = len(kept)
+    report.n_fall = sum(fields["label"] is Label.FALL for fields, _ in kept)
     report.n_adl = report.n_trials - report.n_fall
-    report.subjects = tuple(sorted({rec.subject_id for rec in trials}))
-    return trials, report
+    report.subjects = tuple(sorted({fields["subject_id"] for fields, _ in kept}))
+    return kept, report
+
+
+def ingest(manifest: DatasetManifest) -> tuple[list[TrialRecording], IngestReport]:
+    """The validated recordings of every raw trial under the manifest root, in path order, and the report
+    (`map_raw_trials` of the identity)."""
+    kept, report = map_raw_trials(lambda rec: rec, manifest)
+    return [rec for _, rec in kept], report
 
 
 def write_repr_csv(path, header: str, columns: np.ndarray) -> None:
@@ -450,35 +460,72 @@ def write_repr_csv(path, header: str, columns: np.ndarray) -> None:
     Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
-def _write_trial(out_dir: Path, rec: TrialRecording) -> None:
-    columns = np.column_stack((rec.t, rec.acc, rec.gyr))
-    write_repr_csv(out_dir / TRIALS_DIR / f"{rec.trial_id}.csv", CANONICAL_HEADER, columns)
-
-
-def write_canonical(trials: Sequence[TrialRecording], out_dir) -> Path:
-    """Write trials as the canonical corpus; returns the index path."""
-    out_dir = Path(out_dir)
-    (out_dir / TRIALS_DIR).mkdir(parents=True, exist_ok=True)
-    ordered = sorted(trials, key=lambda r: r.trial_id)
-    _map_files(lambda rec: _write_trial(out_dir, rec), ordered)
+def _write_index(out_dir: Path, ordered: Sequence[dict]) -> Path:
+    """Write the index of the trials whose fields (`IndexEntry.fields`, or `vars` of a recording) are `ordered`."""
     index_lines = [
         json.dumps(
             {
-                "trial_id": rec.trial_id,
-                "subject_id": rec.subject_id,
-                "activity_code": rec.activity_code,
-                "label": rec.label.value,
-                "sample_rate_hz": rec.sample_rate_hz,
-                "source": rec.source.value,
-                "path": f"{TRIALS_DIR}/{rec.trial_id}.csv",
+                "trial_id": fields["trial_id"],
+                "subject_id": fields["subject_id"],
+                "activity_code": fields["activity_code"],
+                "label": fields["label"].value,
+                "sample_rate_hz": fields["sample_rate_hz"],
+                "source": fields["source"].value,
+                "path": f"{TRIALS_DIR}/{fields['trial_id']}.csv",
             },
             sort_keys=True,
         )
-        for rec in ordered
+        for fields in ordered
     ]
     index_path = out_dir / INDEX_NAME
     index_path.write_text("\n".join(index_lines) + ("\n" if index_lines else ""), encoding="utf-8")
     return index_path
+
+
+@contextlib.contextmanager
+def staged_corpus(out_dir):
+    """Write a canonical corpus into `out_dir` through a staging directory there; yields `(stage, commit)`.
+
+    `stage(rec)`, which a file worker may call, writes a recording's trial file under a name no other call gives
+    and returns its path. `commit(pairs)` moves the staged file of each `(index fields, path)` pair to
+    `trials/<trial_id>.csv` and writes the index in trial id order; a file staged but not committed (a
+    duplicate's) goes with the staging directory. If the block raises, `out_dir` is left as it was found: the
+    staging directory goes, and `out_dir` too if this call made it (with any parent it made). Only a failure while
+    `commit` replaces the files of a corpus already there leaves a mix.
+    """
+    out_dir = Path(out_dir)
+    made = [p for p in (out_dir, *out_dir.parents) if not p.exists()]  # innermost first
+    stage_dir = None
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        stage_dir = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
+        names = itertools.count()
+
+        def stage(rec: TrialRecording) -> Path:
+            path = stage_dir / f"{os.getpid()}-{next(names)}.csv"
+            write_repr_csv(path, CANONICAL_HEADER, np.column_stack((rec.t, rec.acc, rec.gyr)))
+            return path
+
+        def commit(pairs: Sequence[tuple[dict, Path]]) -> Path:
+            ordered = sorted(pairs, key=lambda pair: pair[0]["trial_id"])
+            (out_dir / TRIALS_DIR).mkdir(exist_ok=True)
+            for fields, path in ordered:
+                os.replace(path, out_dir / TRIALS_DIR / f"{fields['trial_id']}.csv")
+            return _write_index(out_dir, [fields for fields, _ in ordered])
+
+        yield stage, commit
+    except BaseException:
+        if made or stage_dir:
+            shutil.rmtree(made[-1] if made else stage_dir, ignore_errors=True)  # the original error is raised
+        raise
+    shutil.rmtree(stage_dir)
+
+
+def write_canonical(trials: Sequence[TrialRecording], out_dir) -> Path:
+    """Write trials as the canonical corpus, one trial file per call on every CPU; returns the index path."""
+    with staged_corpus(out_dir) as (stage, commit):
+        paths = _map_files(stage, trials)
+        return commit([(vars(rec), path) for rec, path in zip(trials, paths)])
 
 
 def parse_canonical_row(line: str, prev_t: float) -> list[float]:

@@ -22,7 +22,7 @@ from .core import DEFAULT_WINDOW_SECONDS, Label, SignalWindow, TrialRecording, i
 from .datasets import IndexEntry, map_trials
 from .errors import DataError, ExperimentStageError, NonFiniteSignal, TooFewSubjects, WristfallError
 from .features import N_FEATURES, extract_many
-from .ml import ClassifierModel, predict, train
+from .ml import ClassifierModel, make_classifier, predict, train
 from .signals import DerivedSignalSet, derive_all
 from .threshold import DEFAULT_SIGNALS, ThresholdConfig, calibrate_peaks, vote
 
@@ -209,8 +209,10 @@ class DetectorSpec:
     feature_view: str = "combined88"
     params: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.kind == "threshold" and self.params:  # refused as the spec is built, before any corpus is read
+    def __post_init__(self):  # the parameters are checked as the spec is built, before any corpus is read
+        if self.kind != "threshold":
+            make_classifier(self.kind, self.feature_view, self.params)
+        elif self.params:
             raise DataError(f"unknown threshold parameters: {sorted(self.params)}; the threshold detector takes none")
 
 

@@ -301,6 +301,18 @@ def _classifier_class(kind: str, feature_view: str) -> type:
     return _CLASSIFIERS[kind]
 
 
+def make_classifier(kind: str, feature_view: str, params: dict) -> KNNClassifier | RandomForestClassifier | LinearSVM:
+    """The unfitted classifier of `kind` with the hyperparameters `params`.
+
+    An unknown kind, view or hyperparameter name, then a value outside its range, raises DataError naming it.
+    """
+    cls = _classifier_class(kind, feature_view)
+    unknown = set(params) - {f.name for f in fields(cls) if f.init}
+    if unknown:
+        raise DataError(f"unknown {kind} hyperparameters: {sorted(unknown)}")
+    return cls(**params)
+
+
 def _check_rows(X: np.ndarray) -> None:
     """Raise IncompleteFeatureVector unless X is a (windows, 88) matrix of finite values."""
     if X.ndim != 2 or X.shape[1] != N_FEATURES or not np.all(np.isfinite(X)):
@@ -316,11 +328,7 @@ def train(
     **params,
 ) -> ClassifierModel:
     """Fit one classifier on a (windows, 88) matrix of development features and their labels."""
-    cls = _classifier_class(kind, feature_view)
-    unknown = set(params) - {f.name for f in fields(cls) if f.init}
-    if unknown:
-        raise DataError(f"unknown {kind} hyperparameters: {sorted(unknown)}")
-    classifier = cls(**params)
+    classifier = make_classifier(kind, feature_view, params)
 
     X = np.asarray(X, dtype=float)
     _check_rows(X)

@@ -3,6 +3,7 @@ import csv
 import gc
 import io
 import json
+import os
 import time
 import warnings
 from unittest import mock
@@ -13,9 +14,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_recording
-from test_datasets import columns_manifest, write_columns_trial
+from test_datasets import columns_manifest, pool_manifest, serial_and_forked, write_columns_trial, write_pool_corpus
 from wristfall.cli import main
-from wristfall import evaluation
+from wristfall import datasets, evaluation
 from wristfall.core import SignalWindow, TrialRecording, segment, window_from_arrays
 from wristfall.datasets import CANONICAL_HEADER, read_canonical, read_canonical_trial, save_manifest
 from wristfall.errors import CanonicalFormatError
@@ -123,6 +124,68 @@ class TestIngestCommand:
         out = tmp_path / "canon"
         assert main(["ingest", "--manifest", "manifest", "--out", str(out)]) == 0
 
+    @staticmethod
+    def make_pool(tmp_path):
+        """write_pool_corpus's 39 raw files, at least MIN_FORK_ITEMS; returns its manifest."""
+        write_pool_corpus(tmp_path / "raw")
+        manifest_path = tmp_path / "manifest.json"
+        save_manifest(pool_manifest(tmp_path / "raw"), manifest_path)
+        return manifest_path
+
+    @pytest.mark.parametrize("forked", [False, True], ids=["below-the-fork-minimum", "forked"])
+    def test_no_recording_is_alive_when_the_index_is_written(self, forked, tmp_path, monkeypatch):
+        """The file workers write each trial and hand back its index fields: the command holds no samples."""
+        manifest_path = self.make_pool(tmp_path) if forked else self.make_raw(tmp_path)
+        n_files = sum(1 for p in (tmp_path / "raw").rglob("*") if p.is_file())
+        assert (n_files >= datasets.MIN_FORK_ITEMS) == forked
+        monkeypatch.setattr(datasets, "_usable_cpus", lambda: 2)
+        forks = []
+        real_fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+
+        def alive():
+            gc.collect()
+            return sum(isinstance(obj, TrialRecording) and isinstance(obj.t, np.ndarray) for obj in gc.get_objects())
+
+        real_write_index = datasets._write_index
+        at_write = []
+
+        def write_index(out_dir, ordered):
+            at_write.append(alive())
+            return real_write_index(out_dir, ordered)
+
+        monkeypatch.setattr(datasets, "_write_index", write_index)
+        before = alive()
+        assert main(["ingest", "--manifest", str(manifest_path), "--out", str(tmp_path / "canon")]) == 0
+        assert at_write == [before]
+        assert bool(forks) == forked
+        assert sorted(p.name for p in (tmp_path / "canon").iterdir()) == ["index.jsonl", "ingest_report.json", "trials"]
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["fresh-out", "out-holds-a-corpus"])
+    def test_a_failed_ingest_leaves_out_as_it_found_it(self, existing, tmp_path, monkeypatch, capsys):
+        """A raw file that cannot be read stops ingest after the workers have staged other trials, serially or
+        forked: a fresh --out (and the parent made for it) is gone, and a corpus already there keeps its bytes."""
+        manifest_path = self.make_pool(tmp_path)
+        (tmp_path / "raw/sub08/A01/trial_1/wrist.txt").mkdir(parents=True)  # not a duplicate: IsADirectoryError
+        out = tmp_path / "made" / "corpus"
+        if existing:
+            out = tmp_path / "corpus"
+            assert main(["synthesize", "--subjects", "3", "--trials-per-subject", "4", "--out", str(out)]) == 0
+            capsys.readouterr()
+        before = (sorted(out.rglob("*")), read_tree(out)) if existing else None
+
+        def run(tag):
+            code = main(["ingest", "--manifest", str(manifest_path), "--out", str(out)])
+            captured = capsys.readouterr()
+            after = (sorted(out.rglob("*")), read_tree(out)) if out.exists() else None
+            return code, captured.out, captured.err, after, (tmp_path / "made").exists()
+
+        serial, forked = serial_and_forked(monkeypatch, run)
+        assert serial == forked
+        code, printed, err, after, made = forked
+        assert (code, printed) == (3, "") and "Is a directory" in err and "sub08/A01/trial_1/wrist.txt" in err
+        assert after == before and not made
+
 
 class TestCalibrateAndTrain:
     def test_calibrate_writes_config(self, corpus_dir, tmp_path, capsys):
@@ -198,13 +261,22 @@ class TestCalibrateAndTrain:
     @pytest.mark.parametrize(
         "args,named",
         [
-            (["--detector", "rf", "--out", "afile"], "afile"),
-            (["--detector", "rf", "--out", "afile/report"], "afile/report"),
-            (["--detector", "rf", "--params", "{bad", "--out", "report"], "--params"),
-            (["--detector", "threshold", "--signals", "smv", "--out", "report"], "'smv'"),
-            (["--detector", "threshold", "--params", '{"grids": {}}', "--out", "report"], "'grids'"),
+            (["evaluate", "--detector", "rf", "--out", "afile"], "afile"),
+            (["evaluate", "--detector", "rf", "--out", "afile/report"], "afile/report"),
+            (["evaluate", "--detector", "rf", "--params", "{bad", "--out", "report"], "--params"),
+            (["evaluate", "--detector", "threshold", "--signals", "smv", "--out", "report"], "'smv'"),
+            (["evaluate", "--detector", "threshold", "--params", '{"grids": {}}', "--out", "report"], "'grids'"),
+            # a classifier's hyperparameters are checked as its spec is built, by the check `train` runs
+            (["evaluate", "--detector", "knn", "--params", '{"k": -1}', "--out", "report"], "hyperparameter k "),
+            (["evaluate", "--detector", "rf", "--params", '{"n_trees": 0}', "--out", "report"], "n_trees"),
+            (["evaluate", "--detector", "svm", "--params", '{"bogus": 1}', "--out", "report"], "'bogus'"),
+            (["train", "--kind", "knn", "--params", '{"k": -1}', "--out", "report"], "hyperparameter k "),
+            (["train", "--kind", "rf", "--params", '{"n_trees": 0}', "--out", "report"], "n_trees"),
+            (["train", "--kind", "rf", "--params", '{"bogus": 1}', "--out", "report"], "'bogus'"),
         ],
-        ids=["out-a-file", "out-under-a-file", "params-not-json", "unknown-signal", "threshold-grids"],
+        ids=["out-a-file", "out-under-a-file", "params-not-json", "unknown-signal", "threshold-grids",
+             "evaluate-knn-k", "evaluate-rf-n_trees", "evaluate-unknown-name", "train-knn-k", "train-rf-n_trees",
+             "train-unknown-name"],
     )
     def test_evaluate_checks_its_arguments_before_the_corpus_is_read(self, args, named, tmp_path, monkeypatch, capsys):
         def read_index(corpus_dir):
@@ -213,7 +285,7 @@ class TestCalibrateAndTrain:
         monkeypatch.setattr("wristfall.cli.read_index", read_index)
         monkeypatch.chdir(tmp_path)
         (tmp_path / "afile").write_text("")
-        assert main(["evaluate", "--corpus", "corpus", *args]) == 3
+        assert main([args[0], "--corpus", "corpus", *args[1:]]) == 3
         assert named in capsys.readouterr().err
         assert not (tmp_path / "report").exists()
 
