@@ -33,7 +33,7 @@ from .features import FEATURE_NAMES, extract_many, stats11
 from .ml import ClassifierModel, Standardizer, load_model, predict, save_model, train
 from .signals import DerivedSignalSet, avd, derive_all, fall_index, smv
 from .synthetic import synthesize
-from .threshold import ThresholdConfig, calibrate, detect, load_threshold_config, save_threshold_config
+from .threshold import ThresholdConfig, load_threshold_config, save_threshold_config
 
 __version__ = "0.1.0"
 
@@ -53,11 +53,9 @@ __all__ = [
     "ThresholdConfig",
     "TrialRecording",
     "avd",
-    "calibrate",
     "classify_many",
     "compute_metrics",
     "derive_all",
-    "detect",
     "extract_many",
     "fall_index",
     "fit_detector",

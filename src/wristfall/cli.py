@@ -78,13 +78,8 @@ def _resolve_manifest(value: str) -> Path:
 
 
 def _parse_signals(value: str) -> tuple[str, ...]:
-    names = tuple(s.strip() for s in value.split(",") if s.strip())
-    for name in names:
-        if name not in THRESHOLD_SIGNALS:
-            raise DataError(f"unknown signal {name!r}; expected one of {THRESHOLD_SIGNALS}")
-    if not names:
-        raise DataError("empty signal list")
-    return names
+    """The names in a comma list; `DetectorSpec` checks them."""
+    return tuple(s.strip() for s in value.split(",") if s.strip())
 
 
 def _parse_params(value: str | None) -> dict:
@@ -141,32 +136,31 @@ def _check_out_dir(value: str) -> None:
         raise DataError(f"--out {value} must be a directory or a path where one can be made")
 
 
-def cmd_calibrate(args) -> int:
-    _check_out_file(args.out)  # before the corpus is read and fitted
-    spec = DetectorSpec(kind="threshold", signals=_parse_signals(args.signals))
+def _fit_and_save(args, spec: DetectorSpec, save):
+    """`fit_on_dev` of `spec` on `--corpus`, with the detector saved to `--out`; `--out` is checked first."""
+    _check_out_file(args.out)  # after the spec, before the corpus is read and fitted
     # from the index, fit_on_dev opens only the development subjects' trial files, each reduced in a file worker
-    entries = read_index(args.corpus)
-    config, split, _ = fit_on_dev(entries, spec, args.seed, args.window_seconds, AccessLog())
-    save_threshold_config(config, args.out)
+    detector, split, n_windows = fit_on_dev(read_index(args.corpus), spec, args.seed, args.window_seconds, AccessLog())
+    save(detector, args.out)
+    return detector, split, n_windows
+
+
+def cmd_calibrate(args) -> int:
+    spec = DetectorSpec("threshold", _parse_signals(args.signals))
+    config, split, _ = _fit_and_save(args, spec, save_threshold_config)
     print(f"calibrated on {len(split.dev_subjects)} dev subjects: " + config.describe())
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
-    _check_out_file(args.out)
-    spec = DetectorSpec(kind=args.kind, feature_view=args.view, params=_parse_params(args.params))
-    entries = read_index(args.corpus)
-    model, split, n_windows = fit_on_dev(entries, spec, args.seed, args.window_seconds, AccessLog())
-    save_model(model, args.out)
+    spec = DetectorSpec(args.kind, feature_view=args.view, params=_parse_params(args.params))
+    model, split, n_windows = _fit_and_save(args, spec, save_model)
     print(f"trained {model.describe()} on {n_windows} dev windows from {len(split.dev_subjects)} subjects")
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
-    if args.detector == "threshold":
-        spec = DetectorSpec(kind="threshold", signals=_parse_signals(args.signals), params=_parse_params(args.params))
-    else:
-        spec = DetectorSpec(kind=args.detector, feature_view=args.view, params=_parse_params(args.params))
+    spec = DetectorSpec(args.detector, _parse_signals(args.signals), args.view, _parse_params(args.params))
     _check_out_dir(args.out)  # the spec and --out are checked before the corpus is read
     entries = read_index(args.corpus)
     dataset_name = args.dataset_name or Path(args.corpus).name

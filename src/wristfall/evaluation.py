@@ -24,7 +24,7 @@ from .errors import DataError, ExperimentStageError, NonFiniteSignal, TooFewSubj
 from .features import N_FEATURES, extract_many
 from .ml import ClassifierModel, make_classifier, predict, train
 from .signals import DerivedSignalSet, derive_all
-from .threshold import DEFAULT_SIGNALS, ThresholdConfig, calibrate_peaks, vote
+from .threshold import DEFAULT_SIGNALS, ThresholdConfig, calibrate_peaks, check_signals, vote
 
 EVAL_FRACTION = 0.2
 
@@ -212,7 +212,9 @@ class DetectorSpec:
     def __post_init__(self):  # the parameters are checked as the spec is built, before any corpus is read
         if self.kind != "threshold":
             make_classifier(self.kind, self.feature_view, self.params)
-        elif self.params:
+            return
+        check_signals(self.signals)
+        if self.params:
             raise DataError(f"unknown threshold parameters: {sorted(self.params)}; the threshold detector takes none")
 
 

@@ -16,10 +16,6 @@ Pinned conventions (these matter for cross-implementation reproducibility):
   with the DC bin excluded, divided by log2(#bins) so it lies in [0, 1]. A
   spectrum with total power below POWER_FLOOR, or with fewer than two bins,
   has pse = 0.
-
-Both psd and pse are invariant to the sampling rate; the rate parameter is
-part of the call signature so rate-aware statistics can be added without
-changing call sites.
 """
 
 from __future__ import annotations
@@ -106,7 +102,7 @@ def _stats(x: np.ndarray) -> np.ndarray:
         return np.stack([mean, var, median, mx - mn, np.sqrt(var), mx, mn, p25, p75, psd, pse], axis=-1)
 
 
-def stats11(signal: Sequence[float] | np.ndarray, sample_rate_hz: float) -> np.ndarray:
+def stats11(signal: Sequence[float] | np.ndarray) -> np.ndarray:
     """The 11 global statistics of one signal, in STAT_NAMES order."""
     x = np.asarray(signal, dtype=float)
     if x.ndim != 1:

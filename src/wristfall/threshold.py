@@ -32,6 +32,17 @@ DEFAULT_GRIDS: dict[str, tuple[float, float, float]] = {
 }
 
 
+def check_signals(names: Iterable[str]) -> tuple[str, ...]:
+    """`names` as a tuple: NoSignalsEnabled if it is empty, DataError if one is not a threshold signal."""
+    names = tuple(names)
+    if not names:
+        raise NoSignalsEnabled("empty signal list")
+    for name in names:
+        if name not in SIGNAL_UNITS:
+            raise DataError(f"unknown signal {name!r}; expected one of {THRESHOLD_SIGNALS}")
+    return names
+
+
 @dataclass(frozen=True)
 class ThresholdConfig:
     """Per-signal thresholds; direction is always 'above', ties vote Fall."""
@@ -39,11 +50,8 @@ class ThresholdConfig:
     thresholds: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.thresholds:
-            raise NoSignalsEnabled("threshold config enables no signals")
+        check_signals(self.thresholds)
         for name, value in self.thresholds.items():
-            if name not in SIGNAL_UNITS:
-                raise DataError(f"unknown threshold signal {name!r}")
             if not np.isfinite(value) or value <= 0:
                 raise DataError(f"threshold for {name} must be finite and positive, got {value}")
 
@@ -118,10 +126,7 @@ def calibrate_peaks(
     all the search reads. The result does not depend on the order of the
     windows.
     """
-    signals = tuple(signals)
-    if not signals:
-        raise NoSignalsEnabled("no signals requested for calibration")
-
+    signals = check_signals(signals)
     labels = np.array([label is Label.FALL for label in labels], dtype=bool)
     if not (labels.any() and (~labels).any()):
         raise SingleClassDevSet("development set must contain both falls and ADLs")

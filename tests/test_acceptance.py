@@ -173,20 +173,20 @@ def test_criterion_6_property_suite(tmp_path):
     worst = 0.0
     for _ in range(1000):
         x = rng.normal(0, rng.uniform(0.5, 3.0), rng.integers(8, 256))
-        s = stats11(x, 25.0)
+        s = stats11(x)
         worst = max(worst, abs(s[I["psd"]] - x.var()))
     assert worst < 1e-9, f"psd vs variance max deviation {worst}"
 
     # spectral entropy bounds
     for _ in range(200):
         x = rng.normal(0, 1, rng.integers(4, 300))
-        pse = stats11(x, 25.0)[I["pse"]]
+        pse = stats11(x)[I["pse"]]
         assert 0.0 <= pse <= 1.0
     t_idx = np.arange(128)
     for k in (3, 17, 40):
-        assert stats11(np.sin(2 * np.pi * k * t_idx / 128), 25.0)[I["pse"]] <= 0.05
+        assert stats11(np.sin(2 * np.pi * k * t_idx / 128))[I["pse"]] <= 0.05
     for _ in range(10):
-        assert stats11(rng.normal(0, 1, 256), 25.0)[I["pse"]] > 0.8
+        assert stats11(rng.normal(0, 1, 256))[I["pse"]] > 0.8
 
     # rolling fall index equals the brute-force double sum on 500 random windows
     for _ in range(500):

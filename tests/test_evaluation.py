@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from wristfall.core import Label, segment
 from wristfall.datasets import read_canonical, read_index, write_canonical
-from wristfall.errors import ExperimentStageError, TooFewSubjects
+from wristfall.errors import DataError, ExperimentStageError, NoSignalsEnabled, TooFewSubjects
 from wristfall import evaluation
 from wristfall.evaluation import (
     AccessLog,
@@ -166,10 +166,34 @@ class TestFitOnDev:
         assert events == [set(result.split.dev_subjects), "fit", set(result.split.eval_subjects)]
         assert result.predictions == run_experiment(read_canonical(tmp_path), spec, 5).predictions
 
+    def test_an_empty_signal_list_fails_before_any_trial_is_read(self, corpus, tmp_path, monkeypatch):
+        write_canonical(corpus, tmp_path)
+        entries = read_index(tmp_path)
+
+        def map_trials(fn, entries):
+            pytest.fail("a trial file was read before the signal list was checked")
+
+        monkeypatch.setattr(evaluation, "map_trials", map_trials)
+        with pytest.raises(NoSignalsEnabled):
+            run_experiment(entries, DetectorSpec("threshold", ()), 7)
+
     def test_run_experiment_keeps_the_callers_trials(self, corpus):
         trials = list(corpus)
         run_experiment(trials, DetectorSpec(kind="svm"), 5)
         assert [id(r) for r in trials] == [id(r) for r in corpus]
+
+
+class TestDetectorSpec:
+    def test_unknown_signal_is_refused_as_the_spec_is_built(self):
+        with pytest.raises(DataError, match="'bogus'"):
+            DetectorSpec(kind="threshold", signals=("bogus",))
+
+    def test_empty_signal_list_is_refused_as_the_spec_is_built(self):
+        with pytest.raises(NoSignalsEnabled):
+            DetectorSpec(kind="threshold", signals=())
+
+    def test_a_classifier_ignores_the_signal_list(self):
+        assert DetectorSpec(kind="rf", signals=("bogus",)).signals == ("bogus",)
 
 
 class TestRunExperiment:

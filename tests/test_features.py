@@ -58,7 +58,7 @@ def stats11_reference(xs):
 
 class TestStats11:
     def test_hand_arithmetic(self):
-        s = stats11([1.0, 2.0, 3.0], 25.0)
+        s = stats11([1.0, 2.0, 3.0])
         assert s[I["mean"]] == 2.0
         assert s[I["var"]] == pytest.approx(2.0 / 3.0)
         assert s[I["median"]] == 2.0
@@ -70,7 +70,7 @@ class TestStats11:
         assert s[I["p75"]] == 2.5
 
     def test_constant_signal_degenerate_power(self):
-        s = stats11([5.0, 5.0, 5.0, 5.0], 25.0)
+        s = stats11([5.0, 5.0, 5.0, 5.0])
         assert s[I["var"]] == 0.0
         assert s[I["delta"]] == 0.0
         assert s[I["psd"]] == 0.0
@@ -79,27 +79,27 @@ class TestStats11:
     def test_psd_equals_population_variance(self):
         rng = np.random.default_rng(13)
         x = rng.normal(0, 1, 64)
-        s = stats11(x, 25.0)
+        s = stats11(x)
         assert s[I["psd"]] == pytest.approx(x.var(), abs=1e-9)
 
     def test_too_short(self):
         with pytest.raises(SignalTooShort):
-            stats11([1.0], 25.0)
+            stats11([1.0])
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            stats11([1.0, np.nan, 2.0], 25.0)
+            stats11([1.0, np.nan, 2.0])
 
     def test_percentile_convention(self):
         # linear interpolation between closest ranks
-        s = stats11([1.0, 2.0, 3.0, 4.0], 25.0)
+        s = stats11([1.0, 2.0, 3.0, 4.0])
         assert s[I["p25"]] == 1.75
         assert s[I["p75"]] == 3.25
 
     def test_shift_invariance_of_spread_stats(self):
         rng = np.random.default_rng(14)
         x = rng.normal(0, 1, 100)
-        a, b = stats11(x, 25.0), stats11(x + 7.5, 25.0)
+        a, b = stats11(x), stats11(x + 7.5)
         for name in ("var", "std", "delta", "psd", "pse"):
             assert b[I[name]] == pytest.approx(a[I[name]], rel=1e-9, abs=1e-12)
         for name in ("mean", "median", "max", "min", "p25", "p75"):
@@ -109,7 +109,7 @@ class TestStats11:
         rng = np.random.default_rng(15)
         x = rng.normal(0, 1, 51)
         shuffled = rng.permutation(x)
-        a, b = stats11(x, 25.0), stats11(shuffled, 25.0)
+        a, b = stats11(x), stats11(shuffled)
         for name in ("mean", "var", "median", "delta", "std", "max", "min", "p25", "p75"):
             assert b[I[name]] == pytest.approx(a[I[name]], rel=1e-12)
         # psd/pse are sequence statistics and may legitimately differ
@@ -117,22 +117,22 @@ class TestStats11:
 
 class TestSpectralEntropy:
     def test_bin_aligned_sinusoid_is_concentrated(self):
-        n, rate = 128, 25.0
+        n = 128
         t = np.arange(n)
         for k in (3, 10, 31):
             x = np.sin(2 * np.pi * k * t / n)
-            assert stats11(x, rate)[I["pse"]] <= 0.05
+            assert stats11(x)[I["pse"]] <= 0.05
 
     def test_white_noise_approaches_one(self):
         rng = np.random.default_rng(16)
-        values = [stats11(rng.normal(0, 1, 256), 25.0)[I["pse"]] for _ in range(10)]
+        values = [stats11(rng.normal(0, 1, 256))[I["pse"]] for _ in range(10)]
         assert all(v > 0.8 for v in values)
 
     @given(st.integers(min_value=0, max_value=2**31), st.integers(min_value=2, max_value=300))
     @settings(max_examples=60, deadline=None)
     def test_pse_always_in_unit_interval(self, seed, n):
         x = np.random.default_rng(seed).normal(0, 1, n)
-        pse = stats11(x, 25.0)[I["pse"]]
+        pse = stats11(x)[I["pse"]]
         assert 0.0 <= pse <= 1.0
 
     def test_power_bins_sum_to_variance(self):
@@ -272,7 +272,7 @@ class TestExtractMany:
         with mock.patch.object(features, "STACK_VALUES", stack_values):
             got = extract_many(windows)
         old = np.array([np.concatenate([stats11_loop(s) for s in canonical_signals(w)]) for w in windows])
-        new = np.array([np.concatenate([stats11(s, w.sample_rate_hz) for s in canonical_signals(w)]) for w in windows])
+        new = np.array([np.concatenate([stats11(s) for s in canonical_signals(w)]) for w in windows])
         assert got.shape == (len(windows), 88)
         assert got.tobytes() == old.tobytes()
         assert got.tobytes() == new.tobytes()
@@ -287,15 +287,15 @@ class TestExtractMany:
         with pytest.raises(SignalTooShort, match=r"^need a 1-d signal with >= 2 samples, got shape \(1,\)$"):
             extract_many([good, make_window(np.zeros((1, 3)))])
         with pytest.raises(SignalTooShort, match=r"^need a 1-d signal with >= 2 samples, got shape \(1,\)$"):
-            stats11([1.0], 25.0)
+            stats11([1.0])
         with pytest.raises(SignalTooShort, match=r"^need a 1-d signal with >= 2 samples, got shape \(2, 2\)$"):
-            stats11(np.zeros((2, 2)), 25.0)
+            stats11(np.zeros((2, 2)))
         acc = np.zeros((10, 3))
         acc[4, 1] = np.inf
         with pytest.raises(NonFiniteSignal, match=r"^signal contains non-finite values$"):
             extract_many([good, make_window(acc)])
         with pytest.raises(NonFiniteSignal, match=r"^signal contains non-finite values$"):
-            stats11([1.0, np.nan], 25.0)
+            stats11([1.0, np.nan])
 
     def test_overflow_gives_non_finite_features_without_warnings(self, recwarn):
         acc = np.zeros((10, 3))
@@ -303,7 +303,7 @@ class TestExtractMany:
         f = extract_many([make_window(acc)])[0]
         assert not np.all(np.isfinite(f))
         x = np.full(5, 1e308)  # its mean overflows, so its power is nan
-        got = stats11(x, 25.0)
+        got = stats11(x)
         assert len(recwarn) == 0
         with np.errstate(all="ignore"):
             assert got.tobytes() == stats11_loop(x).tobytes()

@@ -22,6 +22,8 @@ def test_every_exported_name_resolves():
         (features, "extract"),
         (evaluation, "classify"),
         (evaluation, "windows_of"),
+        (wristfall, "detect"),
+        (wristfall, "calibrate"),
     ],
 )
 def test_removed_name_is_gone(module, name):

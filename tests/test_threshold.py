@@ -9,6 +9,8 @@ from wristfall.threshold import (
     DEFAULT_GRIDS,
     ThresholdConfig,
     calibrate,
+    calibrate_peaks,
+    check_signals,
     detect,
     fall_score,
     grid_points,
@@ -210,3 +212,27 @@ class TestCalibrate:
     def test_no_signals_rejected(self):
         with pytest.raises(NoSignalsEnabled):
             calibrate(self.dev_set([3.0], [1.0]), signals=())
+
+    def test_unknown_signal_is_a_data_error(self):
+        """Not the KeyError of a grid lookup: the signal list is checked before the search."""
+        with pytest.raises(DataError, match="unknown signal 'bogus'"):
+            calibrate_peaks(np.ones((2, 1)), [Label.FALL, Label.ADL], ("bogus",))
+
+
+class TestCheckSignals:
+    def test_returns_the_names_as_a_tuple(self):
+        assert check_signals(["fi", "smv_acc"]) == ("fi", "smv_acc")
+
+    def test_empty_list(self):
+        with pytest.raises(NoSignalsEnabled, match="^empty signal list$"):
+            check_signals([])
+
+    def test_unknown_name(self):
+        with pytest.raises(DataError, match=r"^unknown signal 'bogus'; expected one of \('smv_acc', "):
+            check_signals(["fi", "bogus"])
+
+    def test_config_checks_its_keys_with_it(self):
+        with pytest.raises(NoSignalsEnabled, match="^empty signal list$"):
+            ThresholdConfig({})
+        with pytest.raises(DataError, match="^unknown signal 'magnetometer'; expected one of "):
+            ThresholdConfig({"magnetometer": 1.0})
