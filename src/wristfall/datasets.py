@@ -21,9 +21,9 @@ with one record per trial (subject, activity code, label, rate, relative
 path). Rewriting the same trials produces byte-identical output.
 
 `map_raw_trials` (which `ingest` and the `ingest` command parse through),
-`write_canonical` and `map_trials` (which `read_canonical` and the fitting
-commands read through) spread their per-file work over the CPUs the process
-may use (`_map_files`); `taskset -c 0` runs them serially.
+`write_canonical` and `map_trials` (which `read_canonical` and every fit and
+prediction reduce trials through) spread their per-trial work over the CPUs
+the process may use (`_map_files`); `taskset -c 0` runs them serially.
 """
 
 from __future__ import annotations
@@ -677,13 +677,13 @@ def read_trial(entry: IndexEntry) -> TrialRecording:
     return rec
 
 
-def map_trials(fn: Callable[[TrialRecording], object], entries: Sequence[IndexEntry]) -> list:
-    """[fn(read_trial(entry)) for entry in entries], on every CPU (`_map_files`).
+def map_trials(fn: Callable[[TrialRecording], object], trials: Sequence[TrialRecording | IndexEntry]) -> list:
+    """fn of each trial's recording, in order, on every CPU (`_map_files`); of several failures, the first is raised.
 
-    A file worker reads each recording and hands back only what `fn` makes of it, so a caller that reduces a
-    recording to a few numbers never holds its samples. Of several failing entries, the first in order is raised.
+    `trials` are recordings or `read_index` entries, an entry read (`read_trial`) by the file worker that hands back
+    only what `fn` makes of it, so a caller that reduces a file to a few numbers never holds its samples.
     """
-    return _map_files(lambda entry: fn(read_trial(entry)), entries)
+    return _map_files(lambda trial: fn(read_trial(trial) if isinstance(trial, IndexEntry) else trial), trials)
 
 
 def read_canonical(corpus_dir) -> list[TrialRecording]:

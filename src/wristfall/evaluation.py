@@ -19,7 +19,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .core import DEFAULT_WINDOW_SECONDS, Label, SignalWindow, TrialRecording, is_int, segment
-from .datasets import IndexEntry, map_trials
+from .datasets import map_trials
 from .errors import DataError, ExperimentStageError, NonFiniteSignal, TooFewSubjects, WristfallError
 from .features import N_FEATURES, extract_many
 from .ml import ClassifierModel, make_classifier, predict, train
@@ -261,17 +261,18 @@ def trial_rows(rec: TrialRecording, signals: tuple[str, ...] | None, window_seco
     ]
 
 
-def _rows(trials: Sequence, subjects: Iterable[str], signals, window_seconds: float, stage: str):
-    """The rows of every window of the trials of `subjects`, in trial order; a toolkit error is labelled `stage`.
-
-    `trials` are recordings, reduced in this process, or corpus index entries (`datasets.read_index`), each read
-    and reduced to its rows in a file worker by `datasets.map_trials`.
+def _rows(trials: Sequence, subjects: Iterable[str], signals, window_seconds: float, stages: tuple, log: AccessLog):
+    """The rows of every window of the trials of `subjects`, in trial order, each row's subject recorded in `log` at
+    each of `stages`; a toolkit error is labelled with the last stage. Each trial is reduced by `datasets.map_trials`.
     """
     subjects = set(subjects)
     chosen = [trial for trial in trials if trial.subject_id in subjects]
-    mapper = map_trials if chosen and isinstance(chosen[0], IndexEntry) else map
-    per_trial = mapper(lambda rec: _stage(stage, trial_rows, rec, signals, window_seconds), chosen)
-    return [row for rows in per_trial for row in rows]
+    per_trial = map_trials(lambda rec: _stage(stages[-1], trial_rows, rec, signals, window_seconds), chosen)
+    rows = [row for part in per_trial for row in part]
+    for r in rows:
+        for stage in stages:
+            log.record(r.subject_id, stage)
+    return rows
 
 
 def _matrix(rows: Sequence[WindowRow]) -> np.ndarray:
@@ -334,17 +335,13 @@ def fit_on_dev(
 ) -> tuple[ThresholdConfig | ClassifierModel, SubjectSplit, int]:
     """Fit `spec` on the development subjects of `trials`: (detector, split, number of development windows).
 
-    `trials` are recordings, or the entries of `datasets.read_index`: the split is then taken from the index, and
-    only the development subjects' trial files are opened, each reduced to its window rows in a file worker.
-    Records each development window's subject in `log` at the fit stages.
+    `trials` are recordings or `datasets.read_index` entries; only the development subjects' trials are reduced
+    (`_rows`), and each of their windows is recorded in `log` at the fit stages.
     """
     split = _stage("split", split_subjects, (trial.subject_id for trial in trials), seed)
     fit_stages = (STAGE_CALIBRATION,) if spec.kind == "threshold" else (STAGE_STANDARDIZATION, STAGE_TRAINING)
     signals = spec.signals if spec.kind == "threshold" else None
-    dev_rows = _rows(trials, split.dev_subjects, signals, window_seconds, fit_stages[-1])
-    for r in dev_rows:
-        for name in fit_stages:
-            log.record(r.subject_id, name)
+    dev_rows = _rows(trials, split.dev_subjects, signals, window_seconds, fit_stages, log)
     return _stage(fit_stages[-1], fit_detector, spec, dev_rows, seed), split, len(dev_rows)
 
 
@@ -355,14 +352,9 @@ def predict_subjects(
     window_seconds: float,
     log: AccessLog,
 ) -> list[PredictionRecord]:
-    """Predictions for the windows of the trials of `subjects`, in trial order, each recorded in `log`.
-
-    `trials` are as in `fit_on_dev`.
-    """
+    """Predictions for the windows of the trials (as in `fit_on_dev`) of `subjects`, in order, each logged in `log`."""
     signals = detector.signals if isinstance(detector, ThresholdConfig) else None
-    rows = _rows(trials, subjects, signals, window_seconds, STAGE_PREDICTION)
-    for r in rows:
-        log.record(r.subject_id, STAGE_PREDICTION)
+    rows = _rows(trials, subjects, signals, window_seconds, (STAGE_PREDICTION,), log)
     verdicts = _stage(STAGE_PREDICTION, classify_rows, detector, _matrix(rows))
     return [
         PredictionRecord(r.window_ref, r.subject_id, r.label, predicted, float(score))
@@ -379,10 +371,8 @@ def run_experiment(
 ) -> ExperimentResult:
     """Full subject-disjoint evaluation of one detector configuration: `fit_on_dev`, then `predict_subjects`.
 
-    No evaluation-subject data reaches calibration, standardization, or
-    training; the returned access log substantiates that. `trials` are as in
-    `fit_on_dev`; the evaluation subjects' trials are opened only once the
-    detector is fitted.
+    `trials` are as in `fit_on_dev`. No evaluation-subject data reaches calibration, standardization, or training,
+    as the returned access log shows: the evaluation subjects' trials are reduced only once the detector is fitted.
     """
     log = AccessLog()
     detector, split, _ = fit_on_dev(trials, spec, seed, window_seconds, log)

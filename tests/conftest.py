@@ -1,7 +1,14 @@
+import os
+import resource
+import time
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
+from replicas import build_erciyes_replica, build_umafall_replica
 from wristfall.core import Label, SignalWindow, Source, TrialRecording
+from wristfall.datasets import IngestReport, ingest, load_manifest
 from wristfall.synthetic import synthesize
 
 
@@ -53,3 +60,38 @@ def make_window(acc, gyr=None, rate=25.0, label=Label.ADL, ref="trial"):
 @pytest.fixture(scope="session")
 def synth_trials():
     return synthesize(seed=2024, n_subjects=6, trials_per_subject=20)
+
+
+def cpu_seconds() -> float:
+    """User and system CPU seconds of this process and of its reaped children (the forked file workers)."""
+    usages = (resource.getrusage(resource.RUSAGE_SELF), resource.getrusage(resource.RUSAGE_CHILDREN))
+    return sum(u.ru_utime + u.ru_stime for u in usages)
+
+
+class Ingested(NamedTuple):
+    trials: list
+    report: IngestReport
+    wall_s: float
+    cpu_s: float
+
+
+def _load_corpus(env_var, builder, tmp_path_factory, name) -> Ingested:
+    """The corpus of the manifest `env_var` names, or else of the replica `builder` writes, ingested and timed."""
+    override = os.environ.get(env_var)
+    if override:
+        manifest = load_manifest(override)
+    else:
+        manifest = load_manifest(builder(tmp_path_factory.mktemp(name)))
+    t0, cpu0 = time.perf_counter(), cpu_seconds()
+    trials, report = ingest(manifest)
+    return Ingested(trials, report, time.perf_counter() - t0, cpu_seconds() - cpu0)
+
+
+@pytest.fixture(scope="session")
+def erciyes(tmp_path_factory):
+    return _load_corpus("WRISTFALL_ERCIYES_MANIFEST", build_erciyes_replica, tmp_path_factory, "erciyes")
+
+
+@pytest.fixture(scope="session")
+def umafall(tmp_path_factory):
+    return _load_corpus("WRISTFALL_UMAFALL_MANIFEST", build_umafall_replica, tmp_path_factory, "umafall")

@@ -9,16 +9,14 @@ criterion 7 the train/eval leakage guard.
 """
 
 import math
-import os
 import time
 
 import numpy as np
 import pytest
 
-from conftest import make_window
-from replicas import build_erciyes_replica, build_umafall_replica
+from conftest import cpu_seconds, make_window
 from wristfall.core import Label, segment
-from wristfall.datasets import ingest, load_manifest, read_canonical, write_canonical
+from wristfall.datasets import read_canonical, write_canonical
 from wristfall.evaluation import DetectorSpec, compute_metrics, run_experiment, split_subjects
 from wristfall.features import STAT_NAMES, stats11
 from wristfall.ml import KNNClassifier
@@ -41,46 +39,25 @@ def check(criterion: str, ok: bool, detail: str) -> None:
     assert ok, f"{criterion}: {detail}"
 
 
-def _load_corpus(env_var, builder, tmp_path_factory, name):
-    override = os.environ.get(env_var)
-    if override:
-        manifest = load_manifest(override)
-    else:
-        manifest = load_manifest(builder(tmp_path_factory.mktemp(name)))
-    t0 = time.perf_counter()
-    trials, report = ingest(manifest)
-    return trials, report, time.perf_counter() - t0
-
-
-@pytest.fixture(scope="session")
-def erciyes(tmp_path_factory):
-    return _load_corpus("WRISTFALL_ERCIYES_MANIFEST", build_erciyes_replica, tmp_path_factory, "erciyes")
-
-
-@pytest.fixture(scope="session")
-def umafall(tmp_path_factory):
-    return _load_corpus("WRISTFALL_UMAFALL_MANIFEST", build_umafall_replica, tmp_path_factory, "umafall")
-
-
 @pytest.fixture(scope="session")
 def erciyes_rf(erciyes):
-    trials, _, _ = erciyes
+    trials = erciyes.trials
     results = {}
-    t0 = time.perf_counter()
+    t0, cpu0 = time.perf_counter(), cpu_seconds()
     for view in ("combined88", "acc44", "gyr44"):
         results[view] = run_experiment(trials, DetectorSpec(kind="rf", feature_view=view), SEED, dataset_name="erciyes")
-    return results, time.perf_counter() - t0
+    return results, time.perf_counter() - t0, cpu_seconds() - cpu0
 
 
 @pytest.fixture(scope="session")
 def erciyes_threshold(erciyes):
-    trials, _, _ = erciyes
+    trials = erciyes.trials
     return run_experiment(trials, DetectorSpec(kind="threshold", signals=("smv_acc",)), SEED, dataset_name="erciyes")
 
 
 @pytest.fixture(scope="session")
 def umafall_svm(umafall):
-    trials, _, _ = umafall
+    trials = umafall.trials
     return {
         view: run_experiment(trials, DetectorSpec(kind="svm", feature_view=view), SEED, dataset_name="umafall")
         for view in ("combined88", "acc44", "gyr44")
@@ -88,8 +65,8 @@ def umafall_svm(umafall):
 
 
 def test_criterion_1_corpus_inventory(erciyes, umafall):
-    _, erc_report, erc_s = erciyes
-    _, uma_report, uma_s = umafall
+    erc_report, erc_s = erciyes.report, erciyes.wall_s
+    uma_report, uma_s = umafall.report, umafall.wall_s
     ok = (
         erc_report.n_trials == 3060
         and erc_report.n_adl == 1360
@@ -105,12 +82,13 @@ def test_criterion_1_corpus_inventory(erciyes, umafall):
     check(
         "criterion 1 (corpus inventory)",
         ok,
-        f"erciyes {erc_report.summary()} in {erc_s:.1f}s; umafall {uma_report.summary()} in {uma_s:.1f}s",
+        f"erciyes {erc_report.summary()} in {erc_s:.1f}s ({erciyes.cpu_s:.1f}s CPU); "
+        f"umafall {uma_report.summary()} in {uma_s:.1f}s ({umafall.cpu_s:.1f}s CPU)",
     )
 
 
 def test_criterion_2_erciyes_rf_combined(erciyes_rf):
-    results, elapsed = erciyes_rf
+    results, elapsed, cpu_s = erciyes_rf
     r = results["combined88"].report
     ok = (
         r.accuracy >= ERCIYES_RF_FLOOR["accuracy"]
@@ -121,7 +99,7 @@ def test_criterion_2_erciyes_rf_combined(erciyes_rf):
     check(
         "criterion 2 (erciyes rf combined88)",
         ok,
-        f"acc={r.accuracy:.2f}% se={r.sensitivity:.2f}% sp={r.specificity:.2f}% in {elapsed:.0f}s "
+        f"acc={r.accuracy:.2f}% se={r.sensitivity:.2f}% sp={r.specificity:.2f}% in {elapsed:.0f}s ({cpu_s:.0f}s CPU) "
         f"(floors {ERCIYES_RF_FLOOR['accuracy']}/{ERCIYES_RF_FLOOR['sensitivity']}/{ERCIYES_RF_FLOOR['specificity']})",
     )
 
@@ -153,7 +131,7 @@ def test_criterion_4_umafall_svm_combined(umafall_svm):
 
 
 def test_criterion_5_sensor_fusion_trend(erciyes_rf, umafall_svm):
-    results, _ = erciyes_rf
+    results = erciyes_rf[0]
     details = []
     ok = True
     for corpus, runs in (("erciyes/rf", results), ("umafall/svm", umafall_svm)):
@@ -166,7 +144,7 @@ def test_criterion_5_sensor_fusion_trend(erciyes_rf, umafall_svm):
 
 
 def test_criterion_6_property_suite(tmp_path):
-    t0 = time.perf_counter()
+    t0, cpu0 = time.perf_counter(), cpu_seconds()
     rng = np.random.default_rng(606)
 
     # total spectral power equals population variance (Parseval), 1000 signals
@@ -249,12 +227,13 @@ def test_criterion_6_property_suite(tmp_path):
             b.sample_rate_hz,
         )
 
-    elapsed = time.perf_counter() - t0
-    check("criterion 6 (dataset-free property suite)", elapsed < 120.0, f"all properties hold in {elapsed:.1f}s")
+    elapsed, cpu_s = time.perf_counter() - t0, cpu_seconds() - cpu0
+    detail = f"all properties hold in {elapsed:.1f}s ({cpu_s:.1f}s CPU)"
+    check("criterion 6 (dataset-free property suite)", elapsed < 120.0, detail)
 
 
 def test_criterion_7_leakage_guard(erciyes_rf, erciyes_threshold):
-    results, _ = erciyes_rf
+    results = erciyes_rf[0]
     probes = [("rf training", results["combined88"]), ("threshold calibration", erciyes_threshold)]
     details = []
     ok = True
@@ -267,8 +246,7 @@ def test_criterion_7_leakage_guard(erciyes_rf, erciyes_threshold):
 
 
 def test_derived_signals_finite_on_full_corpus(erciyes):
-    trials, _, _ = erciyes
-    for rec in trials:
+    for rec in erciyes.trials:
         for w in segment(rec):
             d = derive_all(w)
             for series in (d.smv_acc, d.smv_gyr, d.fi, d.avd):
@@ -278,7 +256,7 @@ def test_derived_signals_finite_on_full_corpus(erciyes):
 def test_calibrated_fall_index_fully_sensitive_on_umafall_dev(umafall):
     from wristfall.threshold import calibrate, detect
 
-    trials, _, _ = umafall
+    trials = umafall.trials
     split = split_subjects((t.subject_id for t in trials), SEED)
     pairs = [
         (w, derive_all(w))

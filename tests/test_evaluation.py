@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_datasets import serial_and_forked
 from wristfall.core import Label, segment
-from wristfall.datasets import read_canonical, read_index, write_canonical
+from wristfall.datasets import MIN_FORK_ITEMS, read_canonical, read_index, write_canonical
 from wristfall.errors import DataError, ExperimentStageError, NoSignalsEnabled, TooFewSubjects
 from wristfall import evaluation
 from wristfall.evaluation import (
@@ -181,6 +184,41 @@ class TestFitOnDev:
         trials = list(corpus)
         run_experiment(trials, DetectorSpec(kind="svm"), 5)
         assert [id(r) for r in trials] == [id(r) for r in corpus]
+
+
+class TestOnePath:
+    """Recordings, like index entries, are reduced by `datasets.map_trials`: serially on one CPU, else in forked
+    file workers."""
+
+    @pytest.mark.parametrize("kind", ["threshold", "svm"])
+    def test_recordings_serial_forked_and_from_the_index_agree(self, kind, corpus, tmp_path, monkeypatch):
+        assert len(corpus) >= MIN_FORK_ITEMS  # enough recordings to fork without the patch below
+
+        def run(trials):
+            result = run_experiment(trials, DetectorSpec(kind), 5)
+            return result.predictions, result.split, result.access_log.events
+
+        trials = sorted(corpus, key=lambda rec: rec.trial_id)  # the order of the index that write_canonical writes
+        serial, forked = serial_and_forked(monkeypatch, lambda _: run(trials))
+        assert serial == forked
+        write_canonical(trials, tmp_path)
+        assert run(read_index(tmp_path)) == serial
+
+    def test_the_first_recording_segment_refuses_is_raised(self, corpus, monkeypatch):
+        split = split_subjects((rec.subject_id for rec in corpus), 5)
+        dev = [i for i, rec in enumerate(corpus) if rec.subject_id in split.dev_subjects]
+        trials = list(corpus)
+        # forked over 3 shares, dev[1] is a child's and dev[3] the parent's: the parent meets its failure first
+        for i in (dev[1], dev[3]):
+            trials[i] = dataclasses.replace(trials[i], t=np.empty(0), acc=np.empty((0, 3)), gyr=np.empty((0, 3)))
+
+        def error(_):
+            with pytest.raises(ExperimentStageError) as err:
+                run_experiment(trials, DetectorSpec("knn"), 5)
+            return err.value.stage, str(err.value)
+
+        serial, forked = serial_and_forked(monkeypatch, error)
+        assert serial == forked == ("training", f"[training] recording {trials[dev[1]].trial_id!r} has no samples")
 
 
 class TestDetectorSpec:
