@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DEFAULT_WINDOW_SECONDS, Label, is_int, is_real, window_bounds, window_from_arrays
+from .core import DEFAULT_WINDOW_SECONDS, MIN_SAMPLES, Label, is_int, is_real, window_bounds, window_from_arrays
 from .datasets import (
     CANONICAL_HEADER,
     load_manifest,
@@ -219,7 +219,7 @@ def cmd_detect_stream(args) -> int:
 
     for index, (a, b) in enumerate(window_bounds(times(), args.window_seconds)):
         rows = np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
-        if b - a >= 2:  # only a stream of one row has a shorter window, and it gives no verdict
+        if b - a >= MIN_SAMPLES:  # only a stream of fewer rows has a shorter window, and it gives no verdict
             window = window_from_arrays("stream", rows[: b - a, 0], rows[: b - a, 1:4], rows[: b - a, 4:7], index)
             [(label, score)] = classify_many(detector, [window])
             print(f"{window.end_t!r},{label.value},{score:.6f}", flush=True)  # each verdict as soon as it is known
@@ -248,8 +248,8 @@ def cmd_export_plots(args) -> int:
 
     if args.trial:
         t, acc, gyr = read_canonical_trial(args.trial)
-        if len(t) < 2:  # as TrialRecording.validate asks
-            raise DataError(f"{args.trial}: a trial needs at least 2 samples, got {len(t)}")
+        if len(t) < MIN_SAMPLES:  # as TrialRecording.validate asks
+            raise DataError(f"{args.trial}: a trial needs at least {MIN_SAMPLES} samples, got {len(t)}")
         derived = _derive_checked(window_from_arrays(args.trial, t, acc, gyr), THRESHOLD_SIGNALS)
         series = np.column_stack((t, derived.smv_acc, derived.smv_gyr, derived.fi, derived.avd))
         rows = [("t", "smv_acc", "smv_gyr", "fi", "avd"), *series.tolist()]  # a float's str is its repr

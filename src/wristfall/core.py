@@ -20,7 +20,7 @@ RATE_BOUNDS_HZ = (15.0, 30.0)
 RATE_GAP_RELTOL = 0.20
 
 DEFAULT_WINDOW_SECONDS = 60.0
-DEFAULT_MIN_SAMPLES = 2
+MIN_SAMPLES = 2  # the fewest samples of a trial, and of a window unless the whole stream is shorter
 
 
 def is_int(value) -> bool:
@@ -91,8 +91,8 @@ class TrialRecording:
         n = self.n_samples
         if n == 0:
             raise EmptyRecording(self.trial_id)
-        if n < 2:
-            raise InvalidRecording(self.trial_id, "fewer than 2 samples")
+        if n < MIN_SAMPLES:
+            raise InvalidRecording(self.trial_id, f"fewer than {MIN_SAMPLES} samples")
         if self.acc.shape != (n, 3) or self.gyr.shape != (n, 3):
             raise InvalidRecording(self.trial_id, "channel arrays not shaped (n, 3)")
         if not np.all(np.isfinite(self.t)):
@@ -183,21 +183,19 @@ def _window_bins(t: np.ndarray, t0: float, window_seconds: float) -> np.ndarray:
     return k
 
 
-def window_bounds(t_blocks, window_seconds: float = DEFAULT_WINDOW_SECONDS, min_samples: int = DEFAULT_MIN_SAMPLES):
+def window_bounds(t_blocks, window_seconds: float = DEFAULT_WINDOW_SECONDS):
     """The (a, b) row ranges of consecutive non-overlapping windows of `window_seconds` over timestamps read in blocks.
 
     Boundary policy: row i belongs to window k when t0 + k*window_seconds <= t[i] < t0 + (k+1)*window_seconds, t0
-    being the first row's timestamp. A window with fewer than `min_samples` rows merges into a neighbour: the first
+    being the first row's timestamp. A window with fewer than MIN_SAMPLES rows merges into a neighbour: the first
     window into the next, any other into the previous. So a trailing remainder shorter than `window_seconds` becomes
-    its own window when it has at least `min_samples` rows; rows spanning less than `window_seconds` give exactly one
+    its own window when it has at least MIN_SAMPLES rows; rows spanning less than `window_seconds` give exactly one
     window. Row indices count from the first block, so any split of the same rows into blocks gives the same ranges.
-    A range is yielded as soon as the rows read decide it: once `min_samples` rows lie past its end, or at the next
+    A range is yielded as soon as the rows read decide it: once MIN_SAMPLES rows lie past its end, or at the next
     boundary. The last one comes after the final block; no rows give no range.
     """
     if not (math.isfinite(window_seconds) and window_seconds > 0):
         raise ValueError("window_seconds must be finite and positive")
-    if min_samples < 1:
-        raise ValueError("min_samples must be >= 1")
     t0 = last_bin = 0.0
     start = cut = n = 0  # the open window's first row, the boundary row not yet kept or dropped (or start), rows read
     for t in t_blocks:
@@ -207,31 +205,27 @@ def window_bounds(t_blocks, window_seconds: float = DEFAULT_WINDOW_SECONDS, min_
             t0 = float(t[0])
         bins = _window_bins(t, t0, window_seconds)
         # A window starts at every row whose bin differs from the previous row's; a cut is kept only when the
-        # segments on both sides of it reach min_samples.
+        # segments on both sides of it reach MIN_SAMPLES.
         for edge in (np.flatnonzero(np.diff(bins, prepend=last_bin if n else bins[0])) + n).tolist():
-            if cut - start >= min_samples and edge - cut >= min_samples:
+            if cut - start >= MIN_SAMPLES and edge - cut >= MIN_SAMPLES:
                 yield start, cut
                 start = cut
             cut = edge
         n += len(t)
         last_bin = bins[-1]
-        if cut - start >= min_samples and n - cut >= min_samples:  # the next boundary is at row n or later
+        if cut - start >= MIN_SAMPLES and n - cut >= MIN_SAMPLES:  # the next boundary is at row n or later
             yield start, cut
             start = cut
     if n:
         yield start, n
 
 
-def segment(
-    recording: TrialRecording,
-    window_seconds: float = DEFAULT_WINDOW_SECONDS,
-    min_samples: int = DEFAULT_MIN_SAMPLES,
-) -> list[SignalWindow]:
+def segment(recording: TrialRecording, window_seconds: float = DEFAULT_WINDOW_SECONDS) -> list[SignalWindow]:
     """The windows of `window_bounds` over a recording, each at its rows' rate (the declared one is not read)."""
     rec, t = recording, recording.t
     windows = [
         window_from_arrays(rec.trial_id, t[a:b], rec.acc[a:b], rec.gyr[a:b], idx, rec.subject_id, rec.label)
-        for idx, (a, b) in enumerate(window_bounds([t], window_seconds, min_samples))
+        for idx, (a, b) in enumerate(window_bounds([t], window_seconds))
     ]
     if not windows:
         raise EmptyRecording(recording.trial_id)

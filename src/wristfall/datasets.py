@@ -63,8 +63,10 @@ CANONICAL_HEADER = "t,acc_x,acc_y,acc_z,gyr_x,gyr_y,gyr_z"
 _REPR_FLOAT_BYTES = b"0123456789.e+-,\n"
 INDEX_NAME = "index.jsonl"
 TRIALS_DIR = "trials"
+TRIAL_ID_CHARS = "A-Za-z0-9_.-"  # of a trial id, so that `<trial_id>.csv` is one file name in TRIALS_DIR
 # The fewest files `_map_files` forks for. Reading 16 canonical trials of 340 samples took as long forked
-# as serially on 2 CPUs; 32 took 12 % less and 64 took 35 % less.
+# as serially on 2 CPUs; 32 took 12 % less and 64 took 35 % less. In-memory recordings of one short window each
+# do not gain at all: `run_experiment` on 120 synthetic trials took 13-17 ms longer forked on 2 CPUs.
 MIN_FORK_ITEMS = 32
 
 
@@ -376,7 +378,7 @@ def parse_trial_file(path, layout: LayoutSpec, rate_hz: float):
 
 def _trial_id(subject: str, code: str, trial: str) -> str:
     raw = f"{subject}_{code}_{trial}" if trial else f"{subject}_{code}"
-    return re.sub(r"[^A-Za-z0-9_.-]", "-", raw)
+    return re.sub(f"[^{TRIAL_ID_CHARS}]", "-", raw)
 
 
 def map_raw_trials(fn: Callable[[TrialRecording], object], manifest: DatasetManifest) -> tuple[list, IngestReport]:
@@ -489,9 +491,10 @@ def staged_corpus(out_dir):
     `stage(rec)`, which a file worker may call, writes a recording's trial file under a name no other call gives
     and returns its path. `commit(pairs)` moves the staged file of each `(index fields, path)` pair to
     `trials/<trial_id>.csv` and writes the index in trial id order; a file staged but not committed (a
-    duplicate's) goes with the staging directory. If the block raises, `out_dir` is left as it was found: the
-    staging directory goes, and `out_dir` too if this call made it (with any parent it made). Only a failure while
-    `commit` replaces the files of a corpus already there leaves a mix.
+    duplicate's) goes with the staging directory. A trial id that repeats or holds a character outside
+    TRIAL_ID_CHARS raises DataError naming it before any file moves. If the block raises, `out_dir` is left as it
+    was found: the staging directory goes, and `out_dir` too if this call made it (with any parent it made). Only a
+    failure while `commit` replaces the files of a corpus already there leaves a mix.
     """
     out_dir = Path(out_dir)
     made = [p for p in (out_dir, *out_dir.parents) if not p.exists()]  # innermost first
@@ -508,6 +511,11 @@ def staged_corpus(out_dir):
 
         def commit(pairs: Sequence[tuple[dict, Path]]) -> Path:
             ordered = sorted(pairs, key=lambda pair: pair[0]["trial_id"])
+            ids = [fields["trial_id"] for fields, _ in ordered]
+            for tid, prev in zip(ids, [None, *ids]):
+                if tid == prev or not re.fullmatch(f"[{TRIAL_ID_CHARS}]*", tid):
+                    fault = "repeats" if tid == prev else f"holds a character outside {TRIAL_ID_CHARS}"
+                    raise DataError(f"trial id {tid!r} {fault}: each trial needs a file of its own in {TRIALS_DIR}/")
             (out_dir / TRIALS_DIR).mkdir(exist_ok=True)
             for fields, path in ordered:
                 os.replace(path, out_dir / TRIALS_DIR / f"{fields['trial_id']}.csv")

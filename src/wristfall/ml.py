@@ -244,17 +244,20 @@ class LinearSVM:
         w = np.zeros(d + 1)
         tail = np.zeros(d + 1)
         t = 0
-        for epoch in range(self.epochs):
-            for i in rng.permutation(n):
-                t += 1
-                eta = 1.0 / (self.lam * t)
-                margin = y_pm[i] * (Xa[i] @ w)
-                w *= 1.0 - eta * self.lam
-                if margin < 1.0:
-                    w += eta * y_pm[i] * Xa[i]
-                if epoch == self.epochs - 1:
-                    tail += w
-        w = tail / n
+        with np.errstate(over="ignore", invalid="ignore"):  # a tiny lam overflows to inf or nan, refused below
+            for epoch in range(self.epochs):
+                for i in rng.permutation(n):
+                    t += 1
+                    eta = 1.0 / (self.lam * t)
+                    margin = y_pm[i] * (Xa[i] @ w)
+                    w *= 1.0 - eta * self.lam
+                    if margin < 1.0:
+                        w += eta * y_pm[i] * Xa[i]
+                    if epoch == self.epochs - 1:
+                        tail += w
+            w = tail / n
+        if not np.isfinite(w).all():
+            raise DataError(f"hyperparameter lam = {self.lam!r} is too small: the svm weights are not finite")
         self.w = w[:-1]
         self.b = float(w[-1])
 
@@ -293,20 +296,16 @@ class ClassifierModel:
         return f"{self.kind}({self.feature_view})"
 
 
-def _classifier_class(kind: str, feature_view: str) -> type:
-    if kind not in _CLASSIFIERS:
-        raise DataError(f"unknown classifier kind {kind!r}; expected one of {MODEL_KINDS}")
-    if feature_view not in FEATURE_VIEWS:
-        raise DataError(f"unknown feature view {feature_view!r}; expected one of {tuple(FEATURE_VIEWS)}")
-    return _CLASSIFIERS[kind]
-
-
 def make_classifier(kind: str, feature_view: str, params: dict) -> KNNClassifier | RandomForestClassifier | LinearSVM:
     """The unfitted classifier of `kind` with the hyperparameters `params`.
 
     An unknown kind, view or hyperparameter name, then a value outside its range, raises DataError naming it.
     """
-    cls = _classifier_class(kind, feature_view)
+    if kind not in _CLASSIFIERS:
+        raise DataError(f"unknown classifier kind {kind!r}; expected one of {MODEL_KINDS}")
+    if feature_view not in FEATURE_VIEWS:
+        raise DataError(f"unknown feature view {feature_view!r}; expected one of {tuple(FEATURE_VIEWS)}")
+    cls = _CLASSIFIERS[kind]
     unknown = set(params) - {f.name for f in fields(cls) if f.init}
     if unknown:
         raise DataError(f"unknown {kind} hyperparameters: {sorted(unknown)}")
@@ -385,7 +384,7 @@ def load_model(path) -> ClassifierModel:
         if doc.get("version") != MODEL_VERSION:
             raise DataError(f"unsupported model version {doc.get('version')}")
         kind, feature_view, state = doc["kind"], doc["feature_view"], doc["state"]
-        classifier = _classifier_class(kind, feature_view)(**doc["params"])
+        classifier = make_classifier(kind, feature_view, doc["params"])
         for f in fields(classifier):
             if not f.init:
                 setattr(classifier, f.name, state[f.name])

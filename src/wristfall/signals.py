@@ -13,7 +13,7 @@ Three signals are computed from a window's raw channels:
   GRAVITY_FREEZE_G (e.g. during free fall) the gravity estimate holds its last
   valid value, initialized to (0, 0, 1).
 
-The three defaults below are deliberate, swappable constants.
+The three constants below are fixed, not defaults: no function takes another value.
 """
 
 from __future__ import annotations
@@ -58,22 +58,20 @@ def smv(window: SignalWindow, sensor: str = "acc") -> np.ndarray:
     return np.sqrt(np.sum(xyz * xyz, axis=1))
 
 
-def fall_index(window: SignalWindow, history: int = FI_HISTORY_SAMPLES) -> np.ndarray:
+def fall_index(window: SignalWindow) -> np.ndarray:
     """Rolling root-sum-square of accelerometer first differences.
 
-    fi[t] = sqrt( sum over axes, over i in [max(1, t-history+1), t] of
-    (acc[i] - acc[i-1])^2 ), for t >= 1; fi[0] = 0. `history` counts samples,
-    not seconds.
+    fi[t] = sqrt( sum over axes, over i in [max(1, t-h+1), t] of
+    (acc[i] - acc[i-1])^2 ), for t >= 1; fi[0] = 0. The history h is
+    FI_HISTORY_SAMPLES samples, not seconds.
     """
-    if history < 1:
-        raise ValueError("history must be >= 1")
     d = np.diff(window.acc, axis=0)
     sq = np.sum(d * d, axis=1)  # sq[j] belongs to step i = j+1
     cum = np.concatenate(([0.0], np.cumsum(sq)))
     n = window.n_samples
     fi = np.zeros(n)
     t_idx = np.arange(1, n)
-    lo = np.maximum(0, t_idx - history)
+    lo = np.maximum(0, t_idx - FI_HISTORY_SAMPLES)
     fi[1:] = np.sqrt(np.maximum(cum[t_idx] - cum[lo], 0.0))
     return fi
 

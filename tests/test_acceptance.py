@@ -170,7 +170,7 @@ def test_criterion_6_property_suite(tmp_path):
     for _ in range(500):
         acc = rng.normal(0, 1, (rng.integers(25, 60), 3))
         w = make_window(acc)
-        got = fall_index(w, history=20)
+        got = fall_index(w)
         n = acc.shape[0]
         for t in range(n):
             total = 0.0

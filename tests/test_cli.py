@@ -1111,6 +1111,7 @@ class TestLoaderFaults:
             "rf-tree-count": model_file("rf", lambda d: d["state"]["trees"].append({"leaf": 1})),
             "params-n_trees-edited": model_file("rf", lambda d: d["params"].update(n_trees=2)),
             "params-k-edited": model_file("knn", lambda d: d["params"].update(k=2)),
+            "params-unknown": model_file("knn", lambda d: d["params"].update(x=1)),
             "knn-k-0": model_file("knn", lambda d: (d["params"].update(k=0), d["state"].update(k=0))),
             "knn-k-float": model_file("knn", lambda d: (d["params"].update(k=1.0), d["state"].update(k=1.0))),
             "knn-X-columns": model_file("knn", lambda d: d["state"].update(X=[[0.0] * 43, [1.0] * 43])),
@@ -1202,6 +1203,14 @@ class TestLoaderFaults:
         assert (code, map_trials.call_count) == (3, 0)
         assert err.startswith(f"error: {index}:61: {'trial_id' if fault == 'repeated-trial-id' else 'trial file'} ")
         assert err.endswith(f" repeats line {first}\n")
+
+    def test_an_unknown_model_hyperparameter_is_named_as_params_names_it(self, tmp_path, monkeypatch, capsys):
+        """`load_model` builds its classifier with `make_classifier`, as `--params` does: no Python TypeError text."""
+        path = tmp_path / "model.json"
+        path.write_bytes(self.FAULTS["model"]["params-unknown"])
+        monkeypatch.setattr("sys.stdin", stdin_of(""))
+        assert main(["detect-stream", "--model", str(path)]) == 3
+        assert capsys.readouterr().err == f"error: {path}: unknown knn hyperparameters: ['x']\n"
 
     @pytest.mark.parametrize("kind", ["knn", "rf", "svm"])
     def test_unchanged_model_file_loads(self, kind, tmp_path, monkeypatch, capsys):

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_recording
-from wristfall.core import Label, segment, window_bounds
+from wristfall.core import Label, _window_bins, segment, window_bounds
 from wristfall.errors import EmptyRecording, InvalidRecording
 from wristfall.signals import derive_all
 
@@ -21,9 +21,9 @@ def regular_recording(duration_s, rate, **kwargs):
     return make_recording(t, acc, gyr, rate=rate, **kwargs)
 
 
-def segment_oracle(t, window_seconds, min_samples):
+def segment_oracle(t, window_seconds):
     """Scalar-loop reference: assign each sample to its window by timestamp,
-    then merge undersized trailing groups backwards."""
+    then merge trailing groups of fewer than 2 samples backwards."""
     t0 = t[0]
     assignment = []
     k = 0
@@ -38,7 +38,7 @@ def segment_oracle(t, window_seconds, min_samples):
         else:
             groups.append((k, [i]))
     merged = [idx for _, idx in groups]
-    while len(merged) > 1 and len(merged[-1]) < min_samples:
+    while len(merged) > 1 and len(merged[-1]) < 2:
         merged[-2].extend(merged[-1])
         del merged[-1]
     return merged
@@ -114,7 +114,7 @@ class TestSegment:
         # 130 s at 25 Hz -> 60 s, 60 s, 10 s; frozen values from segment_oracle
         rec = regular_recording(130, 25)
         windows = segment(rec, window_seconds=60)
-        expected = segment_oracle(rec.t, 60, 2)
+        expected = segment_oracle(rec.t, 60)
         assert [w.n_samples for w in windows] == [len(g) for g in expected]
         assert [w.n_samples for w in windows] == [1500, 1500, 250]
         assert windows[2].end_t - windows[2].start_t == pytest.approx(10.0, abs=0.05)
@@ -166,7 +166,7 @@ class TestSegment:
     def test_matches_scalar_oracle(self, duration, rate):
         rec = regular_recording(duration, rate)
         windows = segment(rec, window_seconds=60)
-        assert [w.n_samples for w in windows] == [len(g) for g in segment_oracle(rec.t, 60, 2)]
+        assert [w.n_samples for w in windows] == [len(g) for g in segment_oracle(rec.t, 60)]
 
     @given(
         duration=st.floats(min_value=1.0, max_value=200.0),
@@ -195,9 +195,8 @@ class TestSegment:
     def test_cuts_match_boundary_loop(self, t0, gaps, window):
         t = np.unique(t0 + np.concatenate([[0.0], np.cumsum(gaps)]))
         assume((t[-1] - t[0]) / window <= 5000)  # the loop makes one step per window
-        rec = make_recording(t, np.zeros((t.size, 3)))
-        windows = segment(rec, window_seconds=window, min_samples=1)  # min_samples=1 merges nothing
-        starts = np.cumsum([0] + [w.n_samples for w in windows]).tolist()
+        bins = _window_bins(t, float(t[0]), window)
+        starts = [0, *(np.flatnonzero(np.diff(bins)) + 1).tolist(), t.size]  # the rows where the bin changes
         assert starts == boundary_loop_edges(t, window)
 
     @pytest.mark.parametrize("window", [0.0, -1.0, math.nan, math.inf])
@@ -218,20 +217,18 @@ class TestWindowBounds:
     @given(
         gaps=st.lists(st.sampled_from((0.04,) * 6 + (0.5, 3.0, 15.0)), max_size=200),
         window=st.sampled_from([0.01, 0.05, 0.5, 2.5, 10.0]),
-        min_samples=st.integers(1, 4),
         splits=st.lists(st.integers(0, 202), max_size=12),
     )
     @settings(max_examples=200, deadline=None)
-    def test_any_split_into_blocks_gives_the_ranges_of_one_block(self, gaps, window, min_samples, splits):
+    def test_any_split_into_blocks_gives_the_ranges_of_one_block(self, gaps, window, splits):
         t = np.concatenate([[0.0], np.cumsum(gaps)])
-        whole = list(window_bounds([t], window, min_samples))
+        whole = list(window_bounds([t], window))
         assert [a for a, _ in whole] == [0, *(b for _, b in whole[:-1])] and whole[-1][1] == t.size
         # sorted split points with repeats and points past the end also give empty blocks
-        assert list(window_bounds(np.split(t, sorted(splits)), window, min_samples)) == whole
+        assert list(window_bounds(np.split(t, sorted(splits)), window)) == whole
 
-    @pytest.mark.parametrize("min_samples", [1, 2, 3])
-    def test_a_range_is_yielded_once_min_samples_rows_lie_past_it(self, min_samples):
-        """Read one row per block: every range but the last comes as soon as the next window holds min_samples rows."""
+    def test_a_range_is_yielded_once_min_samples_rows_lie_past_it(self):
+        """Read one row per block: every range but the last comes as soon as the next window holds 2 rows."""
         t = np.concatenate([np.arange(30) / 25, 5.0 + np.arange(40) / 25, [9.0], 20.0 + np.arange(3) / 25])
         read = []
 
@@ -240,9 +237,9 @@ class TestWindowBounds:
                 read.append(i + 1)
                 yield t[i : i + 1]
 
-        seen = [(a, b, read[-1]) for a, b in window_bounds(blocks(), 2.0, min_samples)]
-        assert [(a, b) for a, b, _ in seen] == list(window_bounds([t], 2.0, min_samples))
-        assert [n for _, _, n in seen[:-1]] == [b + min_samples for _, b, _ in seen[:-1]]
+        seen = [(a, b, read[-1]) for a, b in window_bounds(blocks(), 2.0)]
+        assert [(a, b) for a, b, _ in seen] == list(window_bounds([t], 2.0))
+        assert [n for _, _, n in seen[:-1]] == [b + 2 for _, b, _ in seen[:-1]]
 
     def test_no_rows_no_range(self):
         assert list(window_bounds([np.empty(0), np.empty(0)], 1.0)) == []

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -360,6 +361,44 @@ class TestCanonical:
     def test_missing_index(self, tmp_path):
         with pytest.raises(ManifestRootMissing):
             read_canonical(tmp_path)
+
+    # a repeated id would write one file for two trials and list the id twice, which read_index refuses; an id
+    # holding a '/' would name a file outside trials/ or in a directory that is not there
+    @pytest.mark.parametrize(
+        "ids,message",
+        [
+            (("S01_A", "S01_A"), "trial id 'S01_A' repeats"),
+            (("S01_A", "../escape"), "trial id '../escape' holds a character outside"),
+            (("S01_A", "a/b"), "trial id 'a/b' holds a character outside"),
+        ],
+        ids=["repeated", "parent-dir", "sub-dir"],
+    )
+    @pytest.mark.parametrize("existing", [False, True], ids=["fresh-out", "existing-corpus"])
+    def test_an_id_that_is_not_one_file_in_trials_is_refused_before_any_file_moves(
+        self, ids, message, existing, tmp_path
+    ):
+        out = tmp_path / "corpus"
+        if existing:
+            write_canonical(synthesize(seed=5, n_subjects=2, trials_per_subject=2), out)
+
+        def tree():  # every path under tmp_path, with each file's bytes
+            return {p.relative_to(tmp_path).as_posix(): p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")}
+
+        before = tree()
+        trials = [make_recording(np.arange(10) / 25, np.zeros((10, 3)), trial_id=tid) for tid in ids]
+        with pytest.raises(DataError, match=re.escape(message)):
+            write_canonical(trials, out)
+        assert tree() == before
+        assert out.exists() == existing
+
+    @given(parts=st.tuples(st.text(max_size=6), st.text(max_size=6), st.text(max_size=6)))
+    @settings(max_examples=25, deadline=None)
+    def test_every_id_ingest_makes_is_written(self, parts, tmp_path_factory):
+        out = tmp_path_factory.mktemp("corpus")
+        tid = datasets._trial_id(*parts)
+        write_canonical([make_recording(np.arange(10) / 25, np.zeros((10, 3)), trial_id=tid)], out)
+        assert [json.loads(line)["trial_id"] for line in (out / "index.jsonl").read_text().splitlines()] == [tid]
+        assert (out / "trials" / f"{tid}.csv").is_file()
 
 
 # Characters that numpy and float() treat differently, or that make a row bad.

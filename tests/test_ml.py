@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -296,6 +297,17 @@ class TestTrainErrors:
             train("knn", "acc45", X, labels, seed=0)
         with pytest.raises(DataError):
             train("knn", "combined88", X, labels, seed=0, trees=5)
+
+    @pytest.mark.parametrize("lam", [1e-320, 1e-308])
+    def test_a_lam_too_small_for_finite_svm_weights_is_a_data_error_naming_it(self, lam):
+        """Steps of 1/(lam*t) overflow the weights to inf or nan: refused by name, with no numpy warning."""
+        X, labels = toy_features(np.random.default_rng(47), n=30)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=f"hyperparameter lam = {lam!r} is too small"):
+                train("svm", "combined88", X, labels, seed=0, lam=lam)
+            # the smallest power of ten that trains on these rows keeps finite weights
+            assert np.isfinite(train("svm", "combined88", X, labels, seed=0, lam=1e-307).classifier.w).all()
 
     @pytest.mark.parametrize("kind,name,bound", [("svm", "epochs", MAX_EPOCHS), ("rf", "n_trees", MAX_TREES)])
     def test_work_is_bounded(self, kind, name, bound, tmp_path):

@@ -1,7 +1,7 @@
 import pytest
 
 import wristfall
-from wristfall import cli, errors, evaluation, features, ml
+from wristfall import cli, core, errors, evaluation, features, ml
 
 
 def test_every_exported_name_resolves():
@@ -24,6 +24,7 @@ def test_every_exported_name_resolves():
         (evaluation, "windows_of"),
         (wristfall, "detect"),
         (wristfall, "calibrate"),
+        (core, "DEFAULT_MIN_SAMPLES"),
     ],
 )
 def test_removed_name_is_gone(module, name):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_window
-from wristfall.signals import GRAVITY_FREEZE_G, avd, derive_all, fall_index, smv
+from wristfall.signals import FI_HISTORY_SAMPLES, GRAVITY_FREEZE_G, avd, derive_all, fall_index, smv
 
 
 def fi_oracle(acc, history):
@@ -85,7 +85,7 @@ class TestFallIndex:
     def test_single_step_height(self):
         acc = np.zeros((30, 3))
         acc[10:, 0] = 0.7  # one step of height 0.7 on one axis
-        fi = fall_index(make_window(acc), history=20)
+        fi = fall_index(make_window(acc))
         assert fi[9] == 0.0
         assert np.allclose(fi[10:29], 0.7)
 
@@ -93,7 +93,7 @@ class TestFallIndex:
         rng = np.random.default_rng(7)
         acc = rng.normal(0, 1, (50, 3))
         w = make_window(acc)
-        assert np.allclose(fall_index(w, history=20), fi_oracle(acc, 20), atol=1e-12)
+        assert np.allclose(fall_index(w), fi_oracle(acc, 20), atol=1e-12)
 
     def test_offset_invariance(self):
         rng = np.random.default_rng(8)
@@ -108,14 +108,10 @@ class TestFallIndex:
 
     def test_full_history_equals_total_sum(self):
         rng = np.random.default_rng(10)
-        acc = rng.normal(0, 1, (25, 3))
-        fi = fall_index(make_window(acc), history=25)
+        acc = rng.normal(0, 1, (FI_HISTORY_SAMPLES + 1, 3))
+        fi = fall_index(make_window(acc))
         total = np.sqrt((np.diff(acc, axis=0) ** 2).sum())
         assert fi[-1] == pytest.approx(total, rel=1e-12)
-
-    def test_history_must_be_positive(self):
-        with pytest.raises(ValueError):
-            fall_index(make_window(np.zeros((5, 3))), history=0)
 
 
 class TestAvd:
