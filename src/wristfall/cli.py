@@ -54,7 +54,6 @@ from .threshold import DEFAULT_SIGNALS, THRESHOLD_SIGNALS, load_threshold_config
 MANIFEST_DIR_ENV = "WRISTFALL_MANIFEST_DIR"
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_INTERNAL = 4
 

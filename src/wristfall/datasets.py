@@ -44,15 +44,7 @@ from typing import Callable, Iterable, NamedTuple, NoReturn, Sequence
 import numpy as np
 
 from .core import Label, Source, TrialRecording, as_rate, is_int
-from .errors import (
-    CanonicalFormatError,
-    DataError,
-    InvalidRecording,
-    ManifestRootMissing,
-    read_json,
-    read_json_line,
-    reading,
-)
+from .errors import CanonicalFormatError, DataError, read_json, read_json_line, reading
 
 ACC_UNIT_TO_G = {"g": 1.0, "m/s2": 1.0 / 9.80665, "mg": 1e-3}
 GYR_UNIT_TO_DPS = {"deg/s": 1.0, "rad/s": 180.0 / math.pi}
@@ -392,7 +384,7 @@ def map_raw_trials(fn: Callable[[TrialRecording], object], manifest: DatasetMani
     """
     root = manifest.root
     if not root.is_dir():
-        raise ManifestRootMissing(f"manifest root {root} is not a readable directory")
+        raise DataError(f"manifest root {root} is not a readable directory")
     pattern = re.compile(manifest.layout.path_regex)
 
     def load(path: Path) -> tuple[str, dict | None, str | OSError | None, object]:
@@ -419,7 +411,7 @@ def map_raw_trials(fn: Callable[[TrialRecording], object], manifest: DatasetMani
             t, acc, gyr = parse_trial_file(path, manifest.layout, manifest.nominal_rate_hz)
             rec = TrialRecording(**fields, t=t, acc=acc, gyr=gyr)
             rec.validate()
-        except (DataError, InvalidRecording, UnicodeDecodeError) as exc:
+        except (DataError, UnicodeDecodeError) as exc:
             return rel, fields, str(exc), None
         except OSError as exc:  # raised by the walk below unless the file is a duplicate, whose content is ignored
             return rel, fields, exc, None
@@ -658,7 +650,7 @@ def read_index(corpus_dir) -> list[IndexEntry]:
     corpus_dir = Path(corpus_dir)
     index_path = corpus_dir / INDEX_NAME
     if not index_path.is_file():
-        raise ManifestRootMissing(f"no {INDEX_NAME} under {corpus_dir}")
+        raise DataError(f"no {INDEX_NAME} under {corpus_dir}")
     entries, seen = [], {}
     with open(index_path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):

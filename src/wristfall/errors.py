@@ -33,32 +33,8 @@ class InvalidRecording(DataError):
         self.reason = reason
 
 
-class SignalTooShort(DataError):
-    pass
-
-
 class NonFiniteSignal(DataError, ValueError):
     """A signal holds inf or nan, e.g. a derived signal that overflowed on huge but finite input."""
-
-
-class NoSignalsEnabled(DataError):
-    pass
-
-
-class SingleClassDevSet(DataError):
-    pass
-
-
-class SingleClassTrainingSet(DataError):
-    pass
-
-
-class IncompleteFeatureVector(DataError):
-    pass
-
-
-class ManifestRootMissing(DataError):
-    pass
 
 
 class CanonicalFormatError(DataError):
@@ -67,10 +43,6 @@ class CanonicalFormatError(DataError):
         self.path = path
         self.line_no = line_no
         self.reason = reason
-
-
-class TooFewSubjects(DataError):
-    pass
 
 
 class ExperimentStageError(WristfallError):

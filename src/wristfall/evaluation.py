@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import DEFAULT_WINDOW_SECONDS, Label, SignalWindow, TrialRecording, is_int, segment
 from .datasets import map_trials
-from .errors import DataError, ExperimentStageError, NonFiniteSignal, TooFewSubjects, WristfallError
+from .errors import DataError, ExperimentStageError, NonFiniteSignal, WristfallError
 from .features import N_FEATURES, extract_many
 from .ml import ClassifierModel, make_classifier, predict, train
 from .signals import DerivedSignalSet, derive_all
@@ -69,7 +69,7 @@ def split_subjects(subjects: Iterable[str], seed: int) -> SubjectSplit:
     ordered = sorted(set(subjects))
     n = len(ordered)
     if n < 2:
-        raise TooFewSubjects(f"need at least 2 subjects, got {n}")
+        raise DataError(f"need at least 2 subjects, got {n}")
     perm = np.random.default_rng(seed).permutation(n)
     shuffled = [ordered[i] for i in perm]
     n_eval = max(1, round(EVAL_FRACTION * n))

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import SignalWindow
-from .errors import NonFiniteSignal, SignalTooShort
+from .errors import DataError, NonFiniteSignal
 from .signals import smv
 
 STAT_NAMES = ("mean", "var", "median", "delta", "std", "max", "min", "p25", "p75", "psd", "pse")
@@ -87,7 +87,7 @@ def _stats(x: np.ndarray) -> np.ndarray:
     gives inf or nan statistics, which the caller checks; no warning is issued.
     """
     if x.shape[-1] < 2:
-        raise SignalTooShort(f"need a 1-d signal with >= 2 samples, got shape {x.shape[-1:]}")
+        raise DataError(f"need a 1-d signal with >= 2 samples, got shape {x.shape[-1:]}")
     if not np.all(np.isfinite(x)):
         raise NonFiniteSignal("signal contains non-finite values")
     with np.errstate(all="ignore"):
@@ -106,7 +106,7 @@ def stats11(signal: Sequence[float] | np.ndarray) -> np.ndarray:
     """The 11 global statistics of one signal, in STAT_NAMES order."""
     x = np.asarray(signal, dtype=float)
     if x.ndim != 1:
-        raise SignalTooShort(f"need a 1-d signal with >= 2 samples, got shape {x.shape}")
+        raise DataError(f"need a 1-d signal with >= 2 samples, got shape {x.shape}")
     return _stats(x[np.newaxis])[0]
 
 

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import Label, is_int, is_real
-from .errors import DataError, IncompleteFeatureVector, NonFiniteSignal, SingleClassTrainingSet, read_json, reading
+from .errors import DataError, NonFiniteSignal, read_json, reading
 from .features import FEATURE_NAMES, FEATURE_VIEWS, N_FEATURES
 
 MODEL_KINDS = ("knn", "rf", "svm")
@@ -262,7 +262,10 @@ class LinearSVM:
         self.b = float(w[-1])
 
     def predict_one(self, x: np.ndarray) -> tuple[int, float]:
-        score = float(x @ self.w + self.b)
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge row or huge weights give inf or nan, refused below
+            score = float(x @ self.w + self.b)
+        if not math.isfinite(score):
+            raise NonFiniteSignal("svm margin is not finite: the feature row is too large for the weights")
         return (_FALL if score >= 0.0 else _ADL), score
 
 
@@ -313,9 +316,9 @@ def make_classifier(kind: str, feature_view: str, params: dict) -> KNNClassifier
 
 
 def _check_rows(X: np.ndarray) -> None:
-    """Raise IncompleteFeatureVector unless X is a (windows, 88) matrix of finite values."""
+    """Raise DataError unless X is a (windows, 88) matrix of finite values."""
     if X.ndim != 2 or X.shape[1] != N_FEATURES or not np.all(np.isfinite(X)):
-        raise IncompleteFeatureVector(f"expected rows of {N_FEATURES} finite values, got shape {X.shape}")
+        raise DataError(f"expected rows of {N_FEATURES} finite values, got shape {X.shape}")
 
 
 def train(
@@ -335,7 +338,7 @@ def train(
     if y.shape[0] != X.shape[0]:
         raise DataError(f"{X.shape[0]} feature rows but {y.shape[0]} labels")
     if len(set(y.tolist())) < 2:
-        raise SingleClassTrainingSet("training set must contain both falls and ADLs")
+        raise DataError("training set must contain both falls and ADLs")
     X = X[:, FEATURE_VIEWS[feature_view]]
     standardizer = Standardizer.fit(X)
     if not (finite := np.isfinite(standardizer.mean) & np.isfinite(standardizer.std)).all():

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import Label, SignalWindow
-from .errors import DataError, NoSignalsEnabled, SingleClassDevSet, reading
+from .errors import DataError, reading
 from .signals import DerivedSignalSet
 
 SIGNAL_UNITS = {"smv_acc": "g", "smv_gyr": "deg/s", "fi": "g", "avd": "g"}
@@ -33,10 +33,10 @@ DEFAULT_GRIDS: dict[str, tuple[float, float, float]] = {
 
 
 def check_signals(names: Iterable[str]) -> tuple[str, ...]:
-    """`names` as a tuple: NoSignalsEnabled if it is empty, DataError if one is not a threshold signal."""
+    """`names` as a tuple; DataError if it is empty or one is not a threshold signal."""
     names = tuple(names)
     if not names:
-        raise NoSignalsEnabled("empty signal list")
+        raise DataError("empty signal list")
     for name in names:
         if name not in SIGNAL_UNITS:
             raise DataError(f"unknown signal {name!r}; expected one of {THRESHOLD_SIGNALS}")
@@ -129,7 +129,7 @@ def calibrate_peaks(
     signals = check_signals(signals)
     labels = np.array([label is Label.FALL for label in labels], dtype=bool)
     if not (labels.any() and (~labels).any()):
-        raise SingleClassDevSet("development set must contain both falls and ADLs")
+        raise DataError("development set must contain both falls and ADLs")
 
     chosen: dict[str, float] = {}
     for name, column in zip(signals, np.asarray(peaks, dtype=float).T):
@@ -163,6 +163,7 @@ def save_threshold_config(config: ThresholdConfig, path) -> None:
 def load_threshold_config(path) -> ThresholdConfig:
     """The config `save_threshold_config` wrote to `path`; a bad file raises DataError naming it."""
     thresholds: dict[str, float] = {}
+    line_of: dict[str, int] = {}
     with reading(path), open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh.read().split("\n"), start=1):
             line = raw.split("#", 1)[0].strip()
@@ -171,6 +172,9 @@ def load_threshold_config(path) -> ThresholdConfig:
             if "=" not in line:
                 raise DataError(f"line {line_no}: expected 'signal = value'")
             name, value = (part.strip() for part in line.split("=", 1))
+            if name in line_of:
+                raise DataError(f"line {line_no}: signal {name!r} repeats line {line_of[name]}")
+            line_of[name] = line_no
             try:
                 thresholds[name] = float(value)
             except ValueError:

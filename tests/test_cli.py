@@ -625,6 +625,18 @@ class TestDetectStream:
         assert code == 0
         assert out.strip()
 
+    def test_an_svm_margin_that_overflows_is_a_data_error_without_a_warning(self, tmp_path, monkeypatch, capsys):
+        """Weights near 1e304 (lam 1e-307) times the features of a wild stream overflow: exit 3, not an ADL on nan."""
+        corpus, model = tmp_path / "c", tmp_path / "svm.json"
+        assert main(["synthesize", "--subjects", "3", "--trials-per-subject", "12", "--out", str(corpus)]) == 0
+        assert main(["train", "--corpus", str(corpus), "--kind", "svm", "--params", '{"lam": 1e-307}', "--out", str(model)]) == 0
+        capsys.readouterr()
+        rows = [f"{i / 25!r},{300 if i % 2 else -300},0,1,0,0,{500 if i % 2 else -500}" for i in range(100)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = self.run_stream(["detect-stream", "--model", str(model)], "\n".join(rows) + "\n", monkeypatch, capsys)
+        assert result == (3, "", "error: svm margin is not finite: the feature row is too large for the weights\n")
+
     def test_requires_exactly_one_detector(self, monkeypatch, capsys):
         code, _, err = self.run_stream(["detect-stream"], "", monkeypatch, capsys)
         assert code == 3
@@ -1127,6 +1139,7 @@ class TestLoaderFaults:
             "undecodable": b"smv_acc = 2.5  # \xff\n",
             "malformed": b"smv = 2.5\n",  # no such signal
             "bad_key": b"# no signal enabled\n",
+            "repeated-signal": b"smv_acc = 2.0\nsmv_acc = 9.0\n",
         },
         "index": {
             "undecodable": b'{"trial_id": "\xff"}\n',

@@ -32,7 +32,7 @@ from wristfall.datasets import (
     save_manifest,
     write_canonical,
 )
-from wristfall.errors import CanonicalFormatError, DataError, ManifestRootMissing
+from wristfall.errors import CanonicalFormatError, DataError
 from wristfall.evaluation import split_subjects
 from wristfall.signals import derive_all, smv
 from wristfall.synthetic import synthesize
@@ -144,8 +144,9 @@ class TestColumnsAdapter:
         assert report.skipped == []
 
     def test_missing_root(self, tmp_path):
-        with pytest.raises(ManifestRootMissing):
-            ingest(columns_manifest(tmp_path / "nope"))
+        root = tmp_path / "nope"
+        with pytest.raises(DataError, match=f"^{re.escape(f'manifest root {root} is not a readable directory')}$"):
+            ingest(columns_manifest(root))
 
 
 def interleaved_manifest(root):
@@ -359,7 +360,7 @@ class TestCanonical:
             assert got.tobytes() == want.tobytes()
 
     def test_missing_index(self, tmp_path):
-        with pytest.raises(ManifestRootMissing):
+        with pytest.raises(DataError, match=f"^{re.escape(f'no index.jsonl under {tmp_path}')}$"):
             read_canonical(tmp_path)
 
     # a repeated id would write one file for two trials and list the id twice, which read_index refuses; an id

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import make_window
 from wristfall import features
 from wristfall.core import segment
-from wristfall.errors import NonFiniteSignal, SignalTooShort
+from wristfall.errors import DataError, NonFiniteSignal
 from wristfall.features import (
     ACC_FEATURES,
     FEATURE_NAMES,
@@ -83,7 +83,7 @@ class TestStats11:
         assert s[I["psd"]] == pytest.approx(x.var(), abs=1e-9)
 
     def test_too_short(self):
-        with pytest.raises(SignalTooShort):
+        with pytest.raises(DataError, match=r"^need a 1-d signal with >= 2 samples, got shape \(1,\)$"):
             stats11([1.0])
 
     def test_non_finite_rejected(self):
@@ -284,11 +284,11 @@ class TestExtractMany:
 
     def test_errors_keep_their_messages(self):
         good = shaped_window(10, "noise", 1)
-        with pytest.raises(SignalTooShort, match=r"^need a 1-d signal with >= 2 samples, got shape \(1,\)$"):
+        with pytest.raises(DataError, match=r"^need a 1-d signal with >= 2 samples, got shape \(1,\)$"):
             extract_many([good, make_window(np.zeros((1, 3)))])
-        with pytest.raises(SignalTooShort, match=r"^need a 1-d signal with >= 2 samples, got shape \(1,\)$"):
+        with pytest.raises(DataError, match=r"^need a 1-d signal with >= 2 samples, got shape \(1,\)$"):
             stats11([1.0])
-        with pytest.raises(SignalTooShort, match=r"^need a 1-d signal with >= 2 samples, got shape \(2, 2\)$"):
+        with pytest.raises(DataError, match=r"^need a 1-d signal with >= 2 samples, got shape \(2, 2\)$"):
             stats11(np.zeros((2, 2)))
         acc = np.zeros((10, 3))
         acc[4, 1] = np.inf

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wristfall.core import Label
-from wristfall.errors import DataError, IncompleteFeatureVector, SingleClassTrainingSet
+from wristfall.errors import DataError, NonFiniteSignal
 from wristfall.features import FEATURE_VIEWS, N_FEATURES
 from wristfall.ml import (
     MAX_EPOCHS,
@@ -241,6 +241,20 @@ class TestLinearSVM:
         assert score == pytest.approx(0.5)
         assert label == 1
 
+    @pytest.mark.parametrize("x", [[1e5, -1e5], [1e5, 1e5]], ids=["inf", "nan"])
+    def test_a_margin_that_is_not_finite_is_refused_without_a_warning(self, x):
+        """Weights near 1e304 (a lam of 1e-307) times a large row overflow: the margin would be inf, or inf - inf."""
+        svm = LinearSVM()
+        svm.w = np.array([1e304, -1e304])
+        svm.b = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert svm.predict_one(np.array([1.0, 2.0])) == (0, -1e304)
+            with pytest.raises(
+                NonFiniteSignal, match="^svm margin is not finite: the feature row is too large for the weights$"
+            ):
+                svm.predict_one(np.array(x))
+
     def test_training_is_deterministic(self):
         rng = np.random.default_rng(37)
         X, labels = toy_features(rng, n=30)
@@ -278,14 +292,14 @@ class TestTrainErrors:
         rng = np.random.default_rng(40)
         X, labels = toy_features(rng, n=20)
         adl = [i for i, label in enumerate(labels) if label is Label.ADL]
-        with pytest.raises(SingleClassTrainingSet):
+        with pytest.raises(DataError, match="^training set must contain both falls and ADLs$"):
             train("knn", "combined88", X[adl], [labels[i] for i in adl], seed=0)
 
     def test_incomplete_vector_rejected(self):
         rng = np.random.default_rng(41)
         X, labels = toy_features(rng, n=10)
         bad = np.vstack([X, np.full(N_FEATURES, np.nan)])
-        with pytest.raises(IncompleteFeatureVector):
+        with pytest.raises(DataError, match=r"^expected rows of 88 finite values, got shape \(11, 88\)$"):
             train("knn", "combined88", bad, [*labels, Label.FALL], seed=0)
 
     def test_unknown_kind_view_params(self):

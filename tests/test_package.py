@@ -25,6 +25,14 @@ def test_every_exported_name_resolves():
         (wristfall, "detect"),
         (wristfall, "calibrate"),
         (core, "DEFAULT_MIN_SAMPLES"),
+        (errors, "SignalTooShort"),
+        (errors, "NoSignalsEnabled"),
+        (errors, "SingleClassDevSet"),
+        (errors, "SingleClassTrainingSet"),
+        (errors, "IncompleteFeatureVector"),
+        (errors, "ManifestRootMissing"),
+        (errors, "TooFewSubjects"),
+        (cli, "EXIT_USAGE"),
     ],
 )
 def test_removed_name_is_gone(module, name):

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from conftest import make_window
 from wristfall.core import Label
-from wristfall.errors import DataError, NoSignalsEnabled, SingleClassDevSet
+from wristfall.errors import DataError
 from wristfall.signals import DerivedSignalSet, derive_all
 from wristfall.threshold import (
     DEFAULT_GRIDS,
@@ -101,7 +103,7 @@ class TestDetect:
 
 class TestConfig:
     def test_requires_a_signal(self):
-        with pytest.raises(NoSignalsEnabled):
+        with pytest.raises(DataError, match="^empty signal list$"):
             ThresholdConfig({})
 
     def test_rejects_unknown_signal(self):
@@ -128,6 +130,21 @@ class TestConfig:
         path = tmp_path / "bad.txt"
         path.write_text("smv_acc 2.5\n")
         with pytest.raises(DataError):
+            load_threshold_config(path)
+
+    @pytest.mark.parametrize(
+        "text,fault",
+        [
+            ("smv_acc = 2.0\nsmv_acc = 9.0\n", "line 2: signal 'smv_acc' repeats line 1"),
+            ("# thresholds\nfi = 1.0\n\nsmv_acc=2.0\n  fi = 1.0  # again\n", "line 5: signal 'fi' repeats line 2"),
+        ],
+        ids=["adjacent", "apart"],
+    )
+    def test_load_rejects_a_signal_named_twice(self, tmp_path, text, fault):
+        """A second line for a signal would replace the first's threshold unseen, even with the same value."""
+        path = tmp_path / "repeat.txt"
+        path.write_text(text)
+        with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {fault}')}$"):
             load_threshold_config(path)
 
 
@@ -206,11 +223,11 @@ class TestCalibrate:
 
     def test_single_class_dev_set_rejected(self):
         pairs = self.dev_set([3.0, 4.0], [])
-        with pytest.raises(SingleClassDevSet):
+        with pytest.raises(DataError, match="^development set must contain both falls and ADLs$"):
             calibrate(pairs, signals=("smv_acc",))
 
     def test_no_signals_rejected(self):
-        with pytest.raises(NoSignalsEnabled):
+        with pytest.raises(DataError, match="^empty signal list$"):
             calibrate(self.dev_set([3.0], [1.0]), signals=())
 
     def test_unknown_signal_is_a_data_error(self):
@@ -224,7 +241,7 @@ class TestCheckSignals:
         assert check_signals(["fi", "smv_acc"]) == ("fi", "smv_acc")
 
     def test_empty_list(self):
-        with pytest.raises(NoSignalsEnabled, match="^empty signal list$"):
+        with pytest.raises(DataError, match="^empty signal list$"):
             check_signals([])
 
     def test_unknown_name(self):
@@ -232,7 +249,7 @@ class TestCheckSignals:
             check_signals(["fi", "bogus"])
 
     def test_config_checks_its_keys_with_it(self):
-        with pytest.raises(NoSignalsEnabled, match="^empty signal list$"):
+        with pytest.raises(DataError, match="^empty signal list$"):
             ThresholdConfig({})
         with pytest.raises(DataError, match="^unknown signal 'magnetometer'; expected one of "):
             ThresholdConfig({"magnetometer": 1.0})
