@@ -37,7 +37,6 @@ from .evaluation import (
     AccessLog,
     DetectorSpec,
     EvalReport,
-    _derive_checked,
     _fmt_pct,
     classify_many,
     fit_on_dev,
@@ -46,7 +45,7 @@ from .evaluation import (
     report_table,
     run_experiment,
 )
-from .features import FEATURE_VIEWS
+from .features import FEATURE_VIEWS, _derive_checked
 from .ml import MODEL_KINDS, load_model, save_model
 from .synthetic import synthesize
 from .threshold import DEFAULT_SIGNALS, THRESHOLD_SIGNALS, load_threshold_config, save_threshold_config
@@ -97,8 +96,8 @@ def cmd_ingest(args) -> int:
     _check_out_dir(args.out)  # before the manifest and raw files are read
     manifest = load_manifest(_resolve_manifest(args.manifest))
     out = Path(args.out)
-    # each file worker writes its trial file and hands back only the trial's index fields; if anything fails, the
-    # staged files go and --out is left as it was found
+    # each file worker writes its trial file and hands back only the trial's index fields and stored rows; if
+    # anything fails, the staged files go and --out is left as it was found
     with staged_corpus(out) as (stage, commit):
         kept, report = map_raw_trials(stage, manifest)
         print(report.summary())

@@ -20,6 +20,16 @@ printed with repr so they round-trip bit-exactly) plus an `index.jsonl` file
 with one record per trial (subject, activity code, label, rate, relative
 path). Rewriting the same trials produces byte-identical output.
 
+Every corpus writer (`staged_corpus`) also stores, in ROWS_NAME, the rows that
+reading each trial gives at the default window (`features.trial_rows`: the 88
+features, then the peak of each threshold signal), computed by the file worker
+that writes the trial. A reader's file worker hashes the trial file with the
+trial's index fields and the reduction's identity (`_row_key`); on a match,
+`map_trials` hands back the stored rows and parses nothing, and otherwise it
+reads the file. A trial whose reduction fails or warns is not stored, so its
+reader meets the same error. The trial files stay the only sample format:
+deleting ROWS_NAME changes no output, only time.
+
 `map_raw_trials` (which `ingest` and the `ingest` command parse through),
 `write_canonical` and `map_trials` (which `read_canonical` and every fit and
 prediction reduce trials through) spread their per-trial work over the CPUs
@@ -29,6 +39,9 @@ the process may use (`_map_files`); `taskset -c 0` runs them serially.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import functools
+import hashlib
 import itertools
 import json
 import math
@@ -37,14 +50,17 @@ import pickle
 import re
 import shutil
 import tempfile
+import warnings
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, NoReturn, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
-from .core import Label, Source, TrialRecording, as_rate, is_int
-from .errors import CanonicalFormatError, DataError, read_json, read_json_line, reading
+from .core import DEFAULT_WINDOW_SECONDS, Label, Source, TrialRecording, as_rate, is_int, segment
+from .errors import CanonicalFormatError, DataError, in_stage, read_json, read_json_line, reading
+from .features import N_FEATURES, WindowRow, trial_rows, window_values
+from .threshold import THRESHOLD_SIGNALS
 
 ACC_UNIT_TO_G = {"g": 1.0, "m/s2": 1.0 / 9.80665, "mg": 1e-3}
 GYR_UNIT_TO_DPS = {"deg/s": 1.0, "rad/s": 180.0 / math.pi}
@@ -55,6 +71,11 @@ CANONICAL_HEADER = "t,acc_x,acc_y,acc_z,gyr_x,gyr_y,gyr_z"
 _REPR_FLOAT_BYTES = b"0123456789.e+-,\n"
 INDEX_NAME = "index.jsonl"
 TRIALS_DIR = "trials"
+ROWS_NAME = "rows.npy"
+# One record of ROWS_NAME per window of each trial it holds, a trial's windows in order: the trial's key (`_row_key`)
+# and the window's row at the default window, its 88 features, then the peak of each of THRESHOLD_SIGNALS.
+_N_STORED = N_FEATURES + len(THRESHOLD_SIGNALS)
+_ROWS_DTYPE = np.dtype([("key", "S64"), ("values", "<f8", (_N_STORED,))])
 TRIAL_ID_CHARS = "A-Za-z0-9_.-"  # of a trial id, so that `<trial_id>.csv` is one file name in TRIALS_DIR
 # The fewest files `_map_files` forks for. Reading 16 canonical trials of 340 samples took as long forked
 # as serially on 2 CPUs; 32 took 12 % less and 64 took 35 % less. In-memory recordings of one short window each
@@ -445,13 +466,16 @@ def ingest(manifest: DatasetManifest) -> tuple[list[TrialRecording], IngestRepor
     return [rec for _, rec in kept], report
 
 
-def write_repr_csv(path, header: str, columns: np.ndarray) -> None:
+def write_repr_csv(path, header: str, columns: np.ndarray) -> bytes:
     """Write `header`, then one line per row of the 2-D array `columns`: each value as repr of a Python float.
 
     The values so read back bit for bit; `tolist` gives Python floats, as numpy >= 2 writes `np.float64(...)`.
+    Returns the bytes written.
     """
     rows = [header] + [",".join(map(repr, row)) for row in columns.tolist()]
-    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
+    data = ("\n".join(rows) + "\n").encode("utf-8")
+    Path(path).write_bytes(data)
+    return data
 
 
 def _write_index(out_dir: Path, ordered: Sequence[dict]) -> Path:
@@ -476,17 +500,69 @@ def _write_index(out_dir: Path, ordered: Sequence[dict]) -> Path:
     return index_path
 
 
+@functools.cache
+def _reduction_id() -> bytes:
+    """The digest of what a stored row depends on besides its trial: the package's sources, numpy's version and the
+    default window."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        data = path.read_bytes()
+        digest.update(f"{path.name} {len(data)}\n".encode() + data)
+    digest.update(f"numpy {np.__version__} window {DEFAULT_WINDOW_SECONDS!r}".encode())
+    return digest.digest()
+
+
+def _row_key(fields: dict, data: bytes) -> bytes:
+    """The key of a trial in ROWS_NAME: the sha256 of the reduction's identity (`_reduction_id`), the trial's index
+    fields and the bytes `data` of its trial file, as hex digits."""
+    record = [fields["trial_id"], fields["subject_id"], fields["activity_code"], fields["label"].value]
+    record += [float(fields["sample_rate_hz"]), fields["source"].value]
+    digest = hashlib.sha256(_reduction_id())
+    digest.update(json.dumps(record).encode("utf-8") + b"\n")
+    digest.update(data)
+    return digest.hexdigest().encode("ascii")
+
+
+def _split_columns(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(t, acc, gyr) of canonical rows (n, 7): contiguous arrays, as ingest builds them, not views of one block."""
+    return values[:, 0].copy(), values[:, 1:4].copy(), values[:, 4:7].copy()
+
+
+def _clean_rows(rec: TrialRecording, values: np.ndarray, data: bytes) -> tuple[bytes, np.ndarray] | None:
+    """(key, rows) that ROWS_NAME holds for `rec`, written as `data` from its canonical rows `values`, or None.
+
+    The rows are those a reader of the trial file computes at the default window (`read_trial`, then `trial_rows`)
+    for the 88 features and for every threshold signal: `values` as read back, checked and reduced. A trial gets
+    them only if that whole reduction gives no error and no warning, so a reader of any other trial meets the error
+    or warning that reading it gives.
+    """
+    if values.dtype != np.float64:  # only float64 rows are written as the repr of each value
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t, acc, gyr = _split_columns(values)
+            read = dataclasses.replace(rec, sample_rate_hz=float(rec.sample_rate_hz), t=t, acc=acc, gyr=gyr)
+            read.validate()
+            windows = segment(read)
+            rows = np.hstack((window_values(windows, None), window_values(windows, THRESHOLD_SIGNALS)))
+            return _row_key(vars(rec), data), rows
+    except Exception:  # any failure leaves the trial to the reader, whose own read raises or warns as before
+        return None
+
+
 @contextlib.contextmanager
 def staged_corpus(out_dir):
     """Write a canonical corpus into `out_dir` through a staging directory there; yields `(stage, commit)`.
 
     `stage(rec)`, which a file worker may call, writes a recording's trial file under a name no other call gives
-    and returns its path. `commit(pairs)` moves the staged file of each `(index fields, path)` pair to
-    `trials/<trial_id>.csv` and writes the index in trial id order; a file staged but not committed (a
-    duplicate's) goes with the staging directory. A trial id that repeats or holds a character outside
-    TRIAL_ID_CHARS raises DataError naming it before any file moves. If the block raises, `out_dir` is left as it
-    was found: the staging directory goes, and `out_dir` too if this call made it (with any parent it made). Only a
-    failure while `commit` replaces the files of a corpus already there leaves a mix.
+    and reduces it to the rows ROWS_NAME holds; it returns `(path, _clean_rows(...))`. `commit(pairs)` moves the
+    staged file of each `(index fields, (path, rows))` pair to `trials/<trial_id>.csv`, writes the index in trial id
+    order and replaces ROWS_NAME with the rows of those trials; a file staged but not committed (a duplicate's) goes
+    with the staging directory. A trial id that repeats or holds a character outside TRIAL_ID_CHARS raises DataError
+    naming it before any file moves. If the block raises, `out_dir` is left as it was found: the staging directory
+    goes, and `out_dir` too if this call made it (with any parent it made). Only a failure while `commit` replaces
+    the files of a corpus already there leaves a mix.
     """
     out_dir = Path(out_dir)
     made = [p for p in (out_dir, *out_dir.parents) if not p.exists()]  # innermost first
@@ -496,22 +572,27 @@ def staged_corpus(out_dir):
         stage_dir = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
         names = itertools.count()
 
-        def stage(rec: TrialRecording) -> Path:
+        def stage(rec: TrialRecording) -> tuple[Path, tuple[bytes, np.ndarray] | None]:
             path = stage_dir / f"{os.getpid()}-{next(names)}.csv"
-            write_repr_csv(path, CANONICAL_HEADER, np.column_stack((rec.t, rec.acc, rec.gyr)))
-            return path
+            values = np.column_stack((rec.t, rec.acc, rec.gyr))
+            return path, _clean_rows(rec, values, write_repr_csv(path, CANONICAL_HEADER, values))
 
-        def commit(pairs: Sequence[tuple[dict, Path]]) -> Path:
+        def commit(pairs: Sequence[tuple[dict, tuple]]) -> Path:
             ordered = sorted(pairs, key=lambda pair: pair[0]["trial_id"])
             ids = [fields["trial_id"] for fields, _ in ordered]
             for tid, prev in zip(ids, [None, *ids]):
                 if tid == prev or not re.fullmatch(f"[{TRIAL_ID_CHARS}]*", tid):
                     fault = "repeats" if tid == prev else f"holds a character outside {TRIAL_ID_CHARS}"
                     raise DataError(f"trial id {tid!r} {fault}: each trial needs a file of its own in {TRIALS_DIR}/")
+            stored = [keyed for _, (_, keyed) in ordered if keyed is not None]
+            records = [(key, row) for key, rows in stored for row in rows]
+            np.save(stage_dir / ROWS_NAME, np.array(records, dtype=_ROWS_DTYPE), allow_pickle=False)
             (out_dir / TRIALS_DIR).mkdir(exist_ok=True)
-            for fields, path in ordered:
+            for fields, (path, _) in ordered:
                 os.replace(path, out_dir / TRIALS_DIR / f"{fields['trial_id']}.csv")
-            return _write_index(out_dir, [fields for fields, _ in ordered])
+            index_path = _write_index(out_dir, [fields for fields, _ in ordered])
+            os.replace(stage_dir / ROWS_NAME, out_dir / ROWS_NAME)
+            return index_path
 
         yield stage, commit
     except BaseException:
@@ -524,8 +605,8 @@ def staged_corpus(out_dir):
 def write_canonical(trials: Sequence[TrialRecording], out_dir) -> Path:
     """Write trials as the canonical corpus, one trial file per call on every CPU; returns the index path."""
     with staged_corpus(out_dir) as (stage, commit):
-        paths = _map_files(stage, trials)
-        return commit([(vars(rec), path) for rec, path in zip(trials, paths)])
+        staged = _map_files(stage, trials)
+        return commit([(vars(rec), s) for rec, s in zip(trials, staged)])
 
 
 def parse_canonical_row(line: str, prev_t: float) -> list[float]:
@@ -602,19 +683,24 @@ def read_canonical_trial(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         index, reason = bad[0]
         line_nos = [line_no for line_no, line in enumerate(lines, start=2) if line]
         raise CanonicalFormatError(str(path), line_nos[index], reason)
-    # contiguous channel arrays, as ingest builds them, not views of one block
-    return values[:, 0].copy(), values[:, 1:4].copy(), values[:, 4:7].copy()
+    return _split_columns(values)
 
 
 class IndexEntry(NamedTuple):
-    """One line of a corpus index: the trial file, and the fields of its recording other than the arrays."""
+    """One line of a corpus index: the trial file, the fields of its recording other than the arrays, and the rows
+    its corpus stores (ROWS_NAME), each trial's under its key (`map_trials`). The rows are kept as the bytes of a
+    float64 array, so that entries compare as values."""
 
     path: Path
     fields: dict
+    stored: Mapping[bytes, bytes] = {}
 
     @property
     def subject_id(self) -> str:
         return self.fields["subject_id"]
+
+    def __repr__(self) -> str:  # the stored rows of a large corpus would run to megabytes
+        return f"IndexEntry(path={self.path!r}, fields={self.fields!r}, stored=<rows of {len(self.stored)} trials>)"
 
 
 def _index_entry(corpus_dir: Path, index_path: Path, line_no: int, raw: bytes) -> IndexEntry | None:
@@ -641,8 +727,26 @@ def _index_entry(corpus_dir: Path, index_path: Path, line_no: int, raw: bytes) -
     return IndexEntry(trial_path, fields)
 
 
+def _read_rows(path: Path) -> dict[bytes, bytes]:
+    """The rows in a ROWS_NAME file, each trial's under its key; a file that is missing, is not a `.npy` array of
+    its declared size or holds another dtype gives none."""
+    try:  # mapped, not read: a header that declares more records than the file holds allocates nothing
+        table = np.lib.format.open_memmap(path, mode="r")
+    except (OSError, ValueError, EOFError):
+        return {}
+    if table.dtype != _ROWS_DTYPE or table.ndim != 1:
+        return {}
+    keys, values = table["key"].tolist(), table["values"]
+    stored, start = {}, 0
+    for key, group in itertools.groupby(keys):
+        end = start + len(list(group))
+        stored[key] = values[start:end].tobytes()
+        start = end
+    return stored
+
+
 def read_index(corpus_dir) -> list[IndexEntry]:
-    """The entries of a canonical corpus's index, in index order.
+    """The entries of a canonical corpus's index, in index order, each with the rows the corpus stores (ROWS_NAME).
 
     Every line is checked before a trial file is opened: a bad line, or one that repeats a trial_id or trial file
     (compared as normalized paths), raises CanonicalFormatError naming it.
@@ -660,7 +764,8 @@ def read_index(corpus_dir) -> list[IndexEntry]:
                     if seen.setdefault(key, line_no) != line_no:
                         raise CanonicalFormatError(str(index_path), line_no, f"{key} repeats line {seen[key]}")
                 entries.append(entry)
-    return entries
+    stored = _read_rows(corpus_dir / ROWS_NAME)
+    return [entry._replace(stored=stored) for entry in entries]
 
 
 def read_trial(entry: IndexEntry) -> TrialRecording:
@@ -669,21 +774,65 @@ def read_trial(entry: IndexEntry) -> TrialRecording:
     A bad line in its trial file raises CanonicalFormatError naming it, and a recording that fails a check, such as
     one of fewer than 2 rows or a declared rate 20 % off its rows' rate, a DataError naming the file.
     """
-    trial_path, fields = entry
-    t, acc, gyr = read_canonical_trial(trial_path)
-    rec = TrialRecording(**fields, t=t, acc=acc, gyr=gyr)
-    with reading(trial_path):
+    t, acc, gyr = read_canonical_trial(entry.path)
+    rec = TrialRecording(**entry.fields, t=t, acc=acc, gyr=gyr)
+    with reading(entry.path):
         rec.validate()
     return rec
+
+
+class TrialRows(NamedTuple):
+    """A `map_trials` fn: the rows (`features.trial_rows`) of a recording's windows for `signals` (None: the 88
+    features) at `window_seconds`, a toolkit error labelled with the pipeline `stage`."""
+
+    signals: tuple[str, ...] | None
+    window_seconds: float
+    stage: str
+
+    def __call__(self, rec: TrialRecording) -> list[WindowRow]:
+        return in_stage(self.stage, trial_rows, rec, self.signals, self.window_seconds)
+
+
+def _stored_rows(request: TrialRows, entry: IndexEntry) -> list[WindowRow] | None:
+    """`request` of the entry's recording from the rows its corpus stores, or None if they do not give it.
+
+    They give it at the default window, for a trial file and index fields whose key (`_row_key`) the store holds: the
+    rows of that key are the columns `request` reads of the rows `_clean_rows` computed from the same bytes.
+    """
+    signals = request.signals
+    if request.window_seconds != DEFAULT_WINDOW_SECONDS or not entry.stored:
+        return None
+    if signals is not None and not set(signals) <= set(THRESHOLD_SIGNALS):
+        return None
+    try:
+        raw = entry.stored.get(_row_key(entry.fields, entry.path.read_bytes()))
+    except OSError:  # reading the file raises it
+        return None
+    if raw is None:
+        return None
+    columns = range(N_FEATURES) if signals is None else [N_FEATURES + THRESHOLD_SIGNALS.index(s) for s in signals]
+    values = np.frombuffer(raw).reshape(-1, _N_STORED)[:, list(columns)]
+    tid, subject, label = entry.fields["trial_id"], entry.subject_id, entry.fields["label"]
+    return [WindowRow(f"{tid}#w{i}", subject, label, row) for i, row in enumerate(values)]
 
 
 def map_trials(fn: Callable[[TrialRecording], object], trials: Sequence[TrialRecording | IndexEntry]) -> list:
     """fn of each trial's recording, in order, on every CPU (`_map_files`); of several failures, the first is raised.
 
     `trials` are recordings or `read_index` entries, an entry read (`read_trial`) by the file worker that hands back
-    only what `fn` makes of it, so a caller that reduces a file to a few numbers never holds its samples.
+    only what `fn` makes of it, so a caller that reduces a file to a few numbers never holds its samples. For a
+    `TrialRows` fn, the rows the entry's corpus stores answer it where they can (`_stored_rows`): the file is read
+    and hashed but not parsed, and the rows are those reading it would give.
     """
-    return _map_files(lambda trial: fn(read_trial(trial) if isinstance(trial, IndexEntry) else trial), trials)
+
+    def reduce(trial):
+        if isinstance(trial, IndexEntry):
+            if isinstance(fn, TrialRows) and (rows := _stored_rows(fn, trial)) is not None:
+                return rows
+            trial = read_trial(trial)
+        return fn(trial)
+
+    return _map_files(reduce, trials)
 
 
 def read_canonical(corpus_dir) -> list[TrialRecording]:

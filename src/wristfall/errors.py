@@ -54,6 +54,14 @@ class ExperimentStageError(WristfallError):
         self.cause = cause
 
 
+def in_stage(name: str, fn, *args):
+    """fn(*args), with a toolkit error labelled by the pipeline stage it occurred in; any other error passes."""
+    try:
+        return fn(*args)
+    except WristfallError as exc:
+        raise ExperimentStageError(name, exc) from exc
+
+
 @contextlib.contextmanager
 def reading(path):
     """Re-raise a fault in the content of the file at `path` as one DataError whose message starts with the path.

@@ -14,16 +14,15 @@ import csv
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import DEFAULT_WINDOW_SECONDS, Label, SignalWindow, TrialRecording, is_int, segment
-from .datasets import map_trials
-from .errors import DataError, ExperimentStageError, NonFiniteSignal, WristfallError
-from .features import N_FEATURES, extract_many
+from .core import DEFAULT_WINDOW_SECONDS, Label, SignalWindow, is_int
+from .datasets import TrialRows, map_trials
+from .errors import DataError, in_stage
+from .features import N_FEATURES, WindowRow, window_values
 from .ml import ClassifierModel, make_classifier, predict, train
-from .signals import DerivedSignalSet, derive_all
 from .threshold import DEFAULT_SIGNALS, ThresholdConfig, calibrate_peaks, check_signals, vote
 
 EVAL_FRACTION = 0.2
@@ -227,47 +226,13 @@ class ExperimentResult:
     detector: ThresholdConfig | ClassifierModel
 
 
-class WindowRow(NamedTuple):
-    """What a detector reads of one window: `values` is its 88 features, or the peak of each signal a threshold
-    detector votes on (`window_values`)."""
-
-    window_ref: str
-    subject_id: str
-    label: Label
-    values: np.ndarray
-
-
-def window_values(windows: Sequence[SignalWindow], signals: tuple[str, ...] | None) -> np.ndarray:
-    """One row per window: the peak of each of `signals` (a threshold detector), or with None its 88 features.
-
-    A signal holding inf or nan raises NonFiniteSignal (`_derive_checked`); on the finite signals left, a value
-    exceeds a threshold exactly when the peak does, so the peaks are all the vote and the grid search read.
-    """
-    if signals is None:
-        return extract_many(windows)
-    peaks = np.empty((len(windows), len(signals)))
-    for i, w in enumerate(windows):
-        derived = _derive_checked(w, signals)
-        peaks[i] = [derived.by_name(name).max() for name in signals]
-    return peaks
-
-
-def trial_rows(rec: TrialRecording, signals: tuple[str, ...] | None, window_seconds: float) -> list[WindowRow]:
-    """The rows (`window_values`) of the windows `segment` cuts from one recording, in window order."""
-    windows = segment(rec, window_seconds=window_seconds)
-    return [
-        WindowRow(w.window_ref, w.subject_id, w.label, values)
-        for w, values in zip(windows, window_values(windows, signals))
-    ]
-
-
 def _rows(trials: Sequence, subjects: Iterable[str], signals, window_seconds: float, stages: tuple, log: AccessLog):
     """The rows of every window of the trials of `subjects`, in trial order, each row's subject recorded in `log` at
     each of `stages`; a toolkit error is labelled with the last stage. Each trial is reduced by `datasets.map_trials`.
     """
     subjects = set(subjects)
     chosen = [trial for trial in trials if trial.subject_id in subjects]
-    per_trial = map_trials(lambda rec: _stage(stages[-1], trial_rows, rec, signals, window_seconds), chosen)
+    per_trial = map_trials(TrialRows(signals, window_seconds, stages[-1]), chosen)
     rows = [row for part in per_trial for row in part]
     for r in rows:
         for stage in stages:
@@ -286,19 +251,6 @@ def fit_detector(spec: DetectorSpec, dev_rows: Sequence[WindowRow], seed: int) -
     if spec.kind == "threshold":
         return calibrate_peaks(_matrix(dev_rows), labels, spec.signals)
     return train(spec.kind, spec.feature_view, _matrix(dev_rows), labels, seed, **spec.params)
-
-
-def _derive_checked(window: SignalWindow, signals: Iterable[str]) -> DerivedSignalSet:
-    """derive_all(window), or NonFiniteSignal if one of `signals` holds inf or nan: no vote on it means anything.
-
-    Calibration and the vote share this check, so neither reads an overflowed signal or prints numpy's warning.
-    """
-    with np.errstate(all="ignore"):  # an overflow gives inf or nan, which the check below rejects
-        derived = derive_all(window)
-    for name in signals:
-        if not np.isfinite(derived.by_name(name)).all():
-            raise NonFiniteSignal(f"window {window.window_ref}: derived signal {name} contains non-finite values")
-    return derived
 
 
 def classify_rows(detector: ThresholdConfig | ClassifierModel, values: np.ndarray) -> list[tuple[Label, float]]:
@@ -322,14 +274,6 @@ def classify_many(
     return classify_rows(detector, window_values(windows, signals))
 
 
-def _stage(name: str, fn, *args):
-    """fn(*args), with a toolkit error labelled by the pipeline stage it occurred in; any other error passes."""
-    try:
-        return fn(*args)
-    except WristfallError as exc:
-        raise ExperimentStageError(name, exc) from exc
-
-
 def fit_on_dev(
     trials: Sequence, spec: DetectorSpec, seed: int, window_seconds: float, log: AccessLog
 ) -> tuple[ThresholdConfig | ClassifierModel, SubjectSplit, int]:
@@ -338,11 +282,11 @@ def fit_on_dev(
     `trials` are recordings or `datasets.read_index` entries; only the development subjects' trials are reduced
     (`_rows`), and each of their windows is recorded in `log` at the fit stages.
     """
-    split = _stage("split", split_subjects, (trial.subject_id for trial in trials), seed)
+    split = in_stage("split", split_subjects, (trial.subject_id for trial in trials), seed)
     fit_stages = (STAGE_CALIBRATION,) if spec.kind == "threshold" else (STAGE_STANDARDIZATION, STAGE_TRAINING)
     signals = spec.signals if spec.kind == "threshold" else None
     dev_rows = _rows(trials, split.dev_subjects, signals, window_seconds, fit_stages, log)
-    return _stage(fit_stages[-1], fit_detector, spec, dev_rows, seed), split, len(dev_rows)
+    return in_stage(fit_stages[-1], fit_detector, spec, dev_rows, seed), split, len(dev_rows)
 
 
 def predict_subjects(
@@ -355,7 +299,7 @@ def predict_subjects(
     """Predictions for the windows of the trials (as in `fit_on_dev`) of `subjects`, in order, each logged in `log`."""
     signals = detector.signals if isinstance(detector, ThresholdConfig) else None
     rows = _rows(trials, subjects, signals, window_seconds, (STAGE_PREDICTION,), log)
-    verdicts = _stage(STAGE_PREDICTION, classify_rows, detector, _matrix(rows))
+    verdicts = in_stage(STAGE_PREDICTION, classify_rows, detector, _matrix(rows))
     return [
         PredictionRecord(r.window_ref, r.subject_id, r.label, predicted, float(score))
         for r, (predicted, score) in zip(rows, verdicts)
@@ -378,5 +322,5 @@ def run_experiment(
     detector, split, _ = fit_on_dev(trials, spec, seed, window_seconds, log)
     records = predict_subjects(detector, trials, split.eval_subjects, window_seconds, log)
     pairs = [(r.predicted, r.actual) for r in records]
-    report = _stage("metrics", compute_metrics, pairs, detector.describe(), dataset_name)
+    report = in_stage("metrics", compute_metrics, pairs, detector.describe(), dataset_name)
     return ExperimentResult(report=report, split=split, access_log=log, predictions=records, detector=detector)

@@ -16,17 +16,20 @@ Pinned conventions (these matter for cross-implementation reproducibility):
   with the DC bin excluded, divided by log2(#bins) so it lies in [0, 1]. A
   spectrum with total power below POWER_FLOOR, or with fewer than two bins,
   has pse = 0.
+
+A window's row is what a detector reads of it (`window_values`): its 88
+features, or the peak of each derived signal a threshold detector votes on.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import SignalWindow
+from .core import Label, SignalWindow, TrialRecording, segment
 from .errors import DataError, NonFiniteSignal
-from .signals import smv
+from .signals import DerivedSignalSet, derive_all, smv
 
 STAT_NAMES = ("mean", "var", "median", "delta", "std", "max", "min", "p25", "p75", "psd", "pse")
 SIGNAL_NAMES = ("acc_x", "acc_y", "acc_z", "smv_acc", "gyr_x", "gyr_y", "gyr_z", "smv_gyr")
@@ -135,3 +138,50 @@ def extract_many(windows: Sequence[SignalWindow]) -> np.ndarray:
                     stack[j, 7] = smv(w, "gyr")
             X[chunk] = _stats(stack).reshape(len(chunk), N_FEATURES)
     return X
+
+
+class WindowRow(NamedTuple):
+    """What a detector reads of one window: `values` is its 88 features, or the peak of each signal a threshold
+    detector votes on (`window_values`)."""
+
+    window_ref: str
+    subject_id: str
+    label: Label
+    values: np.ndarray
+
+
+def _derive_checked(window: SignalWindow, signals: Iterable[str]) -> DerivedSignalSet:
+    """derive_all(window), or NonFiniteSignal if one of `signals` holds inf or nan: no vote on it means anything.
+
+    Calibration and the vote share this check, so neither reads an overflowed signal or prints numpy's warning.
+    """
+    with np.errstate(all="ignore"):  # an overflow gives inf or nan, which the check below rejects
+        derived = derive_all(window)
+    for name in signals:
+        if not np.isfinite(derived.by_name(name)).all():
+            raise NonFiniteSignal(f"window {window.window_ref}: derived signal {name} contains non-finite values")
+    return derived
+
+
+def window_values(windows: Sequence[SignalWindow], signals: tuple[str, ...] | None) -> np.ndarray:
+    """One row per window: the peak of each of `signals` (a threshold detector), or with None its 88 features.
+
+    A signal holding inf or nan raises NonFiniteSignal (`_derive_checked`); on the finite signals left, a value
+    exceeds a threshold exactly when the peak does, so the peaks are all the vote and the grid search read.
+    """
+    if signals is None:
+        return extract_many(windows)
+    peaks = np.empty((len(windows), len(signals)))
+    for i, w in enumerate(windows):
+        derived = _derive_checked(w, signals)
+        peaks[i] = [derived.by_name(name).max() for name in signals]
+    return peaks
+
+
+def trial_rows(rec: TrialRecording, signals: tuple[str, ...] | None, window_seconds: float) -> list[WindowRow]:
+    """The rows (`window_values`) of the windows `segment` cuts from one recording, in window order."""
+    windows = segment(rec, window_seconds=window_seconds)
+    return [
+        WindowRow(w.window_ref, w.subject_id, w.label, values)
+        for w, values in zip(windows, window_values(windows, signals))
+    ]

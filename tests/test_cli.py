@@ -159,7 +159,8 @@ class TestIngestCommand:
         assert main(["ingest", "--manifest", str(manifest_path), "--out", str(tmp_path / "canon")]) == 0
         assert at_write == [before]
         assert bool(forks) == forked
-        assert sorted(p.name for p in (tmp_path / "canon").iterdir()) == ["index.jsonl", "ingest_report.json", "trials"]
+        names = sorted(p.name for p in (tmp_path / "canon").iterdir())
+        assert names == ["index.jsonl", "ingest_report.json", "rows.npy", "trials"]
 
     @pytest.mark.parametrize("existing", [False, True], ids=["fresh-out", "out-holds-a-corpus"])
     def test_a_failed_ingest_leaves_out_as_it_found_it(self, existing, tmp_path, monkeypatch, capsys):

@@ -21,7 +21,7 @@ import pytest
 
 import replicas
 from test_acceptance import ERCIYES_RF_FLOOR, ERCIYES_THRESHOLD_ACC, FUSION_SLACK_POINTS, SEED, UMAFALL_SVM
-from wristfall import evaluation
+from wristfall import evaluation, features
 from wristfall.datasets import ingest, load_manifest
 from wristfall.evaluation import STAGE_PREDICTION, DetectorSpec, run_experiment, split_subjects
 from wristfall.features import ACC_FEATURES, GYR_FEATURES, N_FEATURES
@@ -145,7 +145,7 @@ def test_shuffled_development_labels_fail_the_floors(kind, quarter_erciyes):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_zeroed_features_fail_the_floors(kind, quarter_erciyes, monkeypatch):
-    monkeypatch.setattr(evaluation, "extract_many", lambda windows: np.zeros((len(windows), N_FEATURES)))
+    monkeypatch.setattr(features, "extract_many", lambda windows: np.zeros((len(windows), N_FEATURES)))
     assert_near_chance(run_experiment(quarter_erciyes, DetectorSpec(kind), SEED).report)
 
 
