@@ -41,7 +41,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
-import hashlib
 import itertools
 import json
 import math
@@ -504,6 +503,8 @@ def _write_index(out_dir: Path, ordered: Sequence[dict]) -> Path:
 def _reduction_id() -> bytes:
     """The digest of what a stored row depends on besides its trial: the package's sources, numpy's version and the
     default window."""
+    import hashlib  # here, not at the top, so that a command that hashes nothing does not load OpenSSL
+
     digest = hashlib.sha256()
     for path in sorted(Path(__file__).parent.glob("*.py")):
         data = path.read_bytes()
@@ -515,6 +516,8 @@ def _reduction_id() -> bytes:
 def _row_key(fields: dict, data: bytes) -> bytes:
     """The key of a trial in ROWS_NAME: the sha256 of the reduction's identity (`_reduction_id`), the trial's index
     fields and the bytes `data` of its trial file, as hex digits."""
+    import hashlib  # here, not at the top, so that a command that hashes nothing does not load OpenSSL
+
     record = [fields["trial_id"], fields["subject_id"], fields["activity_code"], fields["label"].value]
     record += [float(fields["sample_rate_hz"]), fields["source"].value]
     digest = hashlib.sha256(_reduction_id())

@@ -11,7 +11,6 @@ touched during calibration, standardization, or training.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -47,6 +46,8 @@ class AccessLog:
         return frozenset(self._events)
 
     def digest(self) -> str:
+        import hashlib  # here, not at the top, so that a command that hashes nothing does not load OpenSSL
+
         joined = "\n".join(f"{s}\t{st}" for s, st in sorted(self._events))
         return hashlib.sha256(joined.encode("utf-8")).hexdigest()
 
@@ -139,18 +140,9 @@ def compute_metrics(
     """The confusion counts of (predicted, actual) pairs, as a report that derives the percentage metrics."""
     if not predictions:
         raise ValueError("no predictions to score")
-    tp = fn = tn = fp = 0
-    for predicted, actual in predictions:
-        if actual is Label.FALL:
-            if predicted is Label.FALL:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if predicted is Label.FALL:
-                fp += 1
-            else:
-                tn += 1
+    falls = [(predicted is Label.FALL, actual is Label.FALL) for predicted, actual in predictions]
+    tp, fn = falls.count((True, True)), falls.count((False, True))
+    tn, fp = falls.count((False, False)), falls.count((True, False))
     return EvalReport(detector, dataset, tp, fn, tn, fp)
 
 

@@ -1,12 +1,16 @@
 import os
 import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from replicas import build_erciyes_replica, build_umafall_replica
+import wristfall
 from wristfall.core import Label, SignalWindow, Source, TrialRecording
 from wristfall.datasets import IngestReport, ingest, load_manifest
 from wristfall.synthetic import synthesize
@@ -66,6 +70,14 @@ def cpu_seconds() -> float:
     """User and system CPU seconds of this process and of its reaped children (the forked file workers)."""
     usages = (resource.getrusage(resource.RUSAGE_SELF), resource.getrusage(resource.RUSAGE_CHILDREN))
     return sum(u.ru_utime + u.ru_stime for u in usages)
+
+
+def fresh_python(code: str, *args: str, **kwargs) -> subprocess.CompletedProcess:
+    """`python -c code *args` in a new interpreter that imports this wristfall, its stdout and stderr captured as
+    bytes; `kwargs` go to `subprocess.run`."""
+    src = str(Path(wristfall.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, timeout=120, **kwargs)
 
 
 class Ingested(NamedTuple):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_recording
+from conftest import fresh_python, make_recording
 from test_datasets import columns_manifest, pool_manifest, serial_and_forked, write_columns_trial, write_pool_corpus
 from wristfall.cli import main
 from wristfall import datasets, evaluation
@@ -1526,3 +1526,42 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["--config", str(cfg), "synthesize", "--out", str(tmp_path / "c")])
         assert exc.value.code == 2
+
+
+# Run the CLI on the arguments, then print its exit code and whether the process has loaded OpenSSL's `_hashlib`.
+OPENSSL_PROBE = "import sys; from wristfall.cli import main; code = main(sys.argv[1:]); print(code, '_hashlib' in sys.modules)"
+
+
+class TestOpenSSL:
+    """A command that hashes nothing never loads OpenSSL: `hashlib` is imported only where a key or digest is
+    computed, so `detect-stream` and `export-plots` run without it."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        if fresh_python("import sys, numpy; print('_hashlib' in sys.modules)").stdout.strip() == b"True":
+            pytest.skip("numpy < 2 loads _hashlib within import numpy (numpy.random imports secrets)")
+        root = tmp_path_factory.mktemp("openssl")
+        corpus = str(root / "corpus")
+        assert main(["synthesize", "--subjects", "3", "--trials-per-subject", "12", "--out", corpus]) == 0
+        assert main(["calibrate", "--corpus", corpus, "--out", str(root / "thresholds.txt")]) == 0
+        assert main(["train", "--corpus", corpus, "--kind", "rf", "--out", str(root / "rf.json")]) == 0
+        return root
+
+    @pytest.mark.parametrize(
+        "argv,loaded",
+        [
+            (["detect-stream", "--threshold-config", "{root}/thresholds.txt"], False),
+            (["detect-stream", "--model", "{root}/rf.json"], False),
+            (["export-plots", "--trial", "{trial}", "--out", "{root}/series.csv"], False),
+            # the control: evaluate hashes each trial file for its stored rows, so the probe can see the module
+            (["evaluate", "--corpus", "{root}/corpus", "--detector", "knn", "--out", "{root}/eval"], True),
+        ],
+        ids=["detect-stream-threshold", "detect-stream-model", "export-plots-trial", "evaluate"],
+    )
+    def test_only_a_command_that_hashes_loads_openssl(self, argv, loaded, inputs):
+        trial = sorted((inputs / "corpus" / "trials").glob("*.csv"))[0]
+        args = [arg.format(root=inputs, trial=trial) for arg in argv]
+        with open(trial, "rb") as stdin:  # the stream detect-stream reads
+            done = fresh_python(OPENSSL_PROBE, *args, stdin=stdin)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == f"0 {loaded}".encode()

@@ -1,12 +1,16 @@
 import dataclasses
+import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fresh_python
 from test_datasets import serial_and_forked
-from wristfall.core import Label, segment
+from wristfall.core import DEFAULT_WINDOW_SECONDS, Label, segment
 from wristfall.datasets import MIN_FORK_ITEMS, read_canonical, read_index, write_canonical
 from wristfall.errors import DataError, ExperimentStageError
 from wristfall import evaluation
@@ -252,6 +256,35 @@ class TestRunExperiment:
         a = run_experiment(corpus, DetectorSpec(kind="threshold"), seed=5)
         b = run_experiment(corpus, DetectorSpec(kind="threshold"), seed=5)
         assert a.access_log.digest() == b.access_log.digest()
+        # a row key and a log digest are sha256 over their input whether hashlib is first imported in a forked file
+        # worker or in the process itself: the script forks before it hashes anything, then hashes serially
+        script = (
+            "import json\n"
+            "from wristfall import datasets, evaluation\n"
+            "from wristfall.core import Label, Source\n"
+            "fields = dict(trial_id='T1', subject_id='S01', activity_code='F01', label=Label.FALL, sample_rate_hz=25,\n"
+            "              source=Source.SYNTHETIC)\n"
+            "def hashes(i):\n"
+            "    log = evaluation.AccessLog()\n"
+            "    log.record(f'S{i}', 'prediction')\n"
+            "    return datasets._row_key(fields, b'%d' % i).decode(), log.digest()\n"
+            "datasets.MIN_FORK_ITEMS = 2\n"
+            "out = []\n"
+            "for cpus in (2, 1):\n"
+            "    datasets._usable_cpus = lambda: cpus\n"
+            "    out.append(datasets._map_files(hashes, range(4)))\n"
+            "print(json.dumps(out))\n"
+        )
+        done = fresh_python(script)
+        assert done.returncode == 0, done.stderr
+        identity = hashlib.sha256()
+        for path in sorted(Path(evaluation.__file__).parent.glob("*.py")):
+            identity.update(f"{path.name} {path.stat().st_size}\n".encode() + path.read_bytes())
+        identity.update(f"numpy {np.__version__} window {DEFAULT_WINDOW_SECONDS!r}".encode())
+        record = json.dumps(["T1", "S01", "F01", "Fall", 25.0, "Synthetic"]).encode() + b"\n"
+        keys = [hashlib.sha256(identity.digest() + record + b"%d" % i).hexdigest() for i in range(4)]
+        want = [[key, hashlib.sha256(f"S{i}\tprediction".encode()).hexdigest()] for i, key in enumerate(keys)]
+        assert json.loads(done.stdout) == [want, want]
 
     def test_reports_byte_identical_across_runs(self, corpus):
         spec = DetectorSpec(kind="rf", params={"n_trees": 10})
