@@ -702,6 +702,10 @@ class IndexEntry(NamedTuple):
     def subject_id(self) -> str:
         return self.fields["subject_id"]
 
+    @property
+    def trial_id(self) -> str:
+        return self.fields["trial_id"]
+
     def __repr__(self) -> str:  # the stored rows of a large corpus would run to megabytes
         return f"IndexEntry(path={self.path!r}, fields={self.fields!r}, stored=<rows of {len(self.stored)} trials>)"
 

@@ -219,11 +219,12 @@ class ExperimentResult:
 
 
 def _rows(trials: Sequence, subjects: Iterable[str], signals, window_seconds: float, stages: tuple, log: AccessLog):
-    """The rows of every window of the trials of `subjects`, in trial order, each row's subject recorded in `log` at
-    each of `stages`; a toolkit error is labelled with the last stage. Each trial is reduced by `datasets.map_trials`.
+    """The rows of every window of the trials of `subjects`, in trial id order (so that a fit does not depend on the
+    order of the index), each row's subject recorded in `log` at each of `stages`; a toolkit error is labelled with
+    the last stage. Each trial is reduced by `datasets.map_trials`.
     """
     subjects = set(subjects)
-    chosen = [trial for trial in trials if trial.subject_id in subjects]
+    chosen = sorted((trial for trial in trials if trial.subject_id in subjects), key=lambda trial: trial.trial_id)
     per_trial = map_trials(TrialRows(signals, window_seconds, stages[-1]), chosen)
     rows = [row for part in per_trial for row in part]
     for r in rows:

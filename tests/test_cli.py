@@ -4,6 +4,7 @@ import gc
 import io
 import json
 import os
+import shutil
 import time
 import warnings
 from unittest import mock
@@ -371,6 +372,41 @@ class TestEvaluateCommand:
         monkeypatch.setattr("wristfall.evaluation.fit_detector", boom)
         assert main([command[0], "--corpus", str(corpus_dir), *command[1:], "--out", str(tmp_path / "o")]) == 4
         assert capsys.readouterr().err == "internal error: boom\n"
+
+
+@pytest.fixture(scope="module")
+def order_corpus(tmp_path_factory):
+    """A small synthetic corpus and, per detector kind, the outputs `fitted_outputs` gives on it."""
+    corpus = tmp_path_factory.mktemp("in-order") / "corpus"
+    assert main(["synthesize", "--seed", "8", "--subjects", "4", "--trials-per-subject", "6", "--out", str(corpus)]) == 0
+    return corpus, {}
+
+
+def fitted_outputs(kind, corpus, out):
+    """The bytes of the file `calibrate` or `train` writes for `kind` on `corpus`, and of `evaluate`'s outputs."""
+    out.mkdir(exist_ok=True)
+    args = ["--corpus", str(corpus), "--seed", "3"]
+    fit = ["calibrate"] if kind == "threshold" else ["train", "--kind", kind]
+    assert main([*fit, *args, "--out", str(out / "fitted")]) == 0
+    assert main(["evaluate", *args, "--detector", kind, "--predictions", "--out", str(out / "evaluate")]) == 0
+    return read_tree(out)
+
+
+class TestIndexOrder:
+    @pytest.mark.parametrize("kind", ["threshold", "knn", "rf", "svm"])
+    @given(data=st.data())
+    @settings(max_examples=4, deadline=None)
+    def test_a_permuted_index_gives_the_same_bytes(self, kind, order_corpus, data, tmp_path_factory):
+        """A detector is fitted on its development windows, whatever the order of the index lines."""
+        corpus, want = order_corpus
+        if kind not in want:
+            want[kind] = fitted_outputs(kind, corpus, tmp_path_factory.mktemp(kind))
+        lines = (corpus / "index.jsonl").read_text().splitlines(keepends=True)
+        order = data.draw(st.permutations(range(len(lines))), label="order")
+        permuted = tmp_path_factory.mktemp("permuted") / "corpus"
+        shutil.copytree(corpus, permuted)
+        (permuted / "index.jsonl").write_text("".join(lines[i] for i in order))
+        assert fitted_outputs(kind, permuted, permuted.parent / "out") == want[kind]
 
 
 def edit_index_entry(corpus, **changes):

@@ -28,6 +28,7 @@ from wristfall.evaluation import (
     run_experiment,
     split_subjects,
 )
+from wristfall.ml import save_model
 from wristfall.signals import derive_all
 from wristfall.synthetic import synthesize
 from wristfall.threshold import ThresholdConfig, detect, fall_score
@@ -292,6 +293,17 @@ class TestRunExperiment:
         b = run_experiment(corpus, spec, seed=9, dataset_name="synthetic")
         assert report_json(a.report) == report_json(b.report)
         assert [p for p in a.predictions] == [p for p in b.predictions]
+
+    @pytest.mark.parametrize("kind", ["rf", "svm"])
+    def test_a_permuted_list_of_recordings_gives_the_same_detector(self, corpus, kind, tmp_path):
+        """The rows are taken in trial id order, so a fit does not depend on the order of the recordings."""
+        spec = DetectorSpec(kind=kind, params={"n_trees": 10} if kind == "rf" else {})
+        shuffled = [corpus[i] for i in np.random.default_rng(3).permutation(len(corpus))]
+        results = [run_experiment(trials, spec, seed=9) for trials in (corpus, shuffled)]
+        for result, name in zip(results, "ab"):
+            save_model(result.detector, tmp_path / name)
+        assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+        assert results[0].predictions == results[1].predictions
 
     def test_different_seed_changes_split(self, corpus):
         a = run_experiment(corpus, DetectorSpec(kind="threshold"), seed=1)

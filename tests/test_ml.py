@@ -18,6 +18,7 @@ from wristfall.ml import (
     Standardizer,
     _grow_tree,
     _majority,
+    _rank_codes,
     load_model,
     predict,
     save_model,
@@ -162,6 +163,16 @@ def reference_grow_tree(X, y, rng, depth, max_depth, mtry, min_leaf):
     }
 
 
+def reference_forest(X, y, seed, n_trees, max_depth, mtry, min_leaf):
+    """The trees of `RandomForestClassifier.fit`, each grown by `reference_grow_tree` on its bootstrap copy `X[idx]`."""
+    trees = []
+    for child_seq in np.random.SeedSequence(seed).spawn(n_trees):
+        rng = np.random.default_rng(child_seq)
+        idx = rng.integers(0, y.shape[0], size=y.shape[0])
+        trees.append(reference_grow_tree(X[idx], y[idx], rng, 0, max_depth, mtry, min_leaf))
+    return trees
+
+
 class TestRandomForest:
     @given(data=st.data(), n=st.integers(2, 40), d=st.integers(1, 6), integer=st.booleans(), seed=st.integers(0, 2**32))
     @settings(max_examples=300, deadline=None)
@@ -175,7 +186,39 @@ class TestRandomForest:
         max_depth = data.draw(st.integers(0, 9), label="max_depth")
         args = (0, max_depth, mtry, min_leaf)
         want = reference_grow_tree(X, y, np.random.default_rng(seed), *args)
-        assert _grow_tree(X, y, np.random.default_rng(seed), *args) == want
+        assert _grow_tree(X, _rank_codes(X), y, np.arange(n), np.random.default_rng(seed), *args) == want
+
+    @given(data=st.data(), n=st.integers(2, 60), d=st.integers(1, 5), seed=st.integers(0, 2**32))
+    @settings(max_examples=100, deadline=None)
+    def test_forest_equals_the_reference_on_bootstrap_copies(self, data, n, d, seed):
+        """Tie-heavy columns of halves in [-1, 1], each holding -0.0 and 0.0, which must share one rank code."""
+        rng = np.random.default_rng(seed)
+        X = rng.integers(-2, 3, size=(n, d)) * 0.5
+        X[X == 0.0] = rng.choice([-0.0, 0.0], size=int((X == 0.0).sum()))
+        X[:2] = [[-0.0], [0.0]]
+        y = rng.integers(0, 2, size=n)
+        args = (
+            data.draw(st.integers(1, 4), label="n_trees"),
+            data.draw(st.integers(0, 9), label="max_depth"),
+            data.draw(st.integers(1, d), label="mtry"),
+            data.draw(st.integers(1, 4), label="min_leaf"),
+        )
+        rf = RandomForestClassifier(*args)
+        rf.fit(X, y, seed)
+        assert rf.trees == reference_forest(X, y, seed, *args)
+
+    def test_shallow_forest_past_16_bit_codes_equals_the_reference(self):
+        """70 000 rows: a column of distinct values needs codes past 65 535, so the codes take 32 bits."""
+        rng = np.random.default_rng(37)
+        n = 70_000
+        X = np.column_stack([rng.permutation(n) * 0.25, rng.integers(0, 3, n) * 1.0, np.round(rng.normal(size=n), 2)])
+        y = (X[:, 0] + 4000.0 * X[:, 1] + rng.normal(0.0, 5000.0, n) > 12_000.0).astype(int)
+        assert _rank_codes(X).dtype == np.uint32
+        args = (2, 3, 2, 1)  # n_trees, max_depth, mtry, min_leaf
+        rf = RandomForestClassifier(*args)
+        rf.fit(X, y, 11)
+        assert rf.trees == reference_forest(X, y, 11, *args)
+        assert any("f" in tree for tree in rf.trees)
 
     def test_single_tree_memorizes_distinct_points(self):
         X = np.array([[float(i), float(i % 3)] for i in range(8)])
@@ -185,7 +228,7 @@ class TestRandomForest:
         from wristfall.ml import _grow_tree, _tree_predict
 
         rng = np.random.default_rng(0)
-        tree = _grow_tree(X, y, rng, 0, 64, 2, 1)
+        tree = _grow_tree(X, _rank_codes(X), y, np.arange(8), rng, 0, 64, 2, 1)
         got = [_tree_predict(tree, x) for x in X]
         assert got == y.tolist()
 
