@@ -115,6 +115,11 @@ class TrialRecording:
             )
 
 
+def window_ref(recording_ref: str, window_index: int) -> str:
+    """The name of a recording's window: `<recording_ref>#w<window_index>`."""
+    return f"{recording_ref}#w{window_index}"
+
+
 @dataclass(frozen=True)
 class SignalWindow:
     """A fixed-duration slice of a recording, carrying the six raw channel segments."""
@@ -132,7 +137,7 @@ class SignalWindow:
 
     @property
     def window_ref(self) -> str:
-        return f"{self.recording_ref}#w{self.window_index}"
+        return window_ref(self.recording_ref, self.window_index)
 
     @property
     def n_samples(self) -> int:

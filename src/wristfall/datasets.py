@@ -21,14 +21,14 @@ with one record per trial (subject, activity code, label, rate, relative
 path). Rewriting the same trials produces byte-identical output.
 
 Every corpus writer (`staged_corpus`) also stores, in ROWS_NAME, the rows that
-reading each trial gives at the default window (`features.trial_rows`: the 88
-features, then the peak of each threshold signal), computed by the file worker
-that writes the trial. A reader's file worker hashes the trial file with the
-trial's index fields and the reduction's identity (`_row_key`); on a match,
-`map_trials` hands back the stored rows and parses nothing, and otherwise it
-reads the file. A trial whose reduction fails or warns is not stored, so its
-reader meets the same error. The trial files stay the only sample format:
-deleting ROWS_NAME changes no output, only time.
+reading each trial gives at the default window (`TrialRows`: one row per window,
+its 88 features, then the peak of each threshold signal), computed by the file
+worker that writes the trial. A reader's file worker hashes the trial file with
+the trial's index fields and the reduction's identity (`_row_key`); on a match,
+`map_trials` hands back the trial's stored rows as one matrix and parses
+nothing, and otherwise it reads the file. A trial whose reduction fails or
+warns is not stored, so its reader meets the same error. The trial files stay
+the only sample format: deleting ROWS_NAME changes no output, only time.
 
 `map_raw_trials` (which `ingest` and the `ingest` command parse through),
 `write_canonical` and `map_trials` (which `read_canonical` and every fit and
@@ -58,7 +58,7 @@ import numpy as np
 
 from .core import DEFAULT_WINDOW_SECONDS, Label, Source, TrialRecording, as_rate, is_int, segment
 from .errors import CanonicalFormatError, DataError, in_stage, read_json, read_json_line, reading
-from .features import N_FEATURES, WindowRow, trial_rows, window_values
+from .features import N_FEATURES, window_values
 from .threshold import THRESHOLD_SIGNALS
 
 ACC_UNIT_TO_G = {"g": 1.0, "m/s2": 1.0 / 9.80665, "mg": 1e-3}
@@ -534,7 +534,7 @@ def _split_columns(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
 def _clean_rows(rec: TrialRecording, values: np.ndarray, data: bytes) -> tuple[bytes, np.ndarray] | None:
     """(key, rows) that ROWS_NAME holds for `rec`, written as `data` from its canonical rows `values`, or None.
 
-    The rows are those a reader of the trial file computes at the default window (`read_trial`, then `trial_rows`)
+    The rows are those a reader of the trial file computes at the default window (`read_trial`, then `TrialRows`)
     for the 88 features and for every threshold signal: `values` as read back, checked and reduced. A trial gets
     them only if that whole reduction gives no error and no warning, so a reader of any other trial meets the error
     or warning that reading it gives.
@@ -706,6 +706,10 @@ class IndexEntry(NamedTuple):
     def trial_id(self) -> str:
         return self.fields["trial_id"]
 
+    @property
+    def label(self) -> Label:
+        return self.fields["label"]
+
     def __repr__(self) -> str:  # the stored rows of a large corpus would run to megabytes
         return f"IndexEntry(path={self.path!r}, fields={self.fields!r}, stored=<rows of {len(self.stored)} trials>)"
 
@@ -789,18 +793,18 @@ def read_trial(entry: IndexEntry) -> TrialRecording:
 
 
 class TrialRows(NamedTuple):
-    """A `map_trials` fn: the rows (`features.trial_rows`) of a recording's windows for `signals` (None: the 88
-    features) at `window_seconds`, a toolkit error labelled with the pipeline `stage`."""
+    """A `map_trials` fn: the matrix (`features.window_values`, for `signals`; None: the 88 features) of the windows
+    `segment` cuts from a recording at `window_seconds`, a toolkit error labelled with the pipeline `stage`."""
 
     signals: tuple[str, ...] | None
     window_seconds: float
     stage: str
 
-    def __call__(self, rec: TrialRecording) -> list[WindowRow]:
-        return in_stage(self.stage, trial_rows, rec, self.signals, self.window_seconds)
+    def __call__(self, rec: TrialRecording) -> np.ndarray:
+        return in_stage(self.stage, lambda: window_values(segment(rec, self.window_seconds), self.signals))
 
 
-def _stored_rows(request: TrialRows, entry: IndexEntry) -> list[WindowRow] | None:
+def _stored_rows(request: TrialRows, entry: IndexEntry) -> np.ndarray | None:
     """`request` of the entry's recording from the rows its corpus stores, or None if they do not give it.
 
     They give it at the default window, for a trial file and index fields whose key (`_row_key`) the store holds: the
@@ -818,9 +822,7 @@ def _stored_rows(request: TrialRows, entry: IndexEntry) -> list[WindowRow] | Non
     if raw is None:
         return None
     columns = range(N_FEATURES) if signals is None else [N_FEATURES + THRESHOLD_SIGNALS.index(s) for s in signals]
-    values = np.frombuffer(raw).reshape(-1, _N_STORED)[:, list(columns)]
-    tid, subject, label = entry.fields["trial_id"], entry.subject_id, entry.fields["label"]
-    return [WindowRow(f"{tid}#w{i}", subject, label, row) for i, row in enumerate(values)]
+    return np.frombuffer(raw).reshape(-1, _N_STORED)[:, list(columns)]
 
 
 def map_trials(fn: Callable[[TrialRecording], object], trials: Sequence[TrialRecording | IndexEntry]) -> list:

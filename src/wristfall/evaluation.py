@@ -13,14 +13,14 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import DEFAULT_WINDOW_SECONDS, Label, SignalWindow, is_int
+from .core import DEFAULT_WINDOW_SECONDS, Label, SignalWindow, is_int, window_ref
 from .datasets import TrialRows, map_trials
 from .errors import DataError, in_stage
-from .features import N_FEATURES, WindowRow, window_values
+from .features import N_FEATURES, window_values
 from .ml import ClassifierModel, make_classifier, predict, train
 from .threshold import DEFAULT_SIGNALS, ThresholdConfig, calibrate_peaks, check_signals, vote
 
@@ -218,32 +218,38 @@ class ExperimentResult:
     detector: ThresholdConfig | ClassifierModel
 
 
+class Rows(NamedTuple):
+    """What a detector reads of some windows, one entry per window: row i of `values` is the 88 features of window
+    i, or the peak of each signal a threshold detector votes on (`features.window_values`)."""
+
+    window_refs: tuple[str, ...]
+    subject_ids: tuple[str, ...]
+    labels: tuple[Label, ...]
+    values: np.ndarray
+
+
 def _rows(trials: Sequence, subjects: Iterable[str], signals, window_seconds: float, stages: tuple, log: AccessLog):
-    """The rows of every window of the trials of `subjects`, in trial id order (so that a fit does not depend on the
-    order of the index), each row's subject recorded in `log` at each of `stages`; a toolkit error is labelled with
-    the last stage. Each trial is reduced by `datasets.map_trials`.
+    """The `Rows` of every window of the trials of `subjects`, in trial id order (so that a fit does not depend on the
+    order of the index), each trial's subject recorded in `log` at each of `stages`; a toolkit error is labelled with
+    the last stage. Each trial is reduced to its matrix by `datasets.map_trials`.
     """
     subjects = set(subjects)
     chosen = sorted((trial for trial in trials if trial.subject_id in subjects), key=lambda trial: trial.trial_id)
     per_trial = map_trials(TrialRows(signals, window_seconds, stages[-1]), chosen)
-    rows = [row for part in per_trial for row in part]
-    for r in rows:
+    for trial in chosen:
         for stage in stages:
-            log.record(r.subject_id, stage)
-    return rows
+            log.record(trial.subject_id, stage)
+    windows = [(trial, i) for trial, values in zip(chosen, per_trial) for i in range(len(values))]
+    refs = tuple(window_ref(t.trial_id, i) for t, i in windows)
+    values = np.concatenate(per_trial) if per_trial else np.empty((0, N_FEATURES))
+    return Rows(refs, tuple(t.subject_id for t, _ in windows), tuple(t.label for t, _ in windows), values)
 
 
-def _matrix(rows: Sequence[WindowRow]) -> np.ndarray:
-    """The values of `rows`, one row each."""
-    return np.stack([r.values for r in rows]) if rows else np.empty((0, N_FEATURES))
-
-
-def fit_detector(spec: DetectorSpec, dev_rows: Sequence[WindowRow], seed: int) -> ThresholdConfig | ClassifierModel:
+def fit_detector(spec: DetectorSpec, rows: Rows, seed: int) -> ThresholdConfig | ClassifierModel:
     """Calibrate thresholds or train a classifier on the rows of the development windows, as `spec` says."""
-    labels = [r.label for r in dev_rows]
     if spec.kind == "threshold":
-        return calibrate_peaks(_matrix(dev_rows), labels, spec.signals)
-    return train(spec.kind, spec.feature_view, _matrix(dev_rows), labels, seed, **spec.params)
+        return calibrate_peaks(rows.values, rows.labels, spec.signals)
+    return train(spec.kind, spec.feature_view, rows.values, rows.labels, seed, **spec.params)
 
 
 def classify_rows(detector: ThresholdConfig | ClassifierModel, values: np.ndarray) -> list[tuple[Label, float]]:
@@ -273,13 +279,13 @@ def fit_on_dev(
     """Fit `spec` on the development subjects of `trials`: (detector, split, number of development windows).
 
     `trials` are recordings or `datasets.read_index` entries; only the development subjects' trials are reduced
-    (`_rows`), and each of their windows is recorded in `log` at the fit stages.
+    (`_rows`), and their subjects are recorded in `log` at the fit stages.
     """
     split = in_stage("split", split_subjects, (trial.subject_id for trial in trials), seed)
     fit_stages = (STAGE_CALIBRATION,) if spec.kind == "threshold" else (STAGE_STANDARDIZATION, STAGE_TRAINING)
     signals = spec.signals if spec.kind == "threshold" else None
     dev_rows = _rows(trials, split.dev_subjects, signals, window_seconds, fit_stages, log)
-    return in_stage(fit_stages[-1], fit_detector, spec, dev_rows, seed), split, len(dev_rows)
+    return in_stage(fit_stages[-1], fit_detector, spec, dev_rows, seed), split, dev_rows.values.shape[0]
 
 
 def predict_subjects(
@@ -292,10 +298,10 @@ def predict_subjects(
     """Predictions for the windows of the trials (as in `fit_on_dev`) of `subjects`, in order, each logged in `log`."""
     signals = detector.signals if isinstance(detector, ThresholdConfig) else None
     rows = _rows(trials, subjects, signals, window_seconds, (STAGE_PREDICTION,), log)
-    verdicts = in_stage(STAGE_PREDICTION, classify_rows, detector, _matrix(rows))
+    verdicts = in_stage(STAGE_PREDICTION, classify_rows, detector, rows.values)
     return [
-        PredictionRecord(r.window_ref, r.subject_id, r.label, predicted, float(score))
-        for r, (predicted, score) in zip(rows, verdicts)
+        PredictionRecord(ref, subject_id, label, predicted, float(score))
+        for ref, subject_id, label, (predicted, score) in zip(rows.window_refs, rows.subject_ids, rows.labels, verdicts)
     ]
 
 

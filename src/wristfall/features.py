@@ -23,11 +23,11 @@ features, or the peak of each derived signal a threshold detector votes on.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Label, SignalWindow, TrialRecording, segment
+from .core import SignalWindow
 from .errors import DataError, NonFiniteSignal
 from .signals import DerivedSignalSet, derive_all, smv
 
@@ -140,16 +140,6 @@ def extract_many(windows: Sequence[SignalWindow]) -> np.ndarray:
     return X
 
 
-class WindowRow(NamedTuple):
-    """What a detector reads of one window: `values` is its 88 features, or the peak of each signal a threshold
-    detector votes on (`window_values`)."""
-
-    window_ref: str
-    subject_id: str
-    label: Label
-    values: np.ndarray
-
-
 def _derive_checked(window: SignalWindow, signals: Iterable[str]) -> DerivedSignalSet:
     """derive_all(window), or NonFiniteSignal if one of `signals` holds inf or nan: no vote on it means anything.
 
@@ -177,11 +167,3 @@ def window_values(windows: Sequence[SignalWindow], signals: tuple[str, ...] | No
         peaks[i] = [derived.by_name(name).max() for name in signals]
     return peaks
 
-
-def trial_rows(rec: TrialRecording, signals: tuple[str, ...] | None, window_seconds: float) -> list[WindowRow]:
-    """The rows (`window_values`) of the windows `segment` cuts from one recording, in window order."""
-    windows = segment(rec, window_seconds=window_seconds)
-    return [
-        WindowRow(w.window_ref, w.subject_id, w.label, values)
-        for w, values in zip(windows, window_values(windows, signals))
-    ]

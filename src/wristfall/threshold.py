@@ -33,13 +33,15 @@ DEFAULT_GRIDS: dict[str, tuple[float, float, float]] = {
 
 
 def check_signals(names: Iterable[str]) -> tuple[str, ...]:
-    """`names` as a tuple; DataError if it is empty or one is not a threshold signal."""
+    """`names` as a tuple; DataError if it is empty, or a name is not a threshold signal or repeats."""
     names = tuple(names)
     if not names:
         raise DataError("empty signal list")
     for name in names:
         if name not in SIGNAL_UNITS:
             raise DataError(f"unknown signal {name!r}; expected one of {THRESHOLD_SIGNALS}")
+        if names.count(name) > 1:
+            raise DataError(f"signal {name!r} repeats")
     return names
 
 

@@ -213,6 +213,13 @@ class TestCalibrateAndTrain:
     def test_bad_signal_name(self, corpus_dir, tmp_path):
         assert main(["calibrate", "--corpus", str(corpus_dir), "--signals", "bogus", "--out", str(tmp_path / "c")]) == 3
 
+    def test_repeated_signal_name(self, corpus_dir, tmp_path, capsys):
+        """A signal listed twice would vote once, so the tie rule would apply to fewer votes than were listed."""
+        argv = ["calibrate", "--corpus", str(corpus_dir), "--signals", "fi,fi,smv_acc", "--out", str(tmp_path / "c")]
+        assert main(argv) == 3
+        assert "'fi'" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
     @pytest.mark.parametrize("kind,view,seed", [("rf", "combined88", 3), ("svm", "acc44", 5), ("knn", "gyr44", 7)])
     def test_train_matches_run_experiment_model(self, corpus_dir, tmp_path, kind, view, seed):
         cli_path, lib_path = tmp_path / "cli.json", tmp_path / "lib.json"

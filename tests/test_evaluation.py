@@ -28,6 +28,7 @@ from wristfall.evaluation import (
     run_experiment,
     split_subjects,
 )
+from wristfall.features import window_values
 from wristfall.ml import save_model
 from wristfall.signals import derive_all
 from wristfall.synthetic import synthesize
@@ -189,6 +190,31 @@ class TestFitOnDev:
         trials = list(corpus)
         run_experiment(trials, DetectorSpec(kind="svm"), 5)
         assert [id(r) for r in trials] == [id(r) for r in corpus]
+
+
+class TestRows:
+    """`_rows` holds one entry per window that `segment` cuts from the chosen trials, in trial id order."""
+
+    @pytest.mark.parametrize("window_seconds,per_trial", [(10.0, 2), (60.0, 1)])  # the trials last 12 to 18 s
+    @pytest.mark.parametrize("source", ["recordings", "entries", "entries-without-store"])
+    def test_the_block_names_each_window_as_segment_does(self, source, window_seconds, per_trial, corpus, tmp_path):
+        write_canonical(corpus, tmp_path)
+        trials = {
+            "recordings": corpus,
+            "entries": read_index(tmp_path),
+            "entries-without-store": [entry._replace(stored={}) for entry in read_index(tmp_path)],
+        }[source]
+        spec, log = DetectorSpec("threshold"), AccessLog()
+        _, split, n_dev_windows = fit_on_dev(trials, spec, 5, window_seconds, log)
+        rows = evaluation._rows(trials, split.dev_subjects, spec.signals, window_seconds, ("stage",), AccessLog())
+        windows = windows_of(sorted(corpus, key=lambda rec: rec.trial_id), split.dev_subjects, window_seconds)
+        assert len(windows) == per_trial * sum(rec.subject_id in split.dev_subjects for rec in corpus)
+        assert rows.window_refs == tuple(w.window_ref for w in windows)
+        assert rows.subject_ids == tuple(w.subject_id for w in windows)
+        assert rows.labels == tuple(w.label for w in windows)
+        assert rows.values.tobytes() == window_values(windows, spec.signals).tobytes()
+        assert n_dev_windows == rows.values.shape[0] == len(windows)
+        assert log.events == {(subject, evaluation.STAGE_CALIBRATION) for subject in split.dev_subjects}
 
 
 class TestOnePath:

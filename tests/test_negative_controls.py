@@ -109,7 +109,7 @@ def umafall_svm(trials, views=VIEWS, noise_in=None) -> dict:
     """The UMAFall SVM report of each view. With `noise_in`, those feature columns of every window are N(0, NOISE_SD²)
     noise, drawn in window order from a generator seeded with SEED, so every view's run gets the same draws.
 
-    The noise enters the row matrix that the fit and the prediction read (`evaluation._matrix`), in this process: the
+    The noise enters the row matrix that the fit and the prediction read (`evaluation._rows`), in this process: the
     file workers that extract the features each hold a copy of the generator, so draws made there would depend on
     how many workers there are."""
     reports = {}
@@ -117,14 +117,14 @@ def umafall_svm(trials, views=VIEWS, noise_in=None) -> dict:
         with pytest.MonkeyPatch.context() as patch:
             if noise_in is not None:
                 rng = np.random.default_rng(SEED)
-                matrix = evaluation._matrix
+                real_rows = evaluation._rows
 
-                def noisy(rows):
-                    X = matrix(rows)
-                    X[:, noise_in] = rng.normal(0.0, NOISE_SD, X[:, noise_in].shape)
-                    return X
+                def noisy(*args):
+                    rows = real_rows(*args)
+                    rows.values[:, noise_in] = rng.normal(0.0, NOISE_SD, rows.values[:, noise_in].shape)
+                    return rows
 
-                patch.setattr(evaluation, "_matrix", noisy)
+                patch.setattr(evaluation, "_rows", noisy)
             reports[view] = run_experiment(trials, DetectorSpec("svm", feature_view=view), SEED).report
     return reports
 

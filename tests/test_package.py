@@ -33,6 +33,9 @@ def test_every_exported_name_resolves():
         (errors, "ManifestRootMissing"),
         (errors, "TooFewSubjects"),
         (cli, "EXIT_USAGE"),
+        (features, "WindowRow"),
+        (features, "trial_rows"),
+        (evaluation, "_matrix"),
     ],
 )
 def test_removed_name_is_gone(module, name):

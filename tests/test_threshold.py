@@ -248,6 +248,10 @@ class TestCheckSignals:
         with pytest.raises(DataError, match=r"^unknown signal 'bogus'; expected one of \('smv_acc', "):
             check_signals(["fi", "bogus"])
 
+    def test_repeated_name(self):
+        with pytest.raises(DataError, match="^signal 'fi' repeats$"):
+            check_signals(["fi", "fi"])
+
     def test_config_checks_its_keys_with_it(self):
         with pytest.raises(DataError, match="^empty signal list$"):
             ThresholdConfig({})
