@@ -96,10 +96,10 @@ def cmd_ingest(args) -> int:
     _check_out_dir(args.out)  # before the manifest and raw files are read
     manifest = load_manifest(_resolve_manifest(args.manifest))
     out = Path(args.out)
-    # each file worker writes its trial file and hands back only the trial's index fields and stored rows; if
-    # anything fails, the staged files go and --out is left as it was found
+    # each file worker writes its trial file and hands back only the trial's index fields and stored rows (of a
+    # recording map_raw_trials has checked); if anything fails, the staged files go and --out is left as it was found
     with staged_corpus(out) as (stage, commit):
-        kept, report = map_raw_trials(stage, manifest)
+        kept, report = map_raw_trials(lambda rec: stage(rec, checked=True), manifest)
         print(report.summary())
         exp = manifest.expected or {}
         found = (("participants", "participants", len(report.subjects)), ("adl_trials", "ADL trials", report.n_adl),

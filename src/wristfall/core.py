@@ -51,6 +51,40 @@ def as_rate(value, name: str) -> float:
     return float(value)
 
 
+def median(x: np.ndarray) -> np.ndarray:
+    """np.median(x, axis=-1), bit for bit, without np.median's nan check, which imports numpy.ma.
+
+    As numpy does, each lane is partitioned at kth [h - 1, h, -1] for an even length and [h, -1] for an odd one, so
+    that of equal values (-0.0 and 0.0) the same one lands in the middle; the middle one or two values are averaged
+    by np.mean, whose sum starts from +0.0; and a lane whose partitioned last value is nan gives that nan.
+    """
+    n = x.shape[-1]
+    h = n // 2
+    kth, middle = ([h - 1, h, -1], slice(h - 1, h + 1)) if n % 2 == 0 else ([h, -1], slice(h, h + 1))
+    part = np.partition(x, kth, axis=-1)
+    last = part[..., -1]
+    return np.where(np.isnan(last), last, np.mean(part[..., middle], axis=-1))
+
+
+def percentiles(x: np.ndarray, q: list[float]) -> np.ndarray:
+    """np.percentile(x, q, axis=-1) (linear), bit for bit, of x without nan, for 0 <= q < 100: shape x.shape[:-1] +
+    (len(q),), the percentile axis last.
+
+    As numpy does, each lane is partitioned at numpy's own kth list (0, -1 and the ranks either side of each
+    virtual index (n - 1) * q / 100), and the two ranks are mixed by numpy's `_lerp`.
+    """
+    n = x.shape[-1]
+    index = (n - 1) * np.true_divide(q, 100)
+    lo = np.floor(index).astype(np.intp)
+    gamma = index - lo
+    part = np.partition(x, sorted({0, -1, *lo.tolist(), *(lo + 1).tolist()}), axis=-1)  # np.unique loads numpy.ma
+    a, b = part[..., lo], part[..., lo + 1]
+    diff = b - a
+    mixed = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=mixed, where=gamma >= 0.5)
+    return mixed
+
+
 class Label(Enum):
     FALL = "Fall"
     ADL = "ADL"
@@ -106,7 +140,7 @@ class TrialRecording:
         if not is_rate(self.sample_rate_hz):
             lo, hi = RATE_BOUNDS_HZ
             raise InvalidRecording(self.trial_id, f"sample rate {self.sample_rate_hz} Hz outside [{lo}, {hi}]")
-        median_gap = float(np.median(np.diff(self.t)))  # increasing from 0 or above, so no gap overflows
+        median_gap = float(median(np.diff(self.t)))  # increasing from 0 or above, so no gap overflows
         implied = 1.0 / median_gap
         if abs(implied - self.sample_rate_hz) > RATE_GAP_RELTOL * self.sample_rate_hz:
             raise InvalidRecording(
@@ -149,7 +183,7 @@ def window_from_arrays(
 ) -> SignalWindow:
     """The window over raw arrays (label ADL unless given), at the rate of its own rows: one over their median gap."""
     with np.errstate(over="ignore"):  # one row has no gap, and rows from -1e308 to 1e308 a gap of inf: both 0 Hz
-        gap = float(np.median(np.diff(t))) if len(t) > 1 else math.inf
+        gap = float(median(np.diff(t))) if len(t) > 1 else math.inf
     return SignalWindow(
         recording_ref=ref,
         subject_id=subject_id,

@@ -68,6 +68,8 @@ TIME_UNIT_TO_S = {"s": 1.0, "ms": 1e-3, "us": 1e-6}
 CANONICAL_HEADER = "t,acc_x,acc_y,acc_z,gyr_x,gyr_y,gyr_z"
 # Every byte that `repr` writes for a finite float, plus the row and field separators.
 _REPR_FLOAT_BYTES = b"0123456789.e+-,\n"
+# Every byte of a plain decimal number, which np.loadtxt and `float` read alike.
+_PLAIN_NUMBER_BYTES = b"0123456789.eE+-"
 INDEX_NAME = "index.jsonl"
 TRIALS_DIR = "trials"
 ROWS_NAME = "rows.npy"
@@ -308,18 +310,47 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
         fh.write("\n")
 
 
-def _data_rows(text: str, layout: LayoutSpec) -> list[list[str]]:
-    rows = []
+def _data_lines(text: str, layout: LayoutSpec) -> tuple[list[int], list[str]]:
+    """The file line number and the stripped text of each data line: a line that is not blank, not a comment and past
+    the layout's header lines. Lines are counted from 1, as str.splitlines splits them."""
+    numbers, lines = [], []
     kept = 0
-    for raw in text.splitlines():
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or (layout.comment_prefix and line.startswith(layout.comment_prefix)):
             continue
         kept += 1
-        if kept <= layout.skip_header_lines:
-            continue
-        rows.append(line.split(layout.delimiter))
-    return rows
+        if kept > layout.skip_header_lines:
+            numbers.append(line_no)
+            lines.append(line)
+    return numbers, lines
+
+
+def _is_plain(lines: list[str], layout: LayoutSpec) -> bool:
+    """Whether the lines hold only _PLAIN_NUMBER_BYTES and the layout's delimiter (spaces and tabs for a null one).
+
+    On such fields `np.loadtxt` and `float` accept the same text and give the same bits; a delimiter that is more
+    than one character, whitespace or one of those bytes leaves every line to the row loop.
+    """
+    delimiter = layout.delimiter
+    if delimiter is None:
+        separators = b" \t"
+    elif len(delimiter) == 1 and delimiter.isascii() and delimiter.isprintable() and not delimiter.isspace():
+        separators = delimiter.encode("ascii")
+    else:
+        return False
+    text = "\n".join(lines)
+    plain = _PLAIN_NUMBER_BYTES + b"\n"
+    return separators not in plain and text.isascii() and not text.encode("ascii").translate(None, plain + separators)
+
+
+def _loadtxt(lines: list[str], layout: LayoutSpec, columns: tuple[int, ...], dtype=float) -> np.ndarray | None:
+    """`columns` of the lines as one np.loadtxt call reads them, or None if it refuses a line (a row without one of
+    the columns, or a field such as '1e')."""
+    try:
+        return np.loadtxt(lines, delimiter=layout.delimiter, comments=None, usecols=columns, dtype=dtype, ndmin=2)
+    except ValueError:
+        return None
 
 
 def _time_axis(t_raw: np.ndarray | list[float] | None, n: int, layout: LayoutSpec, rate_hz: float) -> np.ndarray:
@@ -331,28 +362,73 @@ def _time_axis(t_raw: np.ndarray | list[float] | None, n: int, layout: LayoutSpe
         return (t_raw - t_raw[0]) * TIME_UNIT_TO_S[layout.time_unit]
 
 
-def _parse_columns(rows: list[list[str]], layout: LayoutSpec, rate_hz: float):
+def _parse_columns(numbers: list[int], lines: list[str], layout: LayoutSpec, rate_hz: float):
     columns = (*layout.acc_columns, *layout.gyr_columns)
     if layout.time_column is not None:
         columns += (layout.time_column,)
-    needed = max(columns)
-    matrix = []
-    for i, row in enumerate(rows, start=1):
-        if len(row) <= needed:
-            raise DataError(f"row {i}: expected at least {needed + 1} columns, got {len(row)}")
-        try:
-            matrix.append([float(row[c]) for c in columns])
-        except ValueError as exc:
-            raise DataError(f"row {i}: {exc}") from None
-    values = np.asarray(matrix, dtype=float).reshape(-1, len(columns))
+    values = _loadtxt(lines, layout, columns) if _is_plain(lines, layout) else None
+    if values is None:
+        needed = max(columns)
+        matrix = []
+        for line_no, line in zip(numbers, lines):
+            row = line.split(layout.delimiter)
+            if len(row) <= needed:
+                raise DataError(f"line {line_no}: expected at least {needed + 1} columns, got {len(row)}")
+            try:
+                matrix.append([float(row[c]) for c in columns])
+            except ValueError as exc:
+                raise DataError(f"line {line_no}: {exc}") from None
+        values = np.asarray(matrix, dtype=float).reshape(-1, len(columns))
     t_raw = values[:, 6] if layout.time_column is not None else None
     return _time_axis(t_raw, values.shape[0], layout, rate_hz), values[:, :3], values[:, 3:6]
 
 
-def _parse_interleaved(rows: list[list[str]], layout: LayoutSpec, rate_hz: float):
+def _last_per_key(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys in increasing order, and the index of the last row holding each."""
+    distinct, first_from_end = np.unique(keys[::-1], return_index=True)  # a stable sort: the first of equal keys
+    return distinct, len(keys) - 1 - first_from_end
+
+
+def _plain_interleaved(lines: list[str], layout: LayoutSpec) -> tuple[np.ndarray, np.ndarray] | None:
+    """The rows the row loop of _parse_interleaved pairs, from one loadtxt of the numbers and one of the sensor id
+    and type fields, compared as text: (sample number, values and timestamp of each paired accelerometer row, values
+    of each paired gyroscope row), in sample number order. None if the row loop must read the lines.
+
+    As in the row loop, a sample number is truncated to an integer (`int`), and of the rows of one sensor type with
+    one sample number the last counts.
+    """
+    tags = (layout.sensor_id_value, layout.acc_type_value, layout.gyr_type_value)
+    if not _is_plain([*lines, *tags], layout):  # numpy compares a tag ending in '\x00' as if it were not there
+        return None
+    time = () if layout.time_column is None else (layout.time_column,)
+    values = _loadtxt(lines, layout, (layout.sample_no_column, *layout.value_columns, *time))
+    # a field longer than every tag is cut to one character more than the longest, which still equals no tag
+    width = max(map(len, tags)) + 1
+    kinds = _loadtxt(lines, layout, (layout.sensor_id_column, layout.sensor_type_column), f"U{width}")
+    if values is None or kinds is None:
+        return None
+    ours = kinds[:, 0] == layout.sensor_id_value
+    if not np.isfinite(values[ours, 0]).all():  # the row loop's int() of an infinite sample number raises
+        return None
+    acc = ours & (kinds[:, 1] == layout.acc_type_value)
+    gyr = ours & (kinds[:, 1] == layout.gyr_type_value) & ~acc
+    acc_keys, acc_last = _last_per_key(np.trunc(values[acc, 0]))
+    gyr_keys, gyr_last = _last_per_key(np.trunc(values[gyr, 0]))
+    _, acc_at, gyr_at = np.intersect1d(acc_keys, gyr_keys, assume_unique=True, return_indices=True)
+    return values[acc][acc_last[acc_at]], values[gyr][gyr_last[gyr_at], 1:4]
+
+
+def _parse_interleaved(numbers: list[int], lines: list[str], layout: LayoutSpec, rate_hz: float):
+    paired = _plain_interleaved(lines, layout)
+    if paired is not None and len(paired[0]):
+        acc_rows, gyr = paired
+        acc = acc_rows[:, 1:4]
+        t_raw = acc_rows[:, 4] if layout.time_column is not None else None
+        return _time_axis(t_raw, len(acc), layout, rate_hz), acc, gyr
     acc_rows: dict[int, tuple[float, list[float]]] = {}
     gyr_rows: dict[int, list[float]] = {}
-    for i, row in enumerate(rows, start=1):
+    for line_no, line in zip(numbers, lines):
+        row = line.split(layout.delimiter)
         try:
             if row[layout.sensor_id_column].strip() != layout.sensor_id_value:
                 continue
@@ -365,7 +441,7 @@ def _parse_interleaved(rows: list[list[str]], layout: LayoutSpec, rate_hz: float
             elif kind == layout.gyr_type_value:
                 gyr_rows[sample_no] = xyz
         except (IndexError, ValueError, OverflowError) as exc:  # OverflowError: an infinite sample number
-            raise DataError(f"row {i}: {exc}") from None
+            raise DataError(f"line {line_no}: {exc}") from None
     common = sorted(acc_rows.keys() & gyr_rows.keys())
     if not common:
         raise DataError("no paired accelerometer/gyroscope samples for the configured sensor id")
@@ -376,15 +452,18 @@ def _parse_interleaved(rows: list[list[str]], layout: LayoutSpec, rate_hz: float
 
 
 def parse_trial_file(path, layout: LayoutSpec, rate_hz: float):
-    """Return (t, acc_g, gyr_dps) arrays for one raw trial file."""
+    """Return (t, acc_g, gyr_dps) arrays for one raw trial file.
+
+    A file whose data lines are plain numbers (`_is_plain`) is parsed by one np.loadtxt call (two for an interleaved
+    layout, whose sensor id and type fields are compared as text). Any other file, and any that loadtxt refuses, is
+    parsed line by line, which gives the same arrays and raises DataError naming the file line of the first bad row.
+    """
     text = Path(path).read_text(encoding="utf-8")
-    rows = _data_rows(text, layout)
-    if not rows:
+    numbers, lines = _data_lines(text, layout)
+    if not lines:
         raise DataError("no data rows")
-    if layout.mode == "columns":
-        t, acc, gyr = _parse_columns(rows, layout, rate_hz)
-    else:
-        t, acc, gyr = _parse_interleaved(rows, layout, rate_hz)
+    parse = _parse_columns if layout.mode == "columns" else _parse_interleaved
+    t, acc, gyr = parse(numbers, lines, layout, rate_hz)
     return t, acc * ACC_UNIT_TO_G[layout.acc_unit], gyr * GYR_UNIT_TO_DPS[layout.gyr_unit]
 
 
@@ -531,13 +610,16 @@ def _split_columns(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return values[:, 0].copy(), values[:, 1:4].copy(), values[:, 4:7].copy()
 
 
-def _clean_rows(rec: TrialRecording, values: np.ndarray, data: bytes) -> tuple[bytes, np.ndarray] | None:
+def _clean_rows(
+    rec: TrialRecording, values: np.ndarray, data: bytes, checked: bool = False
+) -> tuple[bytes, np.ndarray] | None:
     """(key, rows) that ROWS_NAME holds for `rec`, written as `data` from its canonical rows `values`, or None.
 
     The rows are those a reader of the trial file computes at the default window (`read_trial`, then `TrialRows`)
     for the 88 features and for every threshold signal: `values` as read back, checked and reduced. A trial gets
     them only if that whole reduction gives no error and no warning, so a reader of any other trial meets the error
-    or warning that reading it gives.
+    or warning that reading it gives. A recording already `checked` (`map_raw_trials` validates each one) is not
+    checked again: float64 `values` read back as its own arrays.
     """
     if values.dtype != np.float64:  # only float64 rows are written as the repr of each value
         return None
@@ -546,7 +628,8 @@ def _clean_rows(rec: TrialRecording, values: np.ndarray, data: bytes) -> tuple[b
             warnings.simplefilter("error")
             t, acc, gyr = _split_columns(values)
             read = dataclasses.replace(rec, sample_rate_hz=float(rec.sample_rate_hz), t=t, acc=acc, gyr=gyr)
-            read.validate()
+            if not checked:
+                read.validate()
             windows = segment(read)
             rows = np.hstack((window_values(windows, None), window_values(windows, THRESHOLD_SIGNALS)))
             return _row_key(vars(rec), data), rows
@@ -558,14 +641,14 @@ def _clean_rows(rec: TrialRecording, values: np.ndarray, data: bytes) -> tuple[b
 def staged_corpus(out_dir):
     """Write a canonical corpus into `out_dir` through a staging directory there; yields `(stage, commit)`.
 
-    `stage(rec)`, which a file worker may call, writes a recording's trial file under a name no other call gives
-    and reduces it to the rows ROWS_NAME holds; it returns `(path, _clean_rows(...))`. `commit(pairs)` moves the
-    staged file of each `(index fields, (path, rows))` pair to `trials/<trial_id>.csv`, writes the index in trial id
-    order and replaces ROWS_NAME with the rows of those trials; a file staged but not committed (a duplicate's) goes
-    with the staging directory. A trial id that repeats or holds a character outside TRIAL_ID_CHARS raises DataError
-    naming it before any file moves. If the block raises, `out_dir` is left as it was found: the staging directory
-    goes, and `out_dir` too if this call made it (with any parent it made). Only a failure while `commit` replaces
-    the files of a corpus already there leaves a mix.
+    `stage(rec, checked=False)`, which a file worker may call, writes a recording's trial file under a name no other
+    call gives and reduces it to the rows ROWS_NAME holds; it returns `(path, _clean_rows(...))`. `commit(pairs)`
+    moves the staged file of each `(index fields, (path, rows))` pair to `trials/<trial_id>.csv`, writes the index in
+    trial id order and replaces ROWS_NAME with the rows of those trials; a file staged but not committed (a
+    duplicate's) goes with the staging directory. A trial id that repeats or holds a character outside
+    TRIAL_ID_CHARS raises DataError naming it before any file moves. If the block raises, `out_dir` is left as it
+    was found: the staging directory goes, and `out_dir` too if this call made it (with any parent it made). Only a
+    failure while `commit` replaces the files of a corpus already there leaves a mix.
     """
     out_dir = Path(out_dir)
     made = [p for p in (out_dir, *out_dir.parents) if not p.exists()]  # innermost first
@@ -575,10 +658,10 @@ def staged_corpus(out_dir):
         stage_dir = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
         names = itertools.count()
 
-        def stage(rec: TrialRecording) -> tuple[Path, tuple[bytes, np.ndarray] | None]:
+        def stage(rec: TrialRecording, checked: bool = False) -> tuple[Path, tuple[bytes, np.ndarray] | None]:
             path = stage_dir / f"{os.getpid()}-{next(names)}.csv"
             values = np.column_stack((rec.t, rec.acc, rec.gyr))
-            return path, _clean_rows(rec, values, write_repr_csv(path, CANONICAL_HEADER, values))
+            return path, _clean_rows(rec, values, write_repr_csv(path, CANONICAL_HEADER, values), checked)
 
         def commit(pairs: Sequence[tuple[dict, tuple]]) -> Path:
             ordered = sorted(pairs, key=lambda pair: pair[0]["trial_id"])

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import SignalWindow
+from .core import SignalWindow, percentiles
 from .errors import DataError, NonFiniteSignal
 from .signals import DerivedSignalSet, derive_all, smv
 
@@ -96,7 +96,7 @@ def _stats(x: np.ndarray) -> np.ndarray:
     with np.errstate(all="ignore"):
         mean = x.mean(axis=-1)
         var = x.var(axis=-1)  # population variance
-        median, p25, p75 = np.percentile(x, [50.0, 25.0, 75.0], axis=-1)
+        median, p25, p75 = np.moveaxis(percentiles(x, [50.0, 25.0, 75.0]), -1, 0)
         mx = x.max(axis=-1)
         mn = x.min(axis=-1)
         bins = power_bins(x)

@@ -15,7 +15,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import fresh_python, make_recording
-from test_datasets import columns_manifest, pool_manifest, serial_and_forked, write_columns_trial, write_pool_corpus
+from test_datasets import (
+    columns_manifest,
+    interleaved_manifest,
+    pool_manifest,
+    serial_and_forked,
+    write_columns_trial,
+    write_interleaved_trial,
+    write_pool_corpus,
+)
 from wristfall.cli import main
 from wristfall import datasets, evaluation
 from wristfall.core import SignalWindow, TrialRecording, segment, window_from_arrays
@@ -86,6 +94,21 @@ class TestIngestCommand:
         report = json.loads((out / "ingest_report.json").read_text())
         assert report["n_trials"] == 4
         assert report["skipped"] == []
+
+    def test_each_recording_is_checked_once(self, tmp_path):
+        """map_raw_trials checks each recording; staging its trial file and stored rows does not check it again."""
+        manifest_path = self.make_raw(tmp_path)
+        checked = []
+        real = TrialRecording.validate
+
+        def counting(rec):
+            checked.append(rec.trial_id)
+            return real(rec)
+
+        with mock.patch.object(TrialRecording, "validate", counting):
+            assert main(["ingest", "--manifest", str(manifest_path), "--out", str(tmp_path / "canon")]) == 0
+        assert sorted(checked) == ["sub01_A01_0", "sub01_A01_2", "sub02_F01_1", "sub02_F01_3"]
+        assert len(datasets.read_index(tmp_path / "canon")[0].stored) == 4  # every trial's rows are stored
 
     def test_rerun_is_byte_identical(self, tmp_path):
         manifest_path = self.make_raw(tmp_path)
@@ -1608,3 +1631,53 @@ class TestOpenSSL:
             done = fresh_python(OPENSSL_PROBE, *args, stdin=stdin)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == f"0 {loaded}".encode()
+
+
+NUMPY_MA_PROBE = "import sys; from wristfall.cli import main; code = main(sys.argv[1:]); print(code, 'numpy.ma' in sys.modules)"
+
+
+class TestNumpyMa:
+    """No command imports numpy.ma: medians and quartiles come from np.partition (`core.median`,
+    `core.percentiles`), where np.median, np.percentile and np.unique would load it."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        if fresh_python("import sys, numpy; print('numpy.ma' in sys.modules)").stdout.strip() == b"True":
+            pytest.skip("numpy < 2 loads numpy.ma within import numpy")
+        root = tmp_path_factory.mktemp("numpy-ma")
+        corpus = str(root / "corpus")
+        assert main(["synthesize", "--subjects", "3", "--trials-per-subject", "12", "--out", corpus]) == 0
+        assert main(["calibrate", "--corpus", corpus, "--out", str(root / "thresholds.txt")]) == 0
+        assert main(["train", "--corpus", corpus, "--kind", "rf", "--out", str(root / "rf.json")]) == 0
+        write_pool_corpus(root / "columns")
+        save_manifest(pool_manifest(root / "columns"), root / "columns.json")
+        (root / "interleaved").mkdir()
+        rng = np.random.default_rng(54)
+        for trial in range(1, 4):
+            acc, gyr = rng.normal(0, 0.2, (60, 3)) + np.array([0, 0, 1.0]), rng.normal(0, 30, (60, 3))
+            write_interleaved_trial(root / "interleaved", "01", "Walking", trial, acc, gyr)
+        save_manifest(interleaved_manifest(root / "interleaved"), root / "interleaved.json")
+        return root
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["detect-stream", "--threshold-config", "{root}/thresholds.txt"],
+            ["detect-stream", "--model", "{root}/rf.json"],
+            ["ingest", "--manifest", "{root}/columns.json", "--out", "{root}/columns-corpus"],
+            ["ingest", "--manifest", "{root}/interleaved.json", "--out", "{root}/interleaved-corpus"],
+            ["export-plots", "--trial", "{trial}", "--out", "{root}/series.csv"],
+        ],
+        ids=["detect-stream-threshold", "detect-stream-model", "ingest-columns", "ingest-interleaved", "export-plots"],
+    )
+    def test_no_command_loads_numpy_ma(self, argv, inputs):
+        trial = sorted((inputs / "corpus" / "trials").glob("*.csv"))[0]
+        args = [arg.format(root=inputs, trial=trial) for arg in argv]
+        with open(trial, "rb") as stdin:  # the stream detect-stream reads
+            done = fresh_python(NUMPY_MA_PROBE, *args, stdin=stdin)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == b"0 False"
+
+    def test_the_probe_sees_np_median_load_it(self, inputs):
+        done = fresh_python("import sys, numpy as np; np.median([1.0, 2.0]); print('numpy.ma' in sys.modules)")
+        assert done.stdout.strip() == b"True"

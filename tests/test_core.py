@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_recording
-from wristfall.core import Label, _window_bins, segment, window_bounds
+from wristfall.core import Label, _window_bins, median, percentiles, segment, window_bounds
 from wristfall.errors import EmptyRecording, InvalidRecording
 from wristfall.signals import derive_all
 
@@ -243,3 +243,46 @@ class TestWindowBounds:
 
     def test_no_rows_no_range(self):
         assert list(window_bounds([np.empty(0), np.empty(0)], 1.0)) == []
+
+
+@st.composite
+def lanes(draw, nan: bool):
+    """A (n,) or (k, 8, n) float array, n from 2 to 400: values of a small pool (ties, both zeros, infinities, and nan
+    if `nan`), half the time mixed with distinct values."""
+    n = draw(st.integers(2, 400))
+    shape = draw(st.sampled_from([(n,), (1, 8, n), (3, 8, n)]))
+    specials = st.sampled_from([-0.0, 0.0, -0.0, math.inf, -math.inf, 1.0] + ([math.nan] if nan else []))
+    pool = draw(st.lists(st.one_of(specials, st.floats(allow_nan=False)), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.choice(np.array(pool), size=shape)
+    if draw(st.booleans()):
+        x = np.where(rng.random(shape) < 0.5, rng.normal(size=shape), x)
+    return x
+
+
+class TestPartitionKernels:
+    """`median` and `percentiles` give numpy's bits: detect-stream's verdicts and every feature row depend on them."""
+
+    @staticmethod
+    def numpy_and_kernel(numpy_fn, kernel_fn):
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # an older numpy may warn on a nan median
+            return np.asarray(numpy_fn()).tobytes(), np.asarray(kernel_fn()).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(lanes(nan=True))
+    @example(np.array([-0.0, -0.0]))
+    @example(np.array([0.0, -0.0, -0.0, 0.0]))
+    def test_median_is_numpys(self, x):
+        want, got = self.numpy_and_kernel(lambda: np.median(x, axis=-1), lambda: median(x))
+        assert got == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(lanes(nan=False))
+    @example(np.array([-0.0, 0.0, -0.0, -0.0, 0.0]))
+    def test_quartiles_are_numpys(self, x):
+        want, got = self.numpy_and_kernel(
+            lambda: np.moveaxis(np.percentile(x, [50.0, 25.0, 75.0], axis=-1, method="linear"), 0, -1),
+            lambda: percentiles(x, [50.0, 25.0, 75.0]),
+        )
+        assert got == want

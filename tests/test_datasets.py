@@ -9,6 +9,7 @@ import sys
 import time
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from wristfall.datasets import (
     load_manifest,
     parse_canonical_row,
     parse_canonical_rows,
+    parse_trial_file,
     read_canonical,
     read_canonical_trial,
     save_manifest,
@@ -113,7 +115,7 @@ class TestColumnsAdapter:
         (bad_dir / "wrist.txt").write_text("1 2 three 4 5 6\n")
         trials, report = ingest(columns_manifest(tmp_path))
         assert report.n_trials == 1
-        assert any("row 1" in reason for _, reason in report.skipped)
+        assert any("line 1" in reason for _, reason in report.skipped)
 
     def test_bad_timestamp_names_its_row(self, tmp_path):
         manifest = columns_manifest(tmp_path)
@@ -126,7 +128,7 @@ class TestColumnsAdapter:
         trials, report = ingest(manifest)
         assert trials == []
         [(_, reason)] = report.skipped
-        assert reason.startswith("row 3: ") and "0.O8" in reason
+        assert reason.startswith("line 3: ") and "0.O8" in reason
 
     def test_nan_values_fail_validation(self, tmp_path):
         n = 60
@@ -236,10 +238,126 @@ class TestInterleavedAdapter:
         assert serial == forked == (
             ["01_Walking_1", "01_Walking_4"],
             [
-                ("UMA_01_Walking_2.csv", "row 1: cannot convert float infinity to integer"),
+                ("UMA_01_Walking_2.csv", "line 3: cannot convert float infinity to integer"),
                 ("UMA_01_Walking_3.csv", "recording '01_Walking_3' invalid: non-finite timestamp"),
             ],
         )
+
+
+# Fields that `float` and np.loadtxt may read differently, or that make a row bad; '1e999' is read as inf.
+RAW_ODD_FIELDS = ("\x1c9", "1_000", "nan", "inf", "-inf", "1e999", "1e", "", "-0.0", "+2", "1E2", ".5", "3.")
+
+
+@st.composite
+def raw_file(draw):
+    """(text, layout): a raw trial file of either layout after comment, blank and header lines, some of its lines
+    edited: an odd field, extra or missing columns, a comment prefix inside a line; '\n' or '\r\n' endings."""
+    mode = draw(st.sampled_from(["columns", "interleaved"]))
+    prefix = draw(st.sampled_from(["%", "#"]))
+    skip = draw(st.integers(0, 2))
+    lines = draw(st.lists(st.sampled_from([prefix + " a comment", prefix, "", "   ", "t x y z"]), max_size=4))
+    lines += ["t x y z header"] * skip
+    value = st.floats(-1e3, 1e3).map(repr)
+    rows = []
+    for i in range(draw(st.integers(1, 8))):
+        if mode == "columns":
+            rows.append([repr(i / 25.0)] + [draw(value) for _ in range(6)])
+            continue
+        for kind in ("0", "1"):  # an accelerometer and a gyroscope row of sample i
+            sample = draw(st.sampled_from([str(i)] * 6 + [str(max(i - 1, 0)), "1e999", "2.7", "-0.5", "-0"]))
+            kind = draw(st.sampled_from([kind] * 8 + ["2", "00", "1.0"]))
+            sensor = draw(st.sampled_from(["3"] * 8 + ["03", "3.0", "4"]))
+            rows.append([repr(i * 50.0), sample, draw(value), draw(value), draw(value), kind, sensor])
+    for fields in rows:
+        edit = draw(st.integers(0, 30))
+        if edit == 1:
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(RAW_ODD_FIELDS))
+        elif edit == 2:
+            fields += draw(st.lists(value, min_size=1, max_size=2))  # ragged extra columns
+        elif edit == 3:
+            del fields[draw(st.integers(0, len(fields) - 1))]
+        line = (" " if mode == "columns" else ";").join(fields)
+        if edit == 4:
+            at = draw(st.integers(1, len(line)))
+            line = line[:at] + prefix + line[at:]
+        elif edit == 5:
+            lines.append(draw(st.sampled_from([prefix + "x", ""])))
+        lines.append(line)
+    time_column = draw(st.sampled_from([None, 6] if mode == "columns" else [None, 0]))
+    if mode == "columns":
+        layout = LayoutSpec(file_glob="*", path_regex="", delimiter=None, time_column=time_column, time_unit="ms")
+    else:
+        layout = dataclasses.replace(interleaved_manifest(Path(".")).layout, time_column=time_column)
+    layout = dataclasses.replace(layout, comment_prefix=prefix, skip_header_lines=skip)
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return ending.join(lines) + ending, layout
+
+
+def parsed(path, layout):
+    """parse_trial_file's arrays as bytes, or the type and message of the DataError it raises."""
+    try:
+        return [(a.dtype, a.shape, a.tobytes()) for a in parse_trial_file(path, layout, 20.0)]
+    except DataError as exc:
+        return type(exc), str(exc)
+
+
+class TestParseTrialFile:
+    """A file of plain numbers is parsed by np.loadtxt; it gives the arrays and errors of the row loop."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(raw_file())
+    def test_plain_parse_equals_row_loop(self, tmp_path_factory, case):
+        text, layout = case
+        path = tmp_path_factory.mktemp("raw") / "trial.txt"
+        path.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = parsed(path, layout)
+            with mock.patch.object(datasets, "_is_plain", lambda lines, layout: False):
+                want = parsed(path, layout)
+        assert got == want
+
+    @pytest.mark.parametrize("mode", ["columns", "interleaved"])
+    def test_a_plain_file_takes_loadtxt(self, tmp_path, mode):
+        rng = np.random.default_rng(53)
+        acc, gyr = rng.normal(0, 1, (40, 3)), rng.normal(0, 1, (40, 3))
+        if mode == "columns":
+            write_columns_trial(tmp_path, "sub01", "A01", 1, acc, gyr)
+            manifest, path = columns_manifest(tmp_path), tmp_path / "sub01/A01/trial_1/wrist.txt"
+        else:
+            write_interleaved_trial(tmp_path, "01", "Walking", 1, acc, gyr)
+            manifest, path = interleaved_manifest(tmp_path), tmp_path / "UMA_01_Walking_1.csv"
+        results = []
+
+        def spy(*args, **kwargs):
+            results.append(real(*args, **kwargs))
+            return results[-1]
+
+        real = datasets._loadtxt
+        with mock.patch.object(datasets, "_loadtxt", spy):
+            t, acc_read, gyr_read = parse_trial_file(path, manifest.layout, manifest.nominal_rate_hz)
+        assert len(results) == (1 if mode == "columns" else 2) and all(r is not None for r in results)
+        assert t.shape == (40,) and acc_read.shape == gyr_read.shape == (40, 3)
+
+    def test_header_lines_are_counted_after_comment_and_blank_lines(self, tmp_path):
+        layout = LayoutSpec(file_glob="*", path_regex="", comment_prefix="%", skip_header_lines=1)
+        path = tmp_path / "trial.txt"
+        path.write_text("% recorded at the wrist\n\nax ay az gx gy gz\n1 2 3 4 5 6\n% pause\n7 8 9 10 11 12\n")
+        t, acc, gyr = parse_trial_file(path, layout, 25.0)
+        assert acc.tolist() == [[1, 2, 3], [7, 8, 9]] and gyr.tolist() == [[4, 5, 6], [10, 11, 12]]
+        assert t.tolist() == [0.0, 0.04]
+
+    @pytest.mark.parametrize("mode", ["columns", "interleaved"])
+    def test_a_bad_value_names_its_file_line(self, tmp_path, mode):
+        """Line 4, after a comment and a blank line, is the second data row: the message names line 4."""
+        if mode == "columns":
+            layout, rows = LayoutSpec(file_glob="*", path_regex="", comment_prefix="%"), ["0 0 1 0 0 0", "0 0 x 0 0 0"]
+        else:
+            layout, rows = interleaved_manifest(tmp_path).layout, ["0;0;0;0;1;0;3", "40;0;0;0;x;1;3"]
+        path = tmp_path / "trial.txt"
+        path.write_text("\n".join(["% header", "", *rows, *rows[:1]]) + "\n")
+        with pytest.raises(DataError, match="^line 4: could not convert string to float: 'x'$"):
+            parse_trial_file(path, layout, 25.0)
 
 
 class TestManifestIO:
@@ -653,7 +771,7 @@ class TestMapFiles:
         assert code == 0 and printed == "34 trials (17 ADL / 17 fall), 6 subjects; skipped 5 files\n"
         assert json.loads(tree["ingest_report.json"])["n_trials"] == 34 == len(trials)
         assert dict(report.skipped) == {
-            "sub 06/F01/trial_1/wrist.txt": "row 8: could not convert string to float: 'three'",
+            "sub 06/F01/trial_1/wrist.txt": "line 10: could not convert string to float: 'three'",
             "sub+05/A01/trial_1/wrist.txt": "duplicate trial id sub-05_A01_1",
             "sub01/Z99/trial_1/wrist.txt": "activity code 'Z99' not in task table",
             "sub01/a01/trial_1/wrist.txt": "path does not match the layout's path_regex",
