@@ -23,12 +23,14 @@ path). Rewriting the same trials produces byte-identical output.
 Every corpus writer (`staged_corpus`) also stores, in ROWS_NAME, the rows that
 reading each trial gives at the default window (`TrialRows`: one row per window,
 its 88 features, then the peak of each threshold signal), computed by the file
-worker that writes the trial. A reader's file worker hashes the trial file with
-the trial's index fields and the reduction's identity (`_row_key`); on a match,
-`map_trials` hands back the trial's stored rows as one matrix and parses
-nothing, and otherwise it reads the file. A trial whose reduction fails or
-warns is not stored, so its reader meets the same error. The trial files stay
-the only sample format: deleting ROWS_NAME changes no output, only time.
+worker that writes the trial. `read_index` keeps only where each trial's rows
+lie in ROWS_NAME (`RowStore`). `map_trials` hashes each trial file with the
+trial's index fields and the reduction's identity (`_row_key`) in the calling
+process; on a match it reads just that trial's records from ROWS_NAME at their
+offset and parses nothing. Only the misses go to the file workers, which parse
+the file. A trial whose reduction fails or warns is not stored, so its reader
+meets the same error. The trial files stay the only sample format: deleting
+ROWS_NAME changes no output, only time.
 
 `map_raw_trials` (which `ingest` and the `ingest` command parse through),
 `write_canonical` and `map_trials` (which `read_canonical` and every fit and
@@ -312,10 +314,12 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
 
 def _data_lines(text: str, layout: LayoutSpec) -> tuple[list[int], list[str]]:
     """The file line number and the stripped text of each data line: a line that is not blank, not a comment and past
-    the layout's header lines. Lines are counted from 1, as str.splitlines splits them."""
+    the layout's header lines. Lines are counted from 1, split at each '\n'."""
     numbers, lines = [], []
     kept = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    # split at '\n' alone: str.splitlines also breaks at '\x1c', '\x85', '\u2028' and more, which would make one
+    # corrupt line two samples; read_text has already turned '\r\n' and a lone '\r' into '\n'
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or (layout.comment_prefix and line.startswith(layout.comment_prefix)):
             continue
@@ -772,14 +776,33 @@ def read_canonical_trial(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _split_columns(values)
 
 
+class RowStore(Mapping):
+    """The trials a ROWS_NAME file holds (`_read_rows`): each trial's key maps to (first record, record count) of its
+    rows, which lie `offset` bytes into the file at `path`. Stores compare as their maps."""
+
+    def __init__(self, path: Path, offset: int, spans: dict[bytes, tuple[int, int]]):
+        self.path, self.offset, self._spans = path, offset, spans
+
+    def __getitem__(self, key: bytes) -> tuple[int, int]:
+        return self._spans[key]
+
+    def __iter__(self):
+        return iter(self._spans)
+
+    def __len__(self) -> int:
+        return len(self._spans)
+
+    def __repr__(self) -> str:
+        return f"RowStore({str(self.path)!r}, <rows of {len(self)} trials>)"
+
+
 class IndexEntry(NamedTuple):
-    """One line of a corpus index: the trial file, the fields of its recording other than the arrays, and the rows
-    its corpus stores (ROWS_NAME), each trial's under its key (`map_trials`). The rows are kept as the bytes of a
-    float64 array, so that entries compare as values."""
+    """One line of a corpus index: the trial file, the fields of its recording other than the arrays, and the store
+    of its corpus (ROWS_NAME), which every entry of one `read_index` shares (`map_trials`)."""
 
     path: Path
     fields: dict
-    stored: Mapping[bytes, bytes] = {}
+    stored: Mapping[bytes, tuple[int, int]] = {}
 
     @property
     def subject_id(self) -> str:
@@ -792,9 +815,6 @@ class IndexEntry(NamedTuple):
     @property
     def label(self) -> Label:
         return self.fields["label"]
-
-    def __repr__(self) -> str:  # the stored rows of a large corpus would run to megabytes
-        return f"IndexEntry(path={self.path!r}, fields={self.fields!r}, stored=<rows of {len(self.stored)} trials>)"
 
 
 def _index_entry(corpus_dir: Path, index_path: Path, line_no: int, raw: bytes) -> IndexEntry | None:
@@ -821,22 +841,21 @@ def _index_entry(corpus_dir: Path, index_path: Path, line_no: int, raw: bytes) -
     return IndexEntry(trial_path, fields)
 
 
-def _read_rows(path: Path) -> dict[bytes, bytes]:
-    """The rows in a ROWS_NAME file, each trial's under its key; a file that is missing, is not a `.npy` array of
-    its declared size or holds another dtype gives none."""
+def _read_rows(path: Path) -> Mapping[bytes, tuple[int, int]]:
+    """Where each trial's rows lie in a ROWS_NAME file (`RowStore`); a file that is missing, is not a `.npy` array
+    of its declared size or holds another dtype holds none. Only the key column is read."""
     try:  # mapped, not read: a header that declares more records than the file holds allocates nothing
         table = np.lib.format.open_memmap(path, mode="r")
     except (OSError, ValueError, EOFError):
         return {}
     if table.dtype != _ROWS_DTYPE or table.ndim != 1:
         return {}
-    keys, values = table["key"].tolist(), table["values"]
-    stored, start = {}, 0
-    for key, group in itertools.groupby(keys):
-        end = start + len(list(group))
-        stored[key] = values[start:end].tobytes()
-        start = end
-    return stored
+    spans, start = {}, 0
+    for key, group in itertools.groupby(table["key"].tolist()):
+        count = sum(1 for _ in group)
+        spans[key] = (start, count)
+        start += count
+    return RowStore(path, table.offset, spans)
 
 
 def read_index(corpus_dir) -> list[IndexEntry]:
@@ -891,21 +910,33 @@ def _stored_rows(request: TrialRows, entry: IndexEntry) -> np.ndarray | None:
     """`request` of the entry's recording from the rows its corpus stores, or None if they do not give it.
 
     They give it at the default window, for a trial file and index fields whose key (`_row_key`) the store holds: the
-    rows of that key are the columns `request` reads of the rows `_clean_rows` computed from the same bytes.
+    rows of that key are the columns `request` reads of the rows `_clean_rows` computed from the same bytes. Only
+    those records are read from ROWS_NAME, at their offset, and they give it only if exactly their count of records
+    is read back, each holding the key: a store rewritten since `read_index`, or cut short, misses.
     """
     signals = request.signals
     if request.window_seconds != DEFAULT_WINDOW_SECONDS or not entry.stored:
         return None
     if signals is not None and not set(signals) <= set(THRESHOLD_SIGNALS):
         return None
+    store = entry.stored
     try:
-        raw = entry.stored.get(_row_key(entry.fields, entry.path.read_bytes()))
-    except OSError:  # reading the file raises it
+        key = _row_key(entry.fields, entry.path.read_bytes())
+        if key not in store:
+            return None
+        first, count = store[key]
+        with open(store.path, "rb") as fh:
+            fh.seek(store.offset + first * _ROWS_DTYPE.itemsize)
+            data = fh.read(count * _ROWS_DTYPE.itemsize)
+    except OSError:  # a trial file or store that cannot be read misses; the file worker's read raises as before
         return None
-    if raw is None:
+    if len(data) != count * _ROWS_DTYPE.itemsize:
+        return None
+    records = np.frombuffer(data, _ROWS_DTYPE)
+    if not (records["key"] == key).all():
         return None
     columns = range(N_FEATURES) if signals is None else [N_FEATURES + THRESHOLD_SIGNALS.index(s) for s in signals]
-    return np.frombuffer(raw).reshape(-1, _N_STORED)[:, list(columns)]
+    return records["values"][:, list(columns)]
 
 
 def map_trials(fn: Callable[[TrialRecording], object], trials: Sequence[TrialRecording | IndexEntry]) -> list:
@@ -913,18 +944,21 @@ def map_trials(fn: Callable[[TrialRecording], object], trials: Sequence[TrialRec
 
     `trials` are recordings or `read_index` entries, an entry read (`read_trial`) by the file worker that hands back
     only what `fn` makes of it, so a caller that reduces a file to a few numbers never holds its samples. For a
-    `TrialRows` fn, the rows the entry's corpus stores answer it where they can (`_stored_rows`): the file is read
-    and hashed but not parsed, and the rows are those reading it would give.
+    `TrialRows` fn, this process first answers every entry whose rows its corpus stores (`_stored_rows`): the file
+    is read and hashed but not parsed, and the rows are those reading it would give. Only the other trials go to
+    the file workers, so a read that the store answers whole forks nothing. A hit cannot fail, so the first failing
+    miss is raised.
     """
+    hits = [
+        _stored_rows(fn, trial) if isinstance(fn, TrialRows) and isinstance(trial, IndexEntry) else None
+        for trial in trials
+    ]
 
     def reduce(trial):
-        if isinstance(trial, IndexEntry):
-            if isinstance(fn, TrialRows) and (rows := _stored_rows(fn, trial)) is not None:
-                return rows
-            trial = read_trial(trial)
-        return fn(trial)
+        return fn(read_trial(trial) if isinstance(trial, IndexEntry) else trial)
 
-    return _map_files(reduce, trials)
+    misses = iter(_map_files(reduce, [trial for trial, rows in zip(trials, hits) if rows is None]))
+    return [next(misses) if rows is None else rows for rows in hits]
 
 
 def read_canonical(corpus_dir) -> list[TrialRecording]:

@@ -104,7 +104,8 @@ class KNNClassifier:
 
     def predict_one(self, x: np.ndarray) -> tuple[int, float]:
         with np.errstate(over="ignore"):  # a huge row gives inf, which the check below rejects
-            d2 = np.sum((self.X - x) ** 2, axis=1)
+            diff = self.X - x  # squared in place, one temporary: numpy computes `** 2` as this product, bit for bit
+            d2 = np.sum(np.multiply(diff, diff, out=diff), axis=1)
         if not np.isfinite(d2).all():
             raise NonFiniteSignal("knn distance to a training row is not finite: the feature row is too large")
         # lexsort: primary key distance, secondary key training index

@@ -359,6 +359,25 @@ class TestParseTrialFile:
         with pytest.raises(DataError, match="^line 4: could not convert string to float: 'x'$"):
             parse_trial_file(path, layout, 25.0)
 
+    @pytest.mark.parametrize("char", ["\x1c", "\x85", "\u2028"], ids=["x1c", "x85", "u2028"])
+    @pytest.mark.parametrize("delimiter", [None, ";"], ids=["whitespace", "semicolon"])
+    def test_only_a_newline_ends_a_line(self, delimiter, char, tmp_path):
+        """A line holding another break that str.splitlines knows stays one line: one sample of a whitespace layout,
+        whose extra fields are ignored, and a bad line of a ';' layout. Lines are numbered as the file's."""
+        layout = LayoutSpec(file_glob="*", path_regex="", delimiter=delimiter)
+        row = (delimiter or " ").join(["0", "0", "1", "0", "0", "0"])
+        path = tmp_path / "trial.txt"
+        path.write_text("\n".join([row, row + char + row, row]) + "\n", encoding="utf-8")
+        if delimiter is None:
+            t, acc, gyr = parse_trial_file(path, layout, 25.0)
+            assert acc.tolist() == [[0, 0, 1]] * 3 and gyr.tolist() == [[0, 0, 0]] * 3
+            path.write_text("\n".join([row, row + char + row, "0 0 x 0 0 0"]) + "\n", encoding="utf-8")
+            message = "line 3: could not convert string to float: 'x'"
+        else:
+            message = f"line 2: could not convert string to float: {'0' + char + '0'!r}"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            parse_trial_file(path, layout, 25.0)
+
 
 class TestManifestIO:
     def test_round_trip(self, tmp_path):

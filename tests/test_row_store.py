@@ -7,13 +7,14 @@ the trial miss, so that it is read as it was before there was a store.
 
 import dataclasses
 import json
+import os
 import shutil
 import warnings
 
 import numpy as np
 import pytest
 
-from test_datasets import read_tree
+from test_datasets import read_tree, serial_and_forked
 from wristfall import datasets
 from wristfall.cli import main
 from wristfall.core import Label, Source, segment
@@ -46,9 +47,11 @@ DETECTORS = [
 ]
 
 
-def synthetic_corpus(path, seed=0):
-    """The 36-trial synthetic corpus (3 subjects of 12 trials) of `seed`, written by `synthesize` to `path`."""
-    argv = ["synthesize", "--seed", str(seed), "--subjects", "3", "--trials-per-subject", "12", "--out", str(path)]
+def synthetic_corpus(path, seed=0, subjects=3):
+    """The synthetic corpus of `subjects` subjects of 12 trials (36 trials for 3) of `seed`, written by `synthesize`
+    to `path`."""
+    argv = ["synthesize", "--seed", str(seed), "--subjects", str(subjects), "--trials-per-subject", "12"]
+    argv += ["--out", str(path)]
     assert main(argv) == 0
     return path
 
@@ -283,6 +286,79 @@ class TestMisses:
         corpus = synthetic_corpus(tmp_path / "corpus")
         write_canonical([], corpus)
         assert np.load(corpus / ROWS_NAME).shape == (0,)
+
+
+STORED_READS = [["calibrate"], ["train", "--kind", "rf"], EVALUATE_RF]
+
+
+class TestStoredReadsStayInProcess:
+    """This process answers every stored trial from ROWS_NAME; only the misses reach the file workers."""
+
+    def test_a_stored_corpus_is_read_without_a_parse_or_a_fork(self, tmp_path, monkeypatch, capsys):
+        corpus = synthetic_corpus(tmp_path / "corpus", subjects=5)
+        entries = read_index(corpus)
+        dev = split_subjects([entry.subject_id for entry in entries], 0).dev_subjects
+        # enough development trials that a fit forks to read them, were they not all stored
+        assert sum(entry.subject_id in dev for entry in entries) >= datasets.MIN_FORK_ITEMS
+
+        def refuse(*args):
+            raise AssertionError("a stored trial was parsed or forked for")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(datasets, "_usable_cpus", lambda: 2)
+            patch.setattr(datasets, "read_trial", refuse)
+            patch.setattr(os, "fork", refuse)
+            with_store = run_commands(capsys, corpus, STORED_READS, tmp_path / "out")
+        (corpus / ROWS_NAME).unlink()
+
+        def without_store(_):
+            return run_commands(capsys, corpus, STORED_READS, tmp_path / "out")
+
+        serial, forked = serial_and_forked(monkeypatch, without_store)
+        assert with_store == serial == forked
+        assert [result[0] for result in with_store] == [0, 0, 0]
+
+    def test_an_edited_trial_is_the_only_one_parsed(self, parses, tmp_path, capsys):
+        corpus = synthetic_corpus(tmp_path / "corpus")
+        edit_trial_byte(corpus)
+        [(code, *_)] = run_commands(capsys, corpus, [EVALUATE_RF], tmp_path / "out")
+        assert code == 0 and parses == [sorted((corpus / "trials").iterdir())[0].name]
+
+    def test_the_store_is_read_once_and_shared(self, tmp_path):
+        entries = read_index(synthetic_corpus(tmp_path / "corpus"))
+        assert all(entry.stored is entries[0].stored for entry in entries) and len(entries[0].stored) == 36
+        assert repr(entries[0].stored) == f"RowStore({str(tmp_path / 'corpus' / ROWS_NAME)!r}, <rows of 36 trials>)"
+        assert entries == read_index(tmp_path / "corpus")  # entries compare as values
+
+    @pytest.mark.parametrize(
+        "rewrite",
+        [
+            lambda table: np.roll(table, 1).tobytes(),  # another trial's records at each recorded offset
+            lambda table: table[: len(table) // 2].tobytes(),  # the records of the later trials cut off
+            lambda table: b"",
+        ],
+        ids=["records-moved", "truncated", "emptied"],
+    )
+    def test_a_store_rewritten_after_read_index_misses(self, rewrite, parses, tmp_path, monkeypatch, capsys):
+        corpus = synthetic_corpus(tmp_path / "corpus")
+        path = corpus / ROWS_NAME
+        written, table = path.read_bytes(), np.load(path)
+        rewritten = written[: len(written) - table.nbytes] + rewrite(table)  # the header, then the records rewritten
+        real_read_index = datasets.read_index
+
+        def read_index_then_rewrite(corpus_dir):
+            path.write_bytes(written)
+            entries = real_read_index(corpus_dir)
+            path.write_bytes(rewritten)
+            return entries
+
+        with monkeypatch.context() as patch:
+            patch.setattr("wristfall.cli.read_index", read_index_then_rewrite)
+            with_store = run_commands(capsys, corpus, STORED_READS, tmp_path / "out")
+        assert len(parses) > 0 and path.read_bytes() == rewritten
+        path.unlink()
+        assert with_store == run_commands(capsys, corpus, STORED_READS, tmp_path / "out")
+        assert [result[0] for result in with_store] == [0, 0, 0]
 
 
 def raw_corpus(root, row):
