@@ -115,6 +115,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
+    _check_out_dir(args.out)  # before any trial is generated
     trials = synthesize(args.seed, n_subjects=args.subjects, trials_per_subject=args.trials_per_subject)
     write_canonical(trials, Path(args.out))
     n_fall = sum(1 for t in trials if t.label is Label.FALL)
@@ -242,6 +243,7 @@ def cmd_export_plots(args) -> int:
     chosen = [x for x in (args.trial, args.report, args.reports) if x]
     if len(chosen) != 1:
         raise DataError("provide exactly one of --trial, --report, --reports")
+    _check_out_file(args.out)  # before any input is read
     out = Path(args.out)
 
     if args.trial:

@@ -68,8 +68,6 @@ GYR_UNIT_TO_DPS = {"deg/s": 1.0, "rad/s": 180.0 / math.pi}
 TIME_UNIT_TO_S = {"s": 1.0, "ms": 1e-3, "us": 1e-6}
 
 CANONICAL_HEADER = "t,acc_x,acc_y,acc_z,gyr_x,gyr_y,gyr_z"
-# Every byte that `repr` writes for a finite float, plus the row and field separators.
-_REPR_FLOAT_BYTES = b"0123456789.e+-,\n"
 # Every byte of a plain decimal number, which np.loadtxt and `float` read alike.
 _PLAIN_NUMBER_BYTES = b"0123456789.eE+-"
 INDEX_NAME = "index.jsonl"
@@ -260,10 +258,6 @@ class DatasetManifest:
         if self.expected is not None and not isinstance(self.expected, dict):
             raise DataError(f"expected must be a JSON object, got {self.expected!r}")
 
-    def label_for(self, code: str) -> Label | None:
-        entry = self.tasks.get(code)
-        return entry[0] if entry else None
-
 
 @dataclass
 class IngestReport:
@@ -330,13 +324,12 @@ def _data_lines(text: str, layout: LayoutSpec) -> tuple[list[int], list[str]]:
     return numbers, lines
 
 
-def _is_plain(lines: list[str], layout: LayoutSpec) -> bool:
-    """Whether the lines hold only _PLAIN_NUMBER_BYTES and the layout's delimiter (spaces and tabs for a null one).
-
-    On such fields `np.loadtxt` and `float` accept the same text and give the same bits; a delimiter that is more
-    than one character, whitespace or one of those bytes leaves every line to the row loop.
+def _is_plain(lines: Sequence[str], delimiter: str | None) -> bool:
+    """Whether the lines hold only _PLAIN_NUMBER_BYTES and `delimiter` (spaces and tabs for None): the gate of every
+    `_loadtxt` call, of raw and canonical rows alike. On such fields `np.loadtxt` and `float` accept the same text and
+    give the same bits; outside them they differ (loadtxt reads '\\x1c9' as 9.0). A delimiter that is more than one
+    character, whitespace or one of those bytes fails; an empty line passes, so a caller that refuses one tests it.
     """
-    delimiter = layout.delimiter
     if delimiter is None:
         separators = b" \t"
     elif len(delimiter) == 1 and delimiter.isascii() and delimiter.isprintable() and not delimiter.isspace():
@@ -348,11 +341,11 @@ def _is_plain(lines: list[str], layout: LayoutSpec) -> bool:
     return separators not in plain and text.isascii() and not text.encode("ascii").translate(None, plain + separators)
 
 
-def _loadtxt(lines: list[str], layout: LayoutSpec, columns: tuple[int, ...], dtype=float) -> np.ndarray | None:
-    """`columns` of the lines as one np.loadtxt call reads them, or None if it refuses a line (a row without one of
-    the columns, or a field such as '1e')."""
+def _loadtxt(lines: Sequence[str], delimiter: str | None, columns: tuple | None, dtype=float) -> np.ndarray | None:
+    """`columns` (None: all) of the lines as one np.loadtxt call reads them, or None if it refuses a line (a row
+    without one of the columns, or of another length than the first, or a field such as '1e')."""
     try:
-        return np.loadtxt(lines, delimiter=layout.delimiter, comments=None, usecols=columns, dtype=dtype, ndmin=2)
+        return np.loadtxt(lines, delimiter=delimiter, comments=None, usecols=columns, dtype=dtype, ndmin=2)
     except ValueError:
         return None
 
@@ -370,7 +363,7 @@ def _parse_columns(numbers: list[int], lines: list[str], layout: LayoutSpec, rat
     columns = (*layout.acc_columns, *layout.gyr_columns)
     if layout.time_column is not None:
         columns += (layout.time_column,)
-    values = _loadtxt(lines, layout, columns) if _is_plain(lines, layout) else None
+    values = _loadtxt(lines, layout.delimiter, columns) if _is_plain(lines, layout.delimiter) else None
     if values is None:
         needed = max(columns)
         matrix = []
@@ -402,13 +395,13 @@ def _plain_interleaved(lines: list[str], layout: LayoutSpec) -> tuple[np.ndarray
     one sample number the last counts.
     """
     tags = (layout.sensor_id_value, layout.acc_type_value, layout.gyr_type_value)
-    if not _is_plain([*lines, *tags], layout):  # numpy compares a tag ending in '\x00' as if it were not there
+    if not _is_plain([*lines, *tags], layout.delimiter):  # numpy compares a tag ending in '\x00' as if without it
         return None
     time = () if layout.time_column is None else (layout.time_column,)
-    values = _loadtxt(lines, layout, (layout.sample_no_column, *layout.value_columns, *time))
+    values = _loadtxt(lines, layout.delimiter, (layout.sample_no_column, *layout.value_columns, *time))
     # a field longer than every tag is cut to one character more than the longest, which still equals no tag
     width = max(map(len, tags)) + 1
-    kinds = _loadtxt(lines, layout, (layout.sensor_id_column, layout.sensor_type_column), f"U{width}")
+    kinds = _loadtxt(lines, layout.delimiter, (layout.sensor_id_column, layout.sensor_type_column), f"U{width}")
     if values is None or kinds is None:
         return None
     ours = kinds[:, 0] == layout.sensor_id_value
@@ -498,15 +491,15 @@ def map_raw_trials(fn: Callable[[TrialRecording], object], manifest: DatasetMani
             return rel, None, "path does not match the layout's path_regex", None
         groups = match.groupdict()
         code = groups.get("code", "")
-        label = manifest.label_for(code)
-        if label is None:
+        task = manifest.tasks.get(code)
+        if task is None:
             return rel, None, f"activity code {code!r} not in task table", None
         subject = groups.get("subject", "")
         fields = dict(
             trial_id=_trial_id(subject, code, groups.get("trial", "")),
             subject_id=subject,
             activity_code=code,
-            label=label,
+            label=task[0],
             sample_rate_hz=manifest.nominal_rate_hz,
             source=manifest.source,
         )
@@ -548,16 +541,21 @@ def ingest(manifest: DatasetManifest) -> tuple[list[TrialRecording], IngestRepor
     return [rec for _, rec in kept], report
 
 
-def write_repr_csv(path, header: str, columns: np.ndarray) -> bytes:
-    """Write `header`, then one line per row of the 2-D array `columns`: each value as repr of a Python float.
+def write_repr_csv(path, columns: np.ndarray) -> bytes:
+    """Write CANONICAL_HEADER, then one line per row of the 2-D array `columns`: each value as repr of a Python float.
 
     The values so read back bit for bit; `tolist` gives Python floats, as numpy >= 2 writes `np.float64(...)`.
     Returns the bytes written.
     """
-    rows = [header] + [",".join(map(repr, row)) for row in columns.tolist()]
+    rows = [CANONICAL_HEADER] + [",".join(map(repr, row)) for row in columns.tolist()]
     data = ("\n".join(rows) + "\n").encode("utf-8")
     Path(path).write_bytes(data)
     return data
+
+
+def _trial_path(fields: dict) -> str:
+    """The trial file of index fields `fields`, relative to its corpus: `trials/<trial_id>.csv`."""
+    return f"{TRIALS_DIR}/{fields['trial_id']}.csv"
 
 
 def _write_index(out_dir: Path, ordered: Sequence[dict]) -> Path:
@@ -571,7 +569,7 @@ def _write_index(out_dir: Path, ordered: Sequence[dict]) -> Path:
                 "label": fields["label"].value,
                 "sample_rate_hz": fields["sample_rate_hz"],
                 "source": fields["source"].value,
-                "path": f"{TRIALS_DIR}/{fields['trial_id']}.csv",
+                "path": _trial_path(fields),
             },
             sort_keys=True,
         )
@@ -665,7 +663,7 @@ def staged_corpus(out_dir):
         def stage(rec: TrialRecording, checked: bool = False) -> tuple[Path, tuple[bytes, np.ndarray] | None]:
             path = stage_dir / f"{os.getpid()}-{next(names)}.csv"
             values = np.column_stack((rec.t, rec.acc, rec.gyr))
-            return path, _clean_rows(rec, values, write_repr_csv(path, CANONICAL_HEADER, values), checked)
+            return path, _clean_rows(rec, values, write_repr_csv(path, values), checked)
 
         def commit(pairs: Sequence[tuple[dict, tuple]]) -> Path:
             ordered = sorted(pairs, key=lambda pair: pair[0]["trial_id"])
@@ -679,7 +677,7 @@ def staged_corpus(out_dir):
             np.save(stage_dir / ROWS_NAME, np.array(records, dtype=_ROWS_DTYPE), allow_pickle=False)
             (out_dir / TRIALS_DIR).mkdir(exist_ok=True)
             for fields, (path, _) in ordered:
-                os.replace(path, out_dir / TRIALS_DIR / f"{fields['trial_id']}.csv")
+                os.replace(path, out_dir / _trial_path(fields))
             index_path = _write_index(out_dir, [fields for fields, _ in ordered])
             os.replace(stage_dir / ROWS_NAME, out_dir / ROWS_NAME)
             return index_path
@@ -727,26 +725,21 @@ def parse_canonical_rows(lines: Sequence[str], prev_t: float) -> tuple[np.ndarra
     `(index into lines, reason)` per bad row. `prev_t` is the `t` before the
     block and advances only on good rows.
 
-    numpy parses the block in one call when every line is non-empty and holds
-    only the bytes `repr` writes for finite floats: on those, `np.loadtxt` and
-    `float()` accept the same fields and give the same bits (outside them they
-    differ: loadtxt reads '\\x1c9' as 9.0). Any block that fails that test, the
+    numpy parses the block in one call (`_loadtxt`) when every line is
+    non-empty and passes the plain-number gate of raw files (`_is_plain` with
+    ',' as delimiter), on which `np.loadtxt` and `float()` accept the same
+    fields and give the same bits. Any block that fails that test, loadtxt, the
     7-column shape, finiteness or increasing `t` is judged row by row.
     """
-    text = "\n".join(lines)
-    if lines and all(lines) and text.isascii() and not text.encode("ascii").translate(None, _REPR_FLOAT_BYTES):
-        try:
-            values = np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2)
-        except ValueError:
-            pass
-        else:
-            if (
-                values.shape == (len(lines), 7)
-                and np.isfinite(values).all()
-                and values[0, 0] > prev_t
-                and (values[1:, 0] > values[:-1, 0]).all()
-            ):
-                return values, []
+    values = _loadtxt(lines, ",", None) if lines and all(lines) and _is_plain(lines, ",") else None
+    if (
+        values is not None
+        and values.shape == (len(lines), 7)
+        and np.isfinite(values).all()
+        and values[0, 0] > prev_t
+        and (values[1:, 0] > values[:-1, 0]).all()
+    ):
+        return values, []
     rows, bad = [], []
     for index, line in enumerate(lines):
         try:

@@ -335,6 +335,31 @@ class TestCalibrateAndTrain:
         assert out in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "args,out,rule",
+        [
+            (["synthesize"], "afile", "must be a directory or a path where one can be made"),
+            (["synthesize"], "afile/corpus", "must be a directory or a path where one can be made"),
+            (["export-plots", "--reports", "."], "adir", "must be a file path in an existing directory"),
+            (["export-plots", "--reports", "."], "missing/x.csv", "must be a file path in an existing directory"),
+        ],
+        ids=["synthesize-a-file", "synthesize-under-a-file", "export-plots-a-directory", "export-plots-parent-missing"],
+    )
+    def test_synthesize_and_export_plots_check_out_first(self, args, out, rule, tmp_path, monkeypatch, capsys):
+        """--out is refused with the message the other commands give, before any trial is made or input read."""
+
+        def synthesize(*args, **kwargs):
+            pytest.fail("trials were generated before --out was checked")
+
+        monkeypatch.setattr("wristfall.cli.synthesize", synthesize)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("")
+        (tmp_path / "adir").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        assert main([*args, "--out", out]) == 3
+        assert capsys.readouterr() == ("", f"error: --out {out} {rule}\n")
+        assert sorted(tmp_path.rglob("*")) == before
+
 
 class TestEvaluateCommand:
     def test_threshold_report(self, corpus_dir, tmp_path, capsys):

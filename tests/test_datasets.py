@@ -542,7 +542,7 @@ class TestCanonical:
 # Characters that numpy and float() treat differently, or that make a row bad.
 ODD_CHARS = ("\x1c", "\x1f", "\xa0", " ", "\t", "\r", "_", ",", "é", "\udc80")
 ODD_LINES = ("", "   ", " \t ", "\x1c", CANONICAL_HEADER, " " + CANONICAL_HEADER)
-ODD_FIELDS = ("nan", "-inf", "1e308", "1e309", "1_0", "-0.0", "5e-324", "", "0x1")
+ODD_FIELDS = ("nan", "-inf", "1e308", "1e309", "1_0", "-0.0", "5e-324", "", "0x1", "1E5", "E5", "1E")
 
 
 @st.composite
@@ -559,7 +559,7 @@ def canonical_block(draw):
         if mutation == 1:
             fields[draw(st.integers(0, 6))] = draw(st.sampled_from(ODD_FIELDS))
         elif mutation == 2:
-            fields[draw(st.integers(0, 6))] = draw(st.text(alphabet="0123456789.e+-", max_size=5))
+            fields[draw(st.integers(0, 6))] = draw(st.text(alphabet="0123456789.eE+-", max_size=5))
         elif mutation == 3:
             del fields[draw(st.integers(0, 6))]
         line = ",".join(fields)

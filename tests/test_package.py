@@ -1,7 +1,9 @@
+from pathlib import Path
+
 import pytest
 
 import wristfall
-from wristfall import cli, core, errors, evaluation, features, ml
+from wristfall import cli, core, datasets, errors, evaluation, features, ml
 
 
 def test_every_exported_name_resolves():
@@ -36,6 +38,8 @@ def test_every_exported_name_resolves():
         (features, "WindowRow"),
         (features, "trial_rows"),
         (evaluation, "_matrix"),
+        (datasets, "_REPR_FLOAT_BYTES"),
+        (datasets.DatasetManifest, "label_for"),
     ],
 )
 def test_removed_name_is_gone(module, name):
@@ -46,3 +50,9 @@ def test_removed_name_is_gone(module, name):
 
 def test_feature_views_defined_once():
     assert not hasattr(ml, "FEATURE_VIEWS") or ml.FEATURE_VIEWS is features.FEATURE_VIEWS
+
+
+def test_datasets_calls_loadtxt_once():
+    """Raw columns, interleaved files, canonical trial files and detect-stream rows all reach numpy through
+    `datasets._loadtxt`, behind the one plain-number gate `datasets._is_plain`."""
+    assert Path(datasets.__file__).read_text(encoding="utf-8").count("np.loadtxt(") == 1
