@@ -251,8 +251,8 @@ def cmd_export_plots(args) -> int:
         if len(t) < MIN_SAMPLES:  # as TrialRecording.validate asks
             raise DataError(f"{args.trial}: a trial needs at least {MIN_SAMPLES} samples, got {len(t)}")
         derived = _derive_checked(window_from_arrays(args.trial, t, acc, gyr), THRESHOLD_SIGNALS)
-        series = np.column_stack((t, derived.smv_acc, derived.smv_gyr, derived.fi, derived.avd))
-        rows = [("t", "smv_acc", "smv_gyr", "fi", "avd"), *series.tolist()]  # a float's str is its repr
+        series = np.column_stack((t, *map(derived.by_name, THRESHOLD_SIGNALS)))
+        rows = [("t", *THRESHOLD_SIGNALS), *series.tolist()]  # a float's str is its repr
     elif args.report:
         cells = _pct_cells(_read_report(Path(args.report)))
         rows = [("metric", "value_pct"), *zip(("accuracy", "sensitivity", "specificity"), cells)]
@@ -332,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "export-plots",
-        help="CSV series for external plotting: --trial gives 't,smv_acc,smv_gyr,fi,avd' rows; "
+        help=f"CSV series for external plotting: --trial gives '{','.join(('t', *THRESHOLD_SIGNALS))}' rows; "
         "--report gives 'metric,value_pct' rows; --reports gives one "
         "'detector,dataset,accuracy_pct,sensitivity_pct,specificity_pct' row per report.json",
     )

@@ -173,17 +173,13 @@ def _map_files(fn: Callable, items: Sequence) -> list:
                 code = os.waitstatus_to_exitcode(status)
                 raise RuntimeError(f"file worker {pid} ended without its results (exit status {code})")
         shares += map(_unspool, spools)
-    results: list = [None] * len(items)
-    first_error = None
-    for i, outcomes in enumerate(shares):
-        for j, (ok, value) in enumerate(outcomes):
-            index = i + j * k
-            if ok:
-                results[index] = value
-            elif first_error is None or index < first_error[0]:
-                first_error = (index, value)
-    if first_error is not None:
-        raise first_error[1]
+    # share i holds items i, i + k, ...: read round-robin, the outcomes come in input order, and as each share stops at
+    # its own first failure, the first failure read is the first in input order (a share's end reads as None)
+    results = []
+    for ok, value in filter(None, itertools.chain.from_iterable(itertools.zip_longest(*shares))):
+        if not ok:
+            raise value
+        results.append(value)
     return results
 
 

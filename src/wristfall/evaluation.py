@@ -20,9 +20,9 @@ import numpy as np
 from .core import DEFAULT_WINDOW_SECONDS, Label, SignalWindow, is_int, window_ref
 from .datasets import TrialRows, map_trials
 from .errors import DataError, in_stage
-from .features import N_FEATURES, window_values
-from .ml import ClassifierModel, make_classifier, predict, train
-from .threshold import DEFAULT_SIGNALS, ThresholdConfig, calibrate_peaks, check_signals, vote
+from .features import window_values
+from .ml import ClassifierModel, make_classifier, train
+from .threshold import DEFAULT_SIGNALS, ThresholdConfig, calibrate_peaks, check_signals
 
 EVAL_FRACTION = 0.2
 
@@ -241,7 +241,7 @@ def _rows(trials: Sequence, subjects: Iterable[str], signals, window_seconds: fl
             log.record(trial.subject_id, stage)
     windows = [(trial, i) for trial, values in zip(chosen, per_trial) for i in range(len(values))]
     refs = tuple(window_ref(t.trial_id, i) for t, i in windows)
-    values = np.concatenate(per_trial) if per_trial else np.empty((0, N_FEATURES))
+    values = np.concatenate(per_trial) if per_trial else window_values([], signals)
     return Rows(refs, tuple(t.subject_id for t, _ in windows), tuple(t.label for t, _ in windows), values)
 
 
@@ -252,25 +252,14 @@ def fit_detector(spec: DetectorSpec, rows: Rows, seed: int) -> ThresholdConfig |
     return train(spec.kind, spec.feature_view, rows.values, rows.labels, seed, **spec.params)
 
 
-def classify_rows(detector: ThresholdConfig | ClassifierModel, values: np.ndarray) -> list[tuple[Label, float]]:
-    """Verdict and score for each row of `window_values` (the peaks of `detector.signals`, or the 88 features).
-
-    The score is the fraction of signals voting Fall for a threshold detector, and `predict`'s score for a classifier.
-    """
-    if isinstance(detector, ThresholdConfig):
-        return [vote(detector, peaks) for peaks in values.tolist()]
-    return [predict(detector, row) for row in values]
-
-
 def classify_many(
     detector: ThresholdConfig | ClassifierModel, windows: Sequence[SignalWindow]
 ) -> list[tuple[Label, float]]:
-    """Verdict and score (`classify_rows`) for each window, in order.
+    """Verdict and score (`detector.classify`) for each window, in order, from the row it reads (`window_values`).
 
     A non-finite value in a signal the detector reads raises NonFiniteSignal, as a vote on it would be meaningless.
     """
-    signals = detector.signals if isinstance(detector, ThresholdConfig) else None
-    return classify_rows(detector, window_values(windows, signals))
+    return detector.classify(window_values(windows, detector.signals))
 
 
 def fit_on_dev(
@@ -296,9 +285,8 @@ def predict_subjects(
     log: AccessLog,
 ) -> list[PredictionRecord]:
     """Predictions for the windows of the trials (as in `fit_on_dev`) of `subjects`, in order, each logged in `log`."""
-    signals = detector.signals if isinstance(detector, ThresholdConfig) else None
-    rows = _rows(trials, subjects, signals, window_seconds, (STAGE_PREDICTION,), log)
-    verdicts = in_stage(STAGE_PREDICTION, classify_rows, detector, rows.values)
+    rows = _rows(trials, subjects, detector.signals, window_seconds, (STAGE_PREDICTION,), log)
+    verdicts = in_stage(STAGE_PREDICTION, detector.classify, rows.values)
     return [
         PredictionRecord(ref, subject_id, label, predicted, float(score))
         for ref, subject_id, label, (predicted, score) in zip(rows.window_refs, rows.subject_ids, rows.labels, verdicts)

@@ -6,8 +6,10 @@ tie-break and random draw is pinned:
 
 * all randomness flows from one integer seed (per-tree generators are spawned
   deterministically from it);
-* vote and margin ties always resolve to Fall, like the threshold detector;
-* KNN distance ties resolve to the lower training index;
+* a vote tie (as many Fall as ADL votes among the k neighbours or the trees)
+  and a margin of exactly 0 resolve to Fall, as in the threshold vote; labels
+  stay the integers 1 (Fall) and 0 (ADL) that model files hold;
+* KNN distance ties resolve to the lower training index (a stable sort);
 * RF split ties go to the feature drawn first, then to the lowest split.
 
 Feature scales are wildly heterogeneous (g vs deg/s), so inputs are
@@ -108,8 +110,7 @@ class KNNClassifier:
             d2 = np.sum(np.multiply(diff, diff, out=diff), axis=1)
         if not np.isfinite(d2).all():
             raise NonFiniteSignal("knn distance to a training row is not finite: the feature row is too large")
-        # lexsort: primary key distance, secondary key training index
-        order = np.lexsort((np.arange(d2.shape[0]), d2))
+        order = np.argsort(d2, kind="stable")  # by distance, then by training index
         k = min(self.k, d2.shape[0])
         fall_votes = int(self.y[order[:k]].sum())
         label = _FALL if 2 * fall_votes >= k else _ADL
@@ -295,6 +296,7 @@ class ClassifierModel:
     standardizer: Standardizer
     classifier: KNNClassifier | RandomForestClassifier | LinearSVM
     seed: int = 0
+    signals = None  # not a field: the row a classifier reads of a window is its 88 features (`window_values`)
 
     def __post_init__(self):
         if not (is_int(self.seed) and self.seed >= 0):
@@ -308,6 +310,10 @@ class ClassifierModel:
     def params(self) -> dict:
         """The classifier's hyperparameters."""
         return {f.name: getattr(self.classifier, f.name) for f in fields(self.classifier) if f.init}
+
+    def classify(self, values: np.ndarray) -> list[tuple[Label, float]]:
+        """`predict`'s verdict and score for each row of 88 features in `values`."""
+        return [predict(self, row) for row in values]
 
     def describe(self) -> str:
         return f"{self.kind}({self.feature_view})"

@@ -59,7 +59,18 @@ class ThresholdConfig:
 
     @property
     def signals(self) -> tuple[str, ...]:
+        """The signals voted on, in order: a row `classify` reads holds the peak of each over a window."""
         return tuple(self.thresholds)
+
+    def classify(self, values: np.ndarray) -> list[tuple[Label, float]]:
+        """Verdict and fraction of signals voting Fall for each row of `values`, the peak of each of `signals`.
+
+        A signal votes Fall when its peak exceeds its threshold: on a finite signal that is `detect`'s vote, as some
+        value exceeds the threshold exactly when the largest one does.
+        """
+        n_votes = len(self.thresholds)
+        fall_votes = (values > np.fromiter(self.thresholds.values(), float)).sum(axis=1)
+        return [(_verdict(v, n_votes), v / n_votes) for v in fall_votes.tolist()]
 
     def describe(self) -> str:
         return "threshold(" + ", ".join(f"{s}>{v:g}" for s, v in sorted(self.thresholds.items())) + ")"
@@ -74,16 +85,6 @@ def detect(
         series = derived.by_name(name)
         votes[name] = Label.FALL if bool(np.any(series > threshold)) else Label.ADL
     return _verdict(sum(v is Label.FALL for v in votes.values()), len(votes)), votes
-
-
-def vote(config: ThresholdConfig, peaks: Sequence[float]) -> tuple[Label, float]:
-    """Verdict and fraction of signals voting Fall, from each signal's peak over a window, in `config.signals` order.
-
-    A signal votes Fall when its peak exceeds its threshold: on a finite signal that is `detect`'s vote, as some value
-    exceeds the threshold exactly when the largest one does.
-    """
-    fall_votes = sum(peak > threshold for peak, threshold in zip(peaks, config.thresholds.values()))
-    return _verdict(fall_votes, len(config.thresholds)), fall_votes / len(config.thresholds)
 
 
 def _verdict(fall_votes: int, n_votes: int) -> Label:
@@ -135,16 +136,10 @@ def calibrate_peaks(
 
     chosen: dict[str, float] = {}
     for name, column in zip(signals, np.asarray(peaks, dtype=float).T):
-        fall_peaks = column[labels]
-        adl_peaks = column[~labels]
-        best = None  # (se, sp, threshold)
-        for theta in grid_points(*DEFAULT_GRIDS[name]):
-            se = float(np.mean(fall_peaks > theta))
-            sp = float(np.mean(adl_peaks <= theta))
-            cand = (se, sp, float(theta))
-            if best is None or cand > best:
-                best = cand
-        chosen[name] = best[2]
+        grid = grid_points(*DEFAULT_GRIDS[name])
+        se = np.mean(column[labels, np.newaxis] > grid, axis=0)
+        sp = np.mean(column[~labels, np.newaxis] <= grid, axis=0)
+        chosen[name] = float(grid[np.lexsort((grid, sp, se))[-1]])  # the greatest (se, sp, threshold)
     return ThresholdConfig(thresholds=chosen)
 
 

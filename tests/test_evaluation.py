@@ -154,6 +154,11 @@ class TestFitOnDev:
         assert (records, split, log.events) == (result.predictions, result.split, result.access_log.events)
         assert n_dev_windows == len(windows_of(corpus, split.dev_subjects, 60.0))
 
+    @pytest.mark.parametrize("spec", [DetectorSpec("threshold"), DetectorSpec("knn")], ids=["threshold", "knn"])
+    def test_subjects_without_trials_get_no_predictions(self, corpus, spec):
+        detector, _, _ = fit_on_dev(corpus, spec, 5, 60.0, AccessLog())
+        assert predict_subjects(detector, corpus, ["nobody"], 60.0, AccessLog()) == []
+
     def test_only_development_trials_are_reduced_before_fitting(self, corpus, tmp_path, monkeypatch):
         """On index entries, map_trials gets the development subjects' trials, the evaluation subjects' after the fit."""
         write_canonical(corpus, tmp_path)

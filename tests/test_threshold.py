@@ -188,6 +188,24 @@ class TestCalibrate:
             expected = calibrate_oracle(fall_peaks, adl_peaks, *DEFAULT_GRIDS["smv_acc"])
             assert config.thresholds["smv_acc"] == expected
 
+    def test_matches_exhaustive_oracle_on_grid_point_peaks(self):
+        """Peaks on grid points test `>` and `<=` at a grid point exactly, and their SE/SP plateaus span several
+        grid points, of which the larger threshold must win."""
+        rng = np.random.default_rng(25)
+        grids = {name: grid_points(*DEFAULT_GRIDS[name]) for name in DEFAULT_GRIDS}
+        for _ in range(10):
+            fall_peaks = rng.choice(grids["smv_acc"][20:], size=8)
+            adl_peaks = rng.choice(grids["smv_acc"][:40], size=9)
+            config = calibrate(self.dev_set(fall_peaks, adl_peaks), signals=("smv_acc",))
+            expected = calibrate_oracle(fall_peaks, adl_peaks, *DEFAULT_GRIDS["smv_acc"])
+            assert config.thresholds["smv_acc"] == expected
+            labels = [Label.FALL] * 6 + [Label.ADL] * 7
+            peaks = np.column_stack([rng.choice(grids[name][::7], size=13) for name in DEFAULT_GRIDS])
+            config = calibrate_peaks(peaks, labels, signals=tuple(DEFAULT_GRIDS))
+            for name, column in zip(DEFAULT_GRIDS, peaks.T):
+                expected = calibrate_oracle(column[:6], column[6:], *DEFAULT_GRIDS[name])
+                assert config.thresholds[name] == expected
+
     def test_perfectly_separable_fi_scores_perfectly_on_dev(self):
         rng = np.random.default_rng(23)
         pairs = []
