@@ -382,14 +382,9 @@ def _last_per_key(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return distinct, len(keys) - 1 - first_from_end
 
 
-def _plain_interleaved(lines: list[str], layout: LayoutSpec) -> tuple[np.ndarray, np.ndarray] | None:
-    """The rows the row loop of _parse_interleaved pairs, from one loadtxt of the numbers and one of the sensor id
-    and type fields, compared as text: (sample number, values and timestamp of each paired accelerometer row, values
-    of each paired gyroscope row), in sample number order. None if the row loop must read the lines.
-
-    As in the row loop, a sample number is truncated to an integer (`int`), and of the rows of one sensor type with
-    one sample number the last counts.
-    """
+def _interleaved_by_loadtxt(lines: list[str], layout: LayoutSpec):
+    """`_parse_interleaved`'s rows from one loadtxt of the numbers and one of the sensor id and type fields, compared
+    as text, or None if the row loop must read the lines."""
     tags = (layout.sensor_id_value, layout.acc_type_value, layout.gyr_type_value)
     if not _is_plain([*lines, *tags], layout.delimiter):  # numpy compares a tag ending in '\x00' as if without it
         return None
@@ -404,22 +399,13 @@ def _plain_interleaved(lines: list[str], layout: LayoutSpec) -> tuple[np.ndarray
     if not np.isfinite(values[ours, 0]).all():  # the row loop's int() of an infinite sample number raises
         return None
     acc = ours & (kinds[:, 1] == layout.acc_type_value)
-    gyr = ours & (kinds[:, 1] == layout.gyr_type_value) & ~acc
-    acc_keys, acc_last = _last_per_key(np.trunc(values[acc, 0]))
-    gyr_keys, gyr_last = _last_per_key(np.trunc(values[gyr, 0]))
-    _, acc_at, gyr_at = np.intersect1d(acc_keys, gyr_keys, assume_unique=True, return_indices=True)
-    return values[acc][acc_last[acc_at]], values[gyr][gyr_last[gyr_at], 1:4]
+    return acc, ours & (kinds[:, 1] == layout.gyr_type_value) & ~acc, values
 
 
-def _parse_interleaved(numbers: list[int], lines: list[str], layout: LayoutSpec, rate_hz: float):
-    paired = _plain_interleaved(lines, layout)
-    if paired is not None and len(paired[0]):
-        acc_rows, gyr = paired
-        acc = acc_rows[:, 1:4]
-        t_raw = acc_rows[:, 4] if layout.time_column is not None else None
-        return _time_axis(t_raw, len(acc), layout, rate_hz), acc, gyr
-    acc_rows: dict[int, tuple[float, list[float]]] = {}
-    gyr_rows: dict[int, list[float]] = {}
+def _interleaved_by_row(numbers: list[int], lines: list[str], layout: LayoutSpec):
+    """`_parse_interleaved`'s rows, line by line: the rows of the configured sensor id, with the first bad one
+    raising DataError naming its line. Tags are compared as Python strings, which keep a trailing '\\x00'."""
+    acc, gyr, matrix = [], [], []
     for line_no, line in zip(numbers, lines):
         row = line.split(layout.delimiter)
         try:
@@ -428,20 +414,30 @@ def _parse_interleaved(numbers: list[int], lines: list[str], layout: LayoutSpec,
             kind = row[layout.sensor_type_column].strip()
             sample_no = int(float(row[layout.sample_no_column]))
             xyz = [float(row[c]) for c in layout.value_columns]
-            if kind == layout.acc_type_value:
-                t_raw = float(row[layout.time_column]) if layout.time_column is not None else math.nan
-                acc_rows[sample_no] = (t_raw, xyz)
-            elif kind == layout.gyr_type_value:
-                gyr_rows[sample_no] = xyz
+            is_acc = kind == layout.acc_type_value
+            t_raw = float(row[layout.time_column]) if is_acc and layout.time_column is not None else math.nan
         except (IndexError, ValueError, OverflowError) as exc:  # OverflowError: an infinite sample number
             raise DataError(f"line {line_no}: {exc}") from None
-    common = sorted(acc_rows.keys() & gyr_rows.keys())
-    if not common:
+        acc.append(is_acc)
+        gyr.append(not is_acc and kind == layout.gyr_type_value)
+        matrix.append([sample_no, *xyz, t_raw])
+    return np.array(acc, dtype=bool), np.array(gyr, dtype=bool), np.array(matrix, dtype=float).reshape(-1, 5)
+
+
+def _parse_interleaved(numbers: list[int], lines: list[str], layout: LayoutSpec, rate_hz: float):
+    """Pair the accelerometer and gyroscope rows of the configured sensor id by sample number, read by loadtxt
+    (`_interleaved_by_loadtxt`) or else line by line (`_interleaved_by_row`): each gives the two row masks and the rows'
+    (sample number, x, y, z[, timestamp]). A sample number is truncated to an integer, of the rows of one sensor type
+    with one sample number the last counts, and the pairs come out in sample number order."""
+    acc, gyr, values = _interleaved_by_loadtxt(lines, layout) or _interleaved_by_row(numbers, lines, layout)
+    acc_keys, acc_last = _last_per_key(np.trunc(values[acc, 0]))
+    gyr_keys, gyr_last = _last_per_key(np.trunc(values[gyr, 0]))
+    _, acc_at, gyr_at = np.intersect1d(acc_keys, gyr_keys, assume_unique=True, return_indices=True)
+    if not len(acc_at):
         raise DataError("no paired accelerometer/gyroscope samples for the configured sensor id")
-    acc = np.array([acc_rows[k][1] for k in common])
-    gyr = np.array([gyr_rows[k] for k in common])
-    t_raw = [acc_rows[k][0] for k in common] if layout.time_column is not None else None
-    return _time_axis(t_raw, len(common), layout, rate_hz), acc, gyr
+    acc_rows = values[acc][acc_last[acc_at]]
+    t_raw = acc_rows[:, 4] if layout.time_column is not None else None
+    return _time_axis(t_raw, len(acc_rows), layout, rate_hz), acc_rows[:, 1:4], values[gyr][gyr_last[gyr_at], 1:4]
 
 
 def parse_trial_file(path, layout: LayoutSpec, rate_hz: float):
@@ -914,15 +910,10 @@ def _stored_rows(request: TrialRows, entry: IndexEntry) -> np.ndarray | None:
         if key not in store:
             return None
         first, count = store[key]
-        with open(store.path, "rb") as fh:
-            fh.seek(store.offset + first * _ROWS_DTYPE.itemsize)
-            data = fh.read(count * _ROWS_DTYPE.itemsize)
+        records = np.fromfile(store.path, _ROWS_DTYPE, count, offset=store.offset + first * _ROWS_DTYPE.itemsize)
     except OSError:  # a trial file or store that cannot be read misses; the file worker's read raises as before
         return None
-    if len(data) != count * _ROWS_DTYPE.itemsize:
-        return None
-    records = np.frombuffer(data, _ROWS_DTYPE)
-    if not (records["key"] == key).all():
+    if len(records) != count or not (records["key"] == key).all():
         return None
     columns = range(N_FEATURES) if signals is None else [N_FEATURES + THRESHOLD_SIGNALS.index(s) for s in signals]
     return records["values"][:, list(columns)]

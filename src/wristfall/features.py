@@ -157,7 +157,7 @@ def window_values(windows: Sequence[SignalWindow], signals: tuple[str, ...] | No
     """One row per window: the peak of each of `signals` (a threshold detector), or with None its 88 features.
 
     A signal holding inf or nan raises NonFiniteSignal (`_derive_checked`); on the finite signals left, a value
-    exceeds a threshold exactly when the peak does, so the peaks are all the vote and the grid search read.
+    exceeds a threshold exactly when the peak does, so the peaks are all the vote and calibration read.
     """
     if signals is None:
         return extract_many(windows)

@@ -3,8 +3,9 @@
 Each enabled derived signal votes Fall when any instantaneous value strictly
 exceeds its threshold; the verdict is the majority of the votes and an exact
 tie resolves to Fall (missed falls cost more than false alarms). Thresholds
-are calibrated on a development set by grid search that maximizes specificity
-subject to 100% sensitivity.
+are calibrated on a development set: each is the largest point of its grid
+below the weakest fall peak above the grid's first point, which has the best
+sensitivity the grid reaches and, of those points, the best specificity.
 """
 
 from __future__ import annotations
@@ -119,15 +120,13 @@ def calibrate_peaks(
     labels: Sequence[Label],
     signals: Iterable[str] = DEFAULT_SIGNALS,
 ) -> ThresholdConfig:
-    """Grid-search per-signal thresholds on a development set: one row of `peaks` per window, one column per signal.
+    """Per-signal thresholds from a development set: one row of `peaks` per window, one column per signal.
 
-    For each signal independently, pick the grid point with the best
-    specificity among those reaching 100% sensitivity; if no grid point
-    reaches 100% sensitivity, pick the best sensitivity, breaking ties by
-    higher specificity and then by the larger threshold. A signal votes Fall
-    on a window when its peak there exceeds the threshold, so the peaks are
-    all the search reads. The result does not depend on the order of the
-    windows.
+    For each signal independently, the pick is the grid point of the best sensitivity, breaking ties by higher
+    specificity and then by the larger threshold. A signal votes Fall on a window when its peak there exceeds the
+    threshold, so sensitivity never rises with the threshold and specificity never falls: the pick is the largest
+    grid point below the weakest fall peak that exceeds the grid's first point, or the last grid point if no fall
+    peak does. It does not depend on the order of the windows, nor on the ADL peaks beyond there being one.
     """
     signals = check_signals(signals)
     labels = np.array([label is Label.FALL for label in labels], dtype=bool)
@@ -137,9 +136,8 @@ def calibrate_peaks(
     chosen: dict[str, float] = {}
     for name, column in zip(signals, np.asarray(peaks, dtype=float).T):
         grid = grid_points(*DEFAULT_GRIDS[name])
-        se = np.mean(column[labels, np.newaxis] > grid, axis=0)
-        sp = np.mean(column[~labels, np.newaxis] <= grid, axis=0)
-        chosen[name] = float(grid[np.lexsort((grid, sp, se))[-1]])  # the greatest (se, sp, threshold)
+        detected = column[labels & (column > grid[0])]
+        chosen[name] = float(grid[np.searchsorted(grid, detected.min()) - 1] if detected.size else grid[-1])
     return ThresholdConfig(thresholds=chosen)
 
 

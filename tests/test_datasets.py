@@ -244,6 +244,51 @@ class TestInterleavedAdapter:
         )
 
 
+    @staticmethod
+    def parse_both(tmp_path, rows, layout=None):
+        """parse_trial_file of the rows as written, which loadtxt reads when they are plain numbers, and with a
+        space after every ';', which only the row loop reads: the two results, each arrays or a DataError."""
+        layout = layout or interleaved_manifest(tmp_path).layout
+        results = []
+        for separator in (";", "; "):
+            path = tmp_path / "trial.csv"
+            path.write_text("\n".join(row.replace(";", separator) for row in rows) + "\n")
+            try:
+                results.append(parse_trial_file(path, layout, 20.0))
+            except DataError as exc:
+                results.append(exc)
+        return results
+
+    def test_a_repeated_sample_number_keeps_the_last_row(self, tmp_path):
+        rows = ["0;0;1;1;1;0;3", "1;0;7;7;7;1;3", "5;0;2;2;2;0;3", "6;1;3;3;3;0;3", "7;1;8;8;8;1;3", "8;1;9;9;9;1;3"]
+        for t, acc, gyr in self.parse_both(tmp_path, rows):
+            assert acc.tolist() == [[2, 2, 2], [3, 3, 3]] and gyr.tolist() == [[7, 7, 7], [9, 9, 9]]
+            assert t.tolist() == [0.0, 0.001]
+
+    def test_a_fractional_sample_number_is_truncated(self, tmp_path):
+        rows = ["0;0.5;1;1;1;0;3", "0;0;4;4;4;1;3", "50;1.9;2;2;2;0;3", "50;1;5;5;5;1;3", "100;-0.5;6;6;6;1;3"]
+        for t, acc, gyr in self.parse_both(tmp_path, rows):
+            assert acc.tolist() == [[1, 1, 1], [2, 2, 2]] and gyr.tolist() == [[6, 6, 6], [5, 5, 5]]
+
+    def test_pairs_come_out_in_sample_number_order(self, tmp_path):
+        rows = [f"{50 * n};{n};{n};{n};{n};{kind};3" for kind, order in (("0", (2, 0, 1)), ("1", (1, 2, 0))) for n in order]
+        for t, acc, gyr in self.parse_both(tmp_path, rows):
+            assert acc.tolist() == gyr.tolist() == [[0, 0, 0], [1, 1, 1], [2, 2, 2]]
+            assert t.tolist() == [0.0, 0.05, 0.1]
+
+    def test_a_type_field_ending_in_nul_is_not_the_tag(self, tmp_path):
+        """numpy drops a trailing '\\x00' when it compares text, so the fields are compared as Python strings."""
+        rows = ["0;0;1;1;1;0;3", "0;0;4;4;4;1;3", "50;1;2;2;2;0;3", "50;1;5;5;5;1\x00;3", "100;2;3;3;3;0;3", "100;2;6;6;6;1;3"]
+        for t, acc, gyr in self.parse_both(tmp_path, rows):
+            assert acc.tolist() == [[1, 1, 1], [3, 3, 3]] and gyr.tolist() == [[4, 4, 4], [6, 6, 6]]
+
+    def test_equal_accelerometer_and_gyroscope_tags_pair_nothing(self, tmp_path):
+        layout = dataclasses.replace(interleaved_manifest(tmp_path).layout, gyr_type_value="0")
+        rows = ["0;0;1;1;1;0;3", "0;0;4;4;4;0;3", "50;1;2;2;2;0;3", "50;1;5;5;5;1;3"]
+        for result in self.parse_both(tmp_path, rows, layout):
+            assert isinstance(result, DataError) and str(result).startswith("no paired accelerometer/gyroscope")
+
+
 # Fields that `float` and np.loadtxt may read differently, or that make a row bad; '1e999' is read as inf.
 RAW_ODD_FIELDS = ("\x1c9", "1_000", "nan", "inf", "-inf", "1e999", "1e", "", "-0.0", "+2", "1E2", ".5", "3.")
 

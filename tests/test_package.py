@@ -45,6 +45,7 @@ def test_every_exported_name_resolves():
         (datasets.DatasetManifest, "label_for"),
         (evaluation, "classify_rows"),
         (threshold, "vote"),
+        (datasets, "_plain_interleaved"),
     ],
 )
 def test_removed_name_is_gone(module, name):

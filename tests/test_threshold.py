@@ -206,6 +206,19 @@ class TestCalibrate:
                 expected = calibrate_oracle(column[:6], column[6:], *DEFAULT_GRIDS[name])
                 assert config.thresholds[name] == expected
 
+    def test_adl_peaks_never_move_the_thresholds(self):
+        """Sensitivity never rises with a threshold and specificity never falls, so the largest threshold of the
+        best sensitivity is also of the best specificity: wherever the ADL peaks lie, each signal's pick stays."""
+        rng = np.random.default_rng(26)
+        grids = [grid_points(*DEFAULT_GRIDS[name]) for name in DEFAULT_GRIDS]
+        labels = [Label.FALL] * 5 + [Label.ADL] * 6
+        for _ in range(20):
+            peaks = np.column_stack([rng.uniform(grid[0] - 1, grid[-1] + 1, size=11) for grid in grids])
+            want = calibrate_peaks(peaks, labels, signals=tuple(DEFAULT_GRIDS))
+            for moved in (rng.uniform(0, 2000, size=(6, 4)), np.column_stack([rng.choice(g, size=6) for g in grids])):
+                peaks[5:] = moved
+                assert calibrate_peaks(peaks, labels, signals=tuple(DEFAULT_GRIDS)) == want
+
     def test_perfectly_separable_fi_scores_perfectly_on_dev(self):
         rng = np.random.default_rng(23)
         pairs = []
